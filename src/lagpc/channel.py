@@ -113,7 +113,7 @@ class QuadMatrices:
     of the received power is g^H P g and the self-interference part is
     g^H Q g.  D is the rank-one form whose value completes the determinant of
     the (U, Ys) covariance, and E combines them for the outage surrogate at a
-    target rate.  c0 = c = var(U).
+    target rate.  c0 = var(U).
     """
 
     P: np.ndarray
@@ -122,7 +122,6 @@ class QuadMatrices:
     D: np.ndarray
     E: np.ndarray | None
     c0: float
-    c: float
     d: float | None
 
 
@@ -220,7 +219,7 @@ def build_matrices(
     if r_cr_target is not None:
         d = 2.0 ** r_cr_target / sigma2
         E = (1.0 - c0 * d) * S + d * D
-    return QuadMatrices(P=P, Q=Q, S=S, D=D, E=E, c0=c0, c=c0, d=d)
+    return QuadMatrices(P=P, Q=Q, S=S, D=D, E=E, c0=c0, d=d)
 
 
 def full_csit_alpha2(r: ChannelRealization, alpha1: float, pw: PowerConfig):
@@ -236,19 +235,3 @@ def naive_alpha2(stats: ChannelStats, alpha1: float, pw: PowerConfig) -> float:
     g = abs(stats.mu22) ** 2 * sigma2
     return g / (g + pw.noise_s)
 
-
-def baseline_rates(
-    r: ChannelRealization, alpha1: float, pw: PowerConfig, stats: ChannelStats
-) -> dict:
-    """Reference CR rates: interference as noise, full CSIT, mean-channel DPC."""
-    sigma2 = (1.0 - alpha1) * pw.Pc
-    hs = effective_interference_gain(r, alpha1, pw)
-    g22 = np.abs(r.h22) ** 2 * sigma2
-    noise_rate = np.log2(1.0 + g22 / (np.abs(hs) ** 2 * pw.Pp + pw.noise_s))
-    full_csit_rate = np.log2(1.0 + g22 / pw.noise_s)
-    naive = DesignParams(alpha1, naive_alpha2(stats, alpha1, pw))
-    return {
-        "noise_rate": noise_rate,
-        "full_csit_rate": full_csit_rate,
-        "naive_dpc_rate": cr_rate(r, naive, pw),
-    }

@@ -506,7 +506,7 @@ def _cmd_reproduce_figure(cfg) -> ResultTable:
         stats = ChannelStats.from_k_factor(10.0)
         target = design_fast.primary_target_ergodic(stats, pw)
         res = design_fast.solve_alpha1_fast(stats, pw, target)
-        pair = lattice.build_nested(2, seed=seed)
+        pair = lattice.build_nested(2)
         mean_r = channel.ChannelRealization(
             *(np.array([m]) for m in (stats.mu11, stats.mu12, stats.mu21, stats.mu22))
         )
@@ -592,6 +592,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        try:
+            montecarlo.default_workers()
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
         raw = {}
         if args.config:
             try:

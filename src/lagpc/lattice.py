@@ -1,11 +1,15 @@
 """Nested-lattice codec realizing the precoded cognitive link over E8.
 
-One frame is T = 4 complex channel uses handled as 2T = 8 real dimensions
-(re/im interleaved, so a complex gain c acts as I_T kron rot(c)).  Codewords
-are fine-lattice points inside the coarse Voronoi region, the encoder runs
-dithered mod-coarse precoding against the known interference frame, and the
-decoder lattice-quantizes a whitened MMSE estimate with an exact sphere
-search.
+One frame is T = 4 complex channel uses held as 2T = 8 real dimensions,
+re/im interleaved, so ``frame.view(complex)`` is the per-use vector and every
+gain of the link is one complex multiply.  Codewords are fine-lattice points
+inside the coarse Voronoi region; the encoder runs dithered mod-coarse
+precoding against the known interference frame.  The receiver's scalar MMSE
+gain leaves an error that is white with the same variance in all 8
+dimensions, so the nearest fine-lattice point of the dithered estimate is
+the maximum-likelihood decision.  The pair is scaled in closed form from the
+normalized second moment of E8, G = 929/12960 (Conway & Sloane, SPLAG,
+Table 2.3).
 """
 from __future__ import annotations
 
@@ -13,13 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
-from scipy.linalg import solve_triangular
 
 from . import channel
 from .channel import ChannelRealization, DesignParams, PowerConfig
 
 T_SYMBOLS = 4
 N_DIM = 2 * T_SYMBOLS
+E8_SECOND_MOMENT = 929.0 / 12960.0  # per dimension, unit-volume E8
 
 
 def e8_generator() -> np.ndarray:
@@ -122,49 +126,25 @@ class NestedPair:
     coarse: Lattice
     q_nest: int
     rate_bpcu: float
-    second_moment: float  # measured per-dimension moment of the coarse cell
 
     @property
     def codebook_size(self) -> int:
         return self.q_nest ** N_DIM
 
 
-def build_nested(
-    q_nest: int,
-    target_second_moment: float = 0.5,
-    calib_n: int = 10 ** 6,
-    seed: int = 0,
-    tol: float = 0.005,
-) -> NestedPair:
-    """Fine/coarse pair with the coarse cell calibrated to the target power.
+def build_nested(q_nest: int) -> NestedPair:
+    """Fine/coarse pair whose coarse cell has per-dimension second moment 1/2.
 
-    The per-dimension second moment of the coarse Voronoi region is measured
-    by Monte Carlo (uniform over a fundamental parallelepiped, folded into
-    the cell) and the pair is scaled so it hits target_second_moment; an
-    independent batch re-measures the calibrated cell and must agree within
-    tol relative.
+    The unit-volume E8 cell has per-dimension second moment G(E8), so the
+    coarse lattice is E8 scaled by sqrt(0.5 / G(E8)) and the fine one is that
+    divided by q_nest.
     """
     if q_nest not in (2, 4):
         raise ValueError("q_nest must be 2 or 4")
-    base = e8_generator()
-    rng = Generator(Philox(key=seed))
-    u = rng.random((calib_n, N_DIM))
-    pts = u @ base.T
-    res = pts - e8_closest_point(pts)
-    m0 = float(np.mean(np.sum(res ** 2, axis=-1)) / N_DIM)
-    scale = np.sqrt(target_second_moment / m0) / q_nest
+    scale = np.sqrt(0.5 / E8_SECOND_MOMENT) / q_nest
     fine = Lattice.scaled_e8(scale)
     coarse = Lattice.scaled_e8(scale * q_nest)
-    rng2 = Generator(Philox(key=seed + 1))
-    u2 = rng2.random((calib_n // 4, N_DIM))
-    pts2 = u2 @ coarse.gen.T
-    res2 = mod_lambda(pts2, coarse)
-    measured = float(np.mean(np.sum(res2 ** 2, axis=-1)) / N_DIM)
-    if abs(measured - target_second_moment) > tol * target_second_moment:
-        raise RuntimeError(
-            f"second-moment calibration off: {measured:.5f} vs {target_second_moment}"
-        )
-    return NestedPair(fine, coarse, q_nest, 2.0 * np.log2(q_nest), measured)
+    return NestedPair(fine, coarse, q_nest, 2.0 * np.log2(q_nest))
 
 
 def message_to_digits(index: int, q: int) -> np.ndarray:
@@ -195,94 +175,62 @@ def sample_dither(pair: NestedPair, rng: Generator) -> np.ndarray:
     return mod_lambda(pair.coarse.gen @ u, pair.coarse)
 
 
+def _gain(c: complex, frame) -> np.ndarray:
+    """A complex gain applied to each channel use of an interleaved frame."""
+    return (c * np.ascontiguousarray(frame, dtype=float).view(complex)).view(float)
+
+
 @dataclass(frozen=True)
 class FilterSet:
-    F_s: np.ndarray
-    F_r: np.ndarray
-    L: np.ndarray
-    Sigma_E: np.ndarray
+    """Precoder, receiver gain and error variance of one realization.
+
+    precoder = alpha2 / sqrt(sigma2) scales the interference frame that the
+    encoder subtracts; z is the MMSE gain on the received frame; error_var is
+    the per-dimension variance of the effective error z*y + d - codeword.
+    regularized is always False: error_var is a sum of nonnegative terms, one
+    of which is positive (noise_s |z|^2 when z != 0, and 1/2 when z = 0), so
+    it never needs a ridge.
+    """
+
+    precoder: complex
+    z: complex
+    error_var: float
     regularized: bool = False
-
-
-def rot_block(c: complex) -> np.ndarray:
-    return np.array([[c.real, -c.imag], [c.imag, c.real]])
-
-
-def channel_matrix(c: complex, t: int = T_SYMBOLS) -> np.ndarray:
-    """Real 2t x 2t action of a scalar complex gain on interleaved frames."""
-    return np.kron(np.eye(t), rot_block(complex(c)))
-
-
-def _scalar(h) -> complex:
-    return complex(np.ravel(np.asarray(h))[0])
 
 
 def build_filters(
     r: ChannelRealization,
     params: DesignParams,
     pw: PowerConfig,
-    t: int = T_SYMBOLS,
     s_power: float | None = None,
 ) -> FilterSet:
-    """Side-information, receiver, and whitening filters for one realization.
+    """Side-information precoder, MMSE gain and error variance for one realization.
 
     s_power overrides the interference power seen by the filter design (0
-    builds the interference-free baseline).  The whitener satisfies
-    L^T L = Sigma_E^{-1}; a near-singular error covariance gets a 1e-12
-    ridge and is flagged.
+    builds the interference-free baseline).
     """
     if params.alpha1 >= 1.0:
         raise ValueError("no lattice signal at alpha1 = 1")
     sigma2 = (1.0 - params.alpha1) * pw.Pc
-    h22 = _scalar(r.h22)
-    hs = _scalar(channel.effective_interference_gain(r, params.alpha1, pw))
+    root = np.sqrt(sigma2)
+    h22 = complex(np.asarray(r.h22).item())
+    hs = complex(np.asarray(channel.effective_interference_gain(r, params.alpha1, pw)).item())
     s_pow = pw.Pp if s_power is None else float(s_power)
-    eye = np.eye(2 * t)
-    H_tilde = np.sqrt(sigma2) * channel_matrix(h22, t)
-    H_s = channel_matrix(hs, t)
-    F_s = channel_matrix(complex(params.alpha2), t) / np.sqrt(sigma2)
-    cov_u_y = 0.5 * H_tilde.T + F_s @ (0.5 * s_pow * H_s.T)
-    cov_y = (
-        0.5 * H_tilde @ H_tilde.T
-        + 0.5 * s_pow * H_s @ H_s.T
-        + 0.5 * pw.noise_s * eye
+    pre = complex(params.alpha2) / root
+    z = (root * h22.conjugate() + pre * s_pow * hs.conjugate()) / (
+        sigma2 * abs(h22) ** 2 + s_pow * abs(hs) ** 2 + pw.noise_s
     )
-    F_r = np.linalg.solve(cov_y, cov_u_y.T).T
-    A = F_r @ H_tilde - eye
-    B = F_r @ H_s - F_s
-    sig_e = 0.5 * (A @ A.T) + 0.5 * s_pow * (B @ B.T) + 0.5 * pw.noise_s * (F_r @ F_r.T)
-    sig_e = 0.5 * (sig_e + sig_e.T)
-    regularized = False
-    try:
-        chol = np.linalg.cholesky(sig_e)
-    except np.linalg.LinAlgError:
-        sig_e = sig_e + 1e-12 * eye
-        chol = np.linalg.cholesky(sig_e)
-        regularized = True
-    L = solve_triangular(chol, eye, lower=True)
-    return FilterSet(F_s=F_s, F_r=F_r, L=L, Sigma_E=sig_e, regularized=regularized)
+    err = 0.5 * (
+        abs(z * root * h22 - 1.0) ** 2 + s_pow * abs(z * hs - pre) ** 2 + pw.noise_s * abs(z) ** 2
+    )
+    return FilterSet(precoder=pre, z=z, error_var=float(err))
 
 
-def achievable_rate(filters: FilterSet, t: int = T_SYMBOLS) -> float:
-    """Rate supported by the whitened error covariance, bits per channel use."""
-    try:
-        chol = np.linalg.cholesky(filters.Sigma_E)
-    except np.linalg.LinAlgError:
-        raise ValueError("error covariance not positive definite") from None
-    logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    return float(-1.0 - logdet / (2.0 * t * np.log(2.0)))
-
-
-def error_covariance_complex(filters: FilterSet, t: int = T_SYMBOLS) -> np.ndarray:
-    """T x T complex covariance carried by the real 2T x 2T error blocks."""
-    s = filters.Sigma_E
-    C = np.empty((t, t), dtype=complex)
-    for j in range(t):
-        for k in range(t):
-            C[j, k] = (s[2 * j, 2 * k] + s[2 * j + 1, 2 * k + 1]) + 1j * (
-                s[2 * j + 1, 2 * k] - s[2 * j, 2 * k + 1]
-            )
-    return C
+def achievable_rate(filters: FilterSet) -> float:
+    """Rate supported by the per-dimension error variance, bits per channel use."""
+    if not filters.error_var > 0.0:
+        raise ValueError("error variance not positive")
+    return float(-1.0 - np.log2(filters.error_var))
 
 
 def encode(
@@ -296,63 +244,20 @@ def encode(
 ) -> np.ndarray:
     """Dithered mod-coarse transmit frame for one message."""
     c_c = codeword(pair, message_index)
-    v = mod_lambda(c_c - filters.F_s @ np.asarray(s_frame, dtype=float) - dither, pair.coarse)
+    v = mod_lambda(c_c - _gain(filters.precoder, s_frame) - dither, pair.coarse)
     return np.sqrt((1.0 - alpha1) * p_c) * v
-
-
-def sphere_decode(M: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Exact argmin over integer b of |y - M b|^2, depth-first zig-zag.
-
-    The first leaf visited is the successive-rounding (Babai) point, which
-    seeds the pruning radius, so the search always terminates with the
-    global minimizer.
-    """
-    n = M.shape[0]
-    q, rmat = np.linalg.qr(M)
-    signs = np.sign(np.diag(rmat))
-    signs[signs == 0] = 1.0
-    rmat = signs[:, None] * rmat
-    yq = (q * signs[None, :]).T @ np.asarray(y, dtype=float)
-    best = None
-    radius = np.inf
-    b = np.zeros(n, dtype=np.int64)
-    step = np.zeros(n, dtype=np.int64)
-    dist = np.zeros(n + 1)
-    k = n - 1
-    while True:
-        resid = yq[k] - rmat[k, k + 1 :] @ b[k + 1 :] if k < n - 1 else yq[k]
-        if step[k] == 0:  # entering this level: start at the rounded center
-            center = resid / rmat[k, k]
-            b[k] = int(np.rint(center))
-            step[k] = 1 if center >= b[k] else -1
-        inc = (resid - rmat[k, k] * b[k]) ** 2
-        if dist[k + 1] + inc < radius:
-            if k == 0:
-                radius = dist[1] + inc
-                best = b.copy()
-                b[0] += step[0]
-                step[0] = -step[0] - np.sign(step[0])
-            else:
-                dist[k] = dist[k + 1] + inc
-                k -= 1
-                step[k] = 0
-        else:
-            # zig-zag visits siblings in cost order, so the whole level
-            # is exhausted once one fails the radius
-            step[k] = 0
-            k += 1
-            if k == n:
-                return best
-            b[k] += step[k]
-            step[k] = -step[k] - np.sign(step[k])
 
 
 def decode(
     y: np.ndarray, filters: FilterSet, dither: np.ndarray, pair: NestedPair
 ) -> int:
-    """Message index recovered from one received frame."""
-    target = filters.L @ (filters.F_r @ np.asarray(y, dtype=float) + dither)
-    b = sphere_decode(filters.L @ pair.fine.gen, target)
+    """Message index recovered from one received frame.
+
+    The error of z*y + dither is white (error_var in every dimension), so
+    the nearest fine-lattice point is the maximum-likelihood decision.
+    """
+    point = pair.fine.closest(_gain(filters.z, y) + dither)
+    b = np.rint(np.linalg.solve(pair.fine.gen, point)).astype(np.int64)
     return digits_to_message(b, pair.q_nest)
 
 
@@ -380,8 +285,7 @@ def transmit_samples(
         s_c = (rng.normal(size=T_SYMBOLS) + 1j * rng.normal(size=T_SYMBOLS)) * np.sqrt(
             pw.Pp / 2.0
         )
-        s_frame = np.empty(N_DIM)
-        s_frame[0::2], s_frame[1::2] = s_c.real, s_c.imag
+        s_frame = s_c.view(float)
         x = encode(msg, s_frame, dither, pair, filters, alpha1, pw.Pc)
         out[i] = x + relay * s_frame
     return out.ravel()
@@ -433,7 +337,7 @@ def codeword_error_sim(scenario: LatticeScenario) -> list[ErrorRatePoint]:
     if 2.0 * np.log2(q) != scenario.rate_bpcu:
         raise ValueError("rate must be 2*log2(q) for integer q")
     stats = channel.ChannelStats.from_k_factor(scenario.k_db)
-    pair = build_nested(q, seed=scenario.seed)
+    pair = build_nested(q)
     # what is actually on the air vs what the receiver filter assumes; they
     # coincide for every scheme here (the as-noise receiver knows the power,
     # it just cannot precode against the realization)
@@ -452,9 +356,8 @@ def codeword_error_sim(scenario: LatticeScenario) -> list[ErrorRatePoint]:
         for _ in range(scenario.trials):
             g = (rng.normal(size=4) + 1j * rng.normal(size=4)) / np.sqrt(2.0)
             h = mu + sd * g
-            r = ChannelRealization(*(np.array([v]) for v in h))
-            h22 = _scalar(r.h22)
-            hs = _scalar(channel.effective_interference_gain(r, scenario.alpha1, pw))
+            r = ChannelRealization(*h)
+            hs = complex(channel.effective_interference_gain(r, scenario.alpha1, pw))
             filters = build_filters(r, params, pw, s_power=filter_s_power)
             msg = int(rng.integers(pair.codebook_size))
             dither = sample_dither(pair, rng)
@@ -464,11 +367,10 @@ def codeword_error_sim(scenario: LatticeScenario) -> list[ErrorRatePoint]:
                 )
             else:
                 s_c = np.zeros(T_SYMBOLS, dtype=complex)
-            s_frame = np.empty(N_DIM)
-            s_frame[0::2], s_frame[1::2] = s_c.real, s_c.imag
+            s_frame = s_c.view(float)
             x = encode(msg, s_frame, dither, pair, filters, scenario.alpha1, p_c)
             z = rng.normal(size=N_DIM) * np.sqrt(scenario.noise / 2.0)
-            y = channel_matrix(h22) @ x + channel_matrix(hs) @ s_frame + z
+            y = _gain(complex(r.h22), x) + _gain(hs, s_frame) + z
             errors += decode(y, filters, dither, pair) != msg
         p_err = errors / scenario.trials
         ci = 1.96 * np.sqrt(max(p_err * (1.0 - p_err), 1e-12) / scenario.trials)

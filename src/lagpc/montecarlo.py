@@ -73,7 +73,10 @@ def scheme_rates(
         naive = DesignParams(params.alpha1, channel.naive_alpha2(stats, params.alpha1, pw))
         return channel.cr_rate(r, naive, pw)
     if which == "interference_as_noise":
-        return channel.baseline_rates(r, params.alpha1, pw, stats)["noise_rate"]
+        sigma2 = (1.0 - params.alpha1) * pw.Pc
+        hs = channel.effective_interference_gain(r, params.alpha1, pw)
+        g22 = np.abs(r.h22) ** 2 * sigma2
+        return np.log2(1.0 + g22 / (np.abs(hs) ** 2 * pw.Pp + pw.noise_s))
     if which == "primary":
         return channel.primary_rate(r, params.alpha1, pw)
     raise ValueError(f"unknown scheme {which!r}")
@@ -112,10 +115,16 @@ def _worker_ranges(n: int, workers: int):
 
 
 def default_workers() -> int:
+    """Worker count from LAGPC_WORKERS (default 1); anything but a positive
+    integer raises ValueError naming the value."""
+    raw = os.environ.get("LAGPC_WORKERS", "1")
     try:
-        return max(1, int(os.environ.get("LAGPC_WORKERS", "1")))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"LAGPC_WORKERS must be a positive integer, got {raw!r}")
+    return workers
 
 
 def ergodic_capacity(
@@ -356,9 +365,8 @@ def figure_sweep(
                         p = DesignParams(st.alpha1, 0.0)
                     est = outage_probability(stats, p, pw, r_cr, "cr", n_outage, seed)
                     rows.append(_record(k_db, scheme, metric, est, p))
-                sigma2 = (1.0 - st.alpha1) * pw.Pc
                 r = channel.sample_realizations(stats, n_outage, seed)
-                csit = np.log2(1.0 + np.abs(r.h22) ** 2 * sigma2 / pw.noise_s)
+                csit = scheme_rates(r, stats, st.params, pw, "full_csit")
                 pr = float(np.mean(csit < r_cr))
                 se = float(np.sqrt(pr * (1.0 - pr) / n_outage))
                 rows.append(

@@ -85,15 +85,9 @@ def qf_covariance(g: GaussianVectorSpec, A, B) -> float:
     )
 
 
-def ratio_moments(
-    g: GaussianVectorSpec, P, Q, offset: float = 1.0, method: str = "delta"
-) -> RatioMoments:
-    """Approximate mean/std of (H^H Q H + offset) / (H^H P H).
-
-    method="delta" is the second-order delta-method form (validated against
-    Monte Carlo); method="literal" keeps an alternative constant placement
-    for comparison runs and carries no accuracy claim.
-    """
+def ratio_moments(g: GaussianVectorSpec, P, Q, offset: float = 1.0) -> RatioMoments:
+    """Second-order delta-method mean/std of (H^H Q H + offset) / (H^H P H),
+    validated against Monte Carlo."""
     a = qf_mean(g, P)
     if a <= 1e-12:
         raise DomainError("denominator form has (near-)zero mean")
@@ -101,19 +95,8 @@ def ratio_moments(
     vq = qf_variance(g, Q)
     cov = qf_covariance(g, Q, P)
     b = qf_mean(g, Q) + offset
-    if method == "delta":
-        mean = (b / a) * (1.0 - cov / (a * b) + vp / a ** 2)
-        var = (b / a) ** 2 * (vq / b ** 2 - 2.0 * cov / (a * b) + vp / a ** 2)
-    elif method == "literal":
-        # Historical transcription; the s,t,m constants are twice the
-        # corresponding (co)variances and the ratio orientation differs.
-        s = 2.0 * vp
-        t = 2.0 * vq
-        m = 2.0 * cov
-        mean = (a / b) * (1.0 - m / (a * b) + s / b ** 2)
-        var = (a ** 2 / b ** 2) * (t / a ** 2 + s / b ** 2 - 2.0 * m / (a * b))
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    mean = (b / a) * (1.0 - cov / (a * b) + vp / a ** 2)
+    var = (b / a) ** 2 * (vq / b ** 2 - 2.0 * cov / (a * b) + vp / a ** 2)
     return RatioMoments(mean=float(mean), std=float(np.sqrt(max(var, 0.0))))
 
 

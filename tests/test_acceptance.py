@@ -241,7 +241,7 @@ def test_criterion_7_lattice_rate_identity():
 
 def test_criterion_8_lattice_codec():
     lines = []
-    pair = lattice.build_nested(2, seed=0)
+    pair = lattice.build_nested(2)
     stats = ChannelStats.from_k_factor(10.0)
     mean_r = ChannelRealization(
         *(np.array([m]) for m in (stats.mu11, stats.mu12, stats.mu21, stats.mu22))
@@ -263,7 +263,7 @@ def test_criterion_8_lattice_codec():
         s = np.empty(8)
         s[0::2], s[1::2] = s_c.real, s_c.imag
         x = lattice.encode(msg, s, d, pair, filters, 0.0, PW.Pc)
-        y = lattice.channel_matrix(h22) @ x + lattice.channel_matrix(hs) @ s
+        y = (h22 * x.view(complex) + hs * s.view(complex)).view(float)
         good += lattice.decode(y, filters, d, pair) == msg
     lines.append((good == 256, f"criterion 8 [noiseless]: {good}/256 messages recovered"))
 

@@ -105,7 +105,9 @@ def test_cr_rate_zero_alpha2_is_noise_rate():
     stats = ChannelStats.from_k_factor(8.0)
     r = channel.sample_realizations(stats, 64, seed=6)
     rates = channel.cr_rate(r, DesignParams(0.3, 0.0), PW)
-    noise = channel.baseline_rates(r, 0.3, PW, stats)["noise_rate"]
+    hs = channel.effective_interference_gain(r, 0.3, PW)
+    g22 = np.abs(r.h22) ** 2 * (1.0 - 0.3) * PW.Pc
+    noise = np.log2(1.0 + g22 / (np.abs(hs) ** 2 * PW.Pp + PW.noise_s))
     np.testing.assert_allclose(rates, noise, atol=1e-12)
 
 
@@ -121,7 +123,7 @@ def test_full_csit_alpha2_recovers_clean_rate():
                 for i in range(len(r))
             ]
         ).ravel()
-        clean = channel.baseline_rates(r, a1, PW, stats)["full_csit_rate"]
+        clean = np.log2(1.0 + np.abs(r.h22) ** 2 * (1.0 - a1) * PW.Pc / PW.noise_s)
         np.testing.assert_allclose(got, clean, atol=1e-9)
 
 

@@ -146,6 +146,19 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert rc == 2
 
 
+def test_bad_worker_count_is_a_config_error(tmp_path, capsys, monkeypatch):
+    for bad in ("abc", "0", "-3"):
+        monkeypatch.setenv("LAGPC_WORKERS", bad)
+        rc, out = _run(tmp_path / bad, "design-fast", config={"k_db": [10]})
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and repr(bad) in err
+        assert not out.exists()
+    monkeypatch.setenv("LAGPC_WORKERS", "2")
+    rc, _ = _run(tmp_path / "ok", "design-fast", config={"k_db": [10]})
+    assert rc == 0
+
+
 def test_infeasible_exit_code(tmp_path, capsys):
     rc, _ = _run(
         tmp_path,

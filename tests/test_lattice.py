@@ -11,10 +11,12 @@ from lagpc.channel import (
     DesignParams,
     PowerConfig,
     cr_rate,
+    effective_interference_gain,
     full_csit_alpha2,
     sample_realizations,
 )
 from lagpc.design_fast import solve_alpha1_fast
+from lagpc.design_slow import solve_alpha2_slow
 
 PW = PowerConfig(10.0, 10.0)
 STATS = ChannelStats.from_k_factor(10.0)
@@ -22,7 +24,7 @@ STATS = ChannelStats.from_k_factor(10.0)
 
 @pytest.fixture(scope="module")
 def pair2():
-    return lat.build_nested(2, seed=0)
+    return lat.build_nested(2)
 
 
 def _mean_realization(stats=STATS):
@@ -33,9 +35,91 @@ def _mean_realization(stats=STATS):
 def _interference_frame(rng, p_p):
     s_c = (rng.normal(size=lat.T_SYMBOLS) + 1j * rng.normal(size=lat.T_SYMBOLS))
     s_c *= np.sqrt(p_p / 2.0)
-    s = np.empty(lat.N_DIM)
-    s[0::2], s[1::2] = s_c.real, s_c.imag
-    return s
+    return s_c.view(float)
+
+
+def _received(h22, x, hs, s):
+    """h22 x + hs s on interleaved re/im frames, one complex multiply per use."""
+    return (h22 * x.view(complex) + hs * s.view(complex)).view(float)
+
+
+# --- the real 8x8 construction, kept as the reference for the scalar codec ---
+
+
+def _channel_matrix(c):
+    """Real 8x8 action of a complex gain on an interleaved frame: I_4 kron rot(c)."""
+    c = complex(c)
+    return np.kron(np.eye(lat.T_SYMBOLS), np.array([[c.real, -c.imag], [c.imag, c.real]]))
+
+
+def _reference_filters(r, params, pw, s_power=None):
+    """(F_s, F_r, Sigma_E, L, rate) from the 8x8 real covariances; L^T L = Sigma_E^-1."""
+    sigma2 = (1.0 - params.alpha1) * pw.Pc
+    h22 = complex(np.ravel(r.h22)[0])
+    hs = complex(np.ravel(effective_interference_gain(r, params.alpha1, pw))[0])
+    s_pow = pw.Pp if s_power is None else s_power
+    eye = np.eye(lat.N_DIM)
+    H_tilde = np.sqrt(sigma2) * _channel_matrix(h22)
+    H_s = _channel_matrix(hs)
+    F_s = _channel_matrix(params.alpha2) / np.sqrt(sigma2)
+    cov_u_y = 0.5 * H_tilde.T + F_s @ (0.5 * s_pow * H_s.T)
+    cov_y = 0.5 * H_tilde @ H_tilde.T + 0.5 * s_pow * H_s @ H_s.T + 0.5 * pw.noise_s * eye
+    F_r = np.linalg.solve(cov_y, cov_u_y.T).T
+    A = F_r @ H_tilde - eye
+    B = F_r @ H_s - F_s
+    sig_e = 0.5 * (A @ A.T) + 0.5 * s_pow * (B @ B.T) + 0.5 * pw.noise_s * (F_r @ F_r.T)
+    sig_e = 0.5 * (sig_e + sig_e.T)
+    chol = np.linalg.cholesky(sig_e)
+    L = np.linalg.inv(chol)
+    rate = -1.0 - 2.0 * np.sum(np.log(np.diag(chol))) / (lat.N_DIM * np.log(2.0))
+    return F_s, F_r, sig_e, L, rate
+
+
+def sphere_decode(M, y):
+    """Exact argmin over integer b of |y - M b|^2, depth-first zig-zag.
+
+    The first leaf visited is the successive-rounding (Babai) point, which
+    seeds the pruning radius, so the search always terminates with the
+    global minimizer.
+    """
+    n = M.shape[0]
+    q, rmat = np.linalg.qr(M)
+    signs = np.sign(np.diag(rmat))
+    signs[signs == 0] = 1.0
+    rmat = signs[:, None] * rmat
+    yq = (q * signs[None, :]).T @ np.asarray(y, dtype=float)
+    best = None
+    radius = np.inf
+    b = np.zeros(n, dtype=np.int64)
+    step = np.zeros(n, dtype=np.int64)
+    dist = np.zeros(n + 1)
+    k = n - 1
+    while True:
+        resid = yq[k] - rmat[k, k + 1 :] @ b[k + 1 :] if k < n - 1 else yq[k]
+        if step[k] == 0:  # entering this level: start at the rounded center
+            center = resid / rmat[k, k]
+            b[k] = int(np.rint(center))
+            step[k] = 1 if center >= b[k] else -1
+        inc = (resid - rmat[k, k] * b[k]) ** 2
+        if dist[k + 1] + inc < radius:
+            if k == 0:
+                radius = dist[1] + inc
+                best = b.copy()
+                b[0] += step[0]
+                step[0] = -step[0] - np.sign(step[0])
+            else:
+                dist[k] = dist[k + 1] + inc
+                k -= 1
+                step[k] = 0
+        else:
+            # zig-zag visits siblings in cost order, so the whole level
+            # is exhausted once one fails the radius
+            step[k] = 0
+            k += 1
+            if k == n:
+                return best
+            b[k] += step[k]
+            step[k] = -step[k] - np.sign(step[k])
 
 
 # --- closest-point search -------------------------------------------------
@@ -111,20 +195,42 @@ def test_lattice_validates_scale():
 # --- nesting and the codebook ----------------------------------------------
 
 
+def _cell_moment(lattice, n, seed, chunk=250_000):
+    """Monte Carlo per-dimension second moment of the lattice's Voronoi cell
+    (uniform over a fundamental parallelepiped, folded into the cell), with
+    its standard error."""
+    rng = Generator(Philox(key=seed))
+    per_point = []
+    for start in range(0, n, chunk):
+        pts = rng.random((min(chunk, n - start), lat.N_DIM)) @ lattice.gen.T
+        res = lat.mod_lambda(pts, lattice)
+        per_point.append(np.sum(res ** 2, axis=-1) / lat.N_DIM)
+    per_point = np.concatenate(per_point)
+    return float(np.mean(per_point)), float(np.std(per_point) / np.sqrt(n))
+
+
+def test_e8_second_moment_closed_form():
+    m, se = _cell_moment(lat.Lattice.scaled_e8(1.0), 10 ** 6, seed=0)
+    assert abs(m - lat.E8_SECOND_MOMENT) < 4.0 * se
+
+
 def test_build_nested_calibration(pair2):
     assert pair2.q_nest == 2
     assert pair2.rate_bpcu == 2.0
-    assert pair2.second_moment == pytest.approx(0.5, rel=0.005)
     assert pair2.coarse.scale == pytest.approx(2.0 * pair2.fine.scale)
     assert pair2.codebook_size == 256
+    m, _ = _cell_moment(pair2.coarse, 250_000, seed=1)
+    assert m == pytest.approx(0.5, rel=0.005)
     with pytest.raises(ValueError):
         lat.build_nested(3)
 
 
 def test_build_nested_q4():
-    pair = lat.build_nested(4, seed=0)
+    pair = lat.build_nested(4)
     assert pair.rate_bpcu == 4.0
-    assert pair.second_moment == pytest.approx(0.5, rel=0.005)
+    assert pair.coarse.scale == pytest.approx(4.0 * pair.fine.scale)
+    m, _ = _cell_moment(pair.coarse, 250_000, seed=1)
+    assert m == pytest.approx(0.5, rel=0.005)
 
 
 def test_message_digit_roundtrip():
@@ -201,13 +307,36 @@ def test_filters_with_matched_alpha2_reach_clean_rate():
         assert lat.achievable_rate(off) == pytest.approx(clean, abs=1e-9)
 
 
-def test_error_covariance_complex_consistency():
-    r = _mean_realization()
-    filters = lat.build_filters(r, DesignParams(0.3, 1.0 + 0.1j), PW)
-    C = lat.error_covariance_complex(filters)
-    np.testing.assert_allclose(C, C.conj().T, atol=1e-12)
-    assert np.trace(C).real == pytest.approx(np.trace(filters.Sigma_E))
-    assert np.trace(C).imag == pytest.approx(0.0, abs=1e-12)
+def test_filters_match_8x8_reference():
+    """The scalar filters are the 8x8 real construction: F_s and F_r act as
+    one complex gain per use, the error covariance is error_var times I, and
+    both rate formulas agree."""
+    rng = np.random.default_rng(23)
+    eye = np.eye(lat.N_DIM)
+
+    def close(got, want, scale):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
+
+    checked = 0
+    for i in range(120):
+        stats = ChannelStats.from_k_factor(float(rng.uniform(0.0, 20.0)))
+        r = sample_realizations(stats, 1, 100 + i)
+        params = DesignParams(
+            float(rng.uniform(0.0, 0.95)),
+            complex(rng.normal(1.0, 0.5) + 1j * rng.normal(0.0, 0.5)),
+        )
+        p_c, p_p = 10.0 ** (rng.uniform([0.0, 0.0], [30.0, 20.0]) / 10.0)
+        pw = PowerConfig(p_c, p_p)
+        for s_power in (pw.Pp, 0.0):
+            f = lat.build_filters(r, params, pw, s_power=s_power)
+            F_s, F_r, sig_e, _, rate = _reference_filters(r, params, pw, s_power)
+            assert f.regularized is False
+            close(_channel_matrix(f.precoder), F_s, np.abs(F_s).max())
+            close(_channel_matrix(f.z), F_r, np.abs(F_r).max())
+            close(f.error_var * eye, sig_e, f.error_var)
+            assert lat.achievable_rate(f) == pytest.approx(rate, rel=1e-12, abs=1e-12)
+            checked += 1
+    assert checked >= 200
 
 
 def test_build_filters_rejects_full_relaying():
@@ -216,13 +345,12 @@ def test_build_filters_rejects_full_relaying():
 
 
 def test_achievable_rate_rejects_indefinite_covariance():
-    eye = np.eye(lat.N_DIM)
-    bad = lat.FilterSet(F_s=eye, F_r=eye, L=eye, Sigma_E=-eye)
-    with pytest.raises(ValueError):
-        lat.achievable_rate(bad)
+    for var in (-1.0, 0.0):
+        with pytest.raises(ValueError):
+            lat.achievable_rate(lat.FilterSet(precoder=1.0, z=1.0, error_var=var))
 
 
-# --- sphere decoding --------------------------------------------------------
+# --- decoding ---------------------------------------------------------------
 
 
 def _sphere_oracle(M, y, width=3):
@@ -244,7 +372,7 @@ def test_sphere_decode_is_exact():
         b0 = rng.integers(-4, 5, size=4)
         y = M @ b0 + rng.normal(scale=0.4, size=4)
         want, want_d = _sphere_oracle(M, y)
-        got = lat.sphere_decode(M, y)
+        got = sphere_decode(M, y)
         got_d = float(np.sum((y - M @ got) ** 2))
         assert got_d == pytest.approx(want_d, abs=1e-9)
         np.testing.assert_array_equal(got, want)
@@ -262,8 +390,38 @@ def test_noiseless_roundtrip(pair2):
         d = lat.sample_dither(pair2, rng)
         s = _interference_frame(rng, PW.Pp)
         x = lat.encode(msg, s, d, pair2, filters, 0.0, PW.Pc)
-        y = lat.channel_matrix(h22) @ x + lat.channel_matrix(hs) @ s
+        y = _received(h22, x, hs, s)
         assert lat.decode(y, filters, d, pair2) == msg
+
+
+def test_decode_matches_sphere_decode(pair2):
+    """Nearest-point decoding takes the same decision as an exact sphere
+    search on the whitened 8x8 system, on noisy frames of both schemes."""
+    stats = ChannelStats.from_k_factor(10.0)
+    rng = Generator(Philox(key=31))
+    frames = errors = 0
+    for scheme in ("la_gpc", "interference_as_noise"):
+        for j, snr in enumerate((22.0, 24.0, 26.0)):
+            pw = PowerConfig(10.0 ** (snr / 10.0), 100.0)
+            a2 = solve_alpha2_slow(stats, 0.0, pw, 2.0).alpha2 if scheme == "la_gpc" else 0j
+            params = DesignParams(0.0, complex(a2))
+            r_all = sample_realizations(stats, 340, 40 + j)
+            for i in range(340):
+                r = r_all[i : i + 1]
+                f = lat.build_filters(r, params, pw)
+                _, F_r, _, L, _ = _reference_filters(r, params, pw)
+                msg = int(rng.integers(pair2.codebook_size))
+                d = lat.sample_dither(pair2, rng)
+                s = _interference_frame(rng, pw.Pp)
+                x = lat.encode(msg, s, d, pair2, f, 0.0, pw.Pc)
+                y = _received(r.h22[0], x, r.h21[0], s) + rng.normal(size=lat.N_DIM) * np.sqrt(0.5)
+                got = lat.decode(y, f, d, pair2)
+                b = sphere_decode(L @ pair2.fine.gen, L @ (F_r @ y + d))
+                assert got == lat.digits_to_message(b, pair2.q_nest)
+                frames += 1
+                errors += got != msg
+    assert frames >= 2000
+    assert errors >= 100  # the decisions are compared where they are wrong too
 
 
 # --- whole-link simulation ---------------------------------------------------

@@ -51,6 +51,7 @@ def test_determinism_and_seed_sensitivity():
 def test_scheme_rates_against_direct_formulas():
     r = channel.sample_realizations(STATS, 1000, 7)
     sigma2 = (1.0 - PARAMS.alpha1) * PW.Pc
+    hs = r.h21 + np.sqrt(PARAMS.alpha1 * PW.Pc / PW.Pp) * r.h22
     np.testing.assert_allclose(
         scheme_rates(r, STATS, PARAMS, PW, "la_gpc"), channel.cr_rate(r, PARAMS, PW)
     )
@@ -64,7 +65,7 @@ def test_scheme_rates_against_direct_formulas():
     )
     np.testing.assert_allclose(
         scheme_rates(r, STATS, PARAMS, PW, "interference_as_noise"),
-        channel.baseline_rates(r, PARAMS.alpha1, PW, STATS)["noise_rate"],
+        np.log2(1.0 + np.abs(r.h22) ** 2 * sigma2 / (np.abs(hs) ** 2 * PW.Pp + PW.noise_s)),
     )
     np.testing.assert_allclose(
         scheme_rates(r, STATS, PARAMS, PW, "primary"),

@@ -103,18 +103,6 @@ def test_ratio_moments_delta_vs_sampling():
         assert rm.std == pytest.approx(np.std(ratio), rel=0.25)
 
 
-def test_ratio_moments_literal_is_different():
-    rng = np.random.default_rng(5)
-    g, P = _random_instance(rng, psd=True)
-    _, Q = _random_instance(rng, psd=True)
-    P = P + 0.5 * np.eye(2)
-    delta = ratio_moments(g, P, Q, method="delta")
-    literal = ratio_moments(g, P, Q, method="literal")
-    assert delta.mean != pytest.approx(literal.mean)
-    with pytest.raises(ValueError):
-        ratio_moments(g, P, Q, method="bogus")
-
-
 def test_ratio_moments_zero_mean_denominator():
     g = GaussianVectorSpec.from_diag([0.0, 0.0], [1.0, 1.0])
     P = np.array([[1.0, 0.0], [0.0, -1.0]])  # mean form exactly zero
