@@ -79,11 +79,14 @@ class PowerConfig:
 
 @dataclass(frozen=True)
 class DesignParams:
+    """One design point, or a grid of them when alpha1 or alpha2 is an array."""
+
     alpha1: float
     alpha2: complex
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha1 <= 1.0:
+        a1 = np.asarray(self.alpha1)
+        if not np.all((0.0 <= a1) & (a1 <= 1.0)):
             raise ValueError(f"alpha1 = {self.alpha1} outside [0, 1]")
 
 
@@ -113,7 +116,9 @@ class QuadMatrices:
     of the received power is g^H P g and the self-interference part is
     g^H Q g.  D is the rank-one form whose value completes the determinant of
     the (U, Ys) covariance, and E combines them for the outage surrogate at a
-    target rate.  c0 = var(U).
+    target rate.  c0 = var(U).  On a grid of design points the forms are
+    stacks [..., 2, 2] (P, Q and S over the alpha1 axes only) and c0, d are
+    arrays.
     """
 
     P: np.ndarray
@@ -175,19 +180,6 @@ def cr_rate(r: ChannelRealization, p: DesignParams, pw: PowerConfig):
     return np.log2(sigma2 * ys_pow / det)
 
 
-def cr_rate_matrix_form(r: ChannelRealization, p: DesignParams, pw: PowerConfig):
-    """Same rate from the quadratic forms in (h21, h22); cross-check route."""
-    m = build_matrices(p, pw)
-    h = np.stack([np.atleast_1d(r.h21), np.atleast_1d(r.h22)])
-    eps_s = np.real(np.einsum("ik,ij,jk->k", h.conj(), m.S, h))
-    eps_d = np.real(np.einsum("ik,ij,jk->k", h.conj(), m.D, h))
-    sigma2 = (1.0 - p.alpha1) * pw.Pc
-    val = np.log2(
-        sigma2 * (eps_s + pw.noise_s) / (m.c0 * (eps_s + pw.noise_s) - eps_d)
-    )
-    return val if np.ndim(r.h21) else float(val[0])
-
-
 def primary_rate(r: ChannelRealization, alpha1: float, pw: PowerConfig):
     """Rate of the primary user under partial relaying (vectorized)."""
     if not 0.0 <= alpha1 <= 1.0:
@@ -197,28 +189,35 @@ def primary_rate(r: ChannelRealization, alpha1: float, pw: PowerConfig):
     return np.log2(1.0 + sig / (intf + pw.noise_p))
 
 
+def _outer(x, y):
+    """v v^H for v = (x, y); y has the grid's shape and x broadcasts to it."""
+    v = np.empty(np.shape(y) + (2,), dtype=complex)
+    v[..., 0] = x
+    v[..., 1] = y
+    return v[..., :, None] * v[..., None, :].conj()
+
+
 def build_matrices(
     p: DesignParams, pw: PowerConfig, r_cr_target: float | None = None
 ) -> QuadMatrices:
-    """Assemble the 2x2 forms of both rates for the given design point."""
-    if not 0.0 <= p.alpha1 <= 1.0:
-        raise ValueError("alpha1 outside [0, 1]")
+    """Assemble the 2x2 forms of both rates for the given design point.
+
+    Array-valued ``p.alpha1`` and/or ``p.alpha2`` broadcast to a grid of design
+    points; the forms are then stacks [..., 2, 2] over the grid.
+    """
     sigma2 = (1.0 - p.alpha1) * pw.Pc
-    pvec = np.array([np.sqrt(pw.Pp), np.sqrt(p.alpha1 * pw.Pc)], dtype=complex)
-    P = np.outer(pvec, pvec.conj())
-    Q = np.diag([0.0, sigma2]).astype(complex)
+    P = _outer(np.sqrt(pw.Pp), np.sqrt(p.alpha1 * pw.Pc))
+    Q = np.zeros_like(P)
+    Q[..., 1, 1] = sigma2
     S = P + Q
     c0 = sigma2 + abs(p.alpha2) ** 2 * pw.Pp
-    dvec = np.array(
-        [p.alpha2 * pw.Pp, sigma2 + p.alpha2 * np.sqrt(p.alpha1 * pw.Pc * pw.Pp)],
-        dtype=complex,
-    )
-    D = np.outer(dvec, dvec.conj())
+    D = _outer(p.alpha2 * pw.Pp, sigma2 + p.alpha2 * np.sqrt(p.alpha1 * pw.Pc * pw.Pp))
     E = None
     d = None
     if r_cr_target is not None:
         d = 2.0 ** r_cr_target / sigma2
-        E = (1.0 - c0 * d) * S + d * D
+        scale = np.asarray(1.0 - c0 * d)[..., None, None]
+        E = scale * S + np.asarray(d)[..., None, None] * D
     return QuadMatrices(P=P, Q=Q, S=S, D=D, E=E, c0=c0, d=d)
 
 

@@ -8,6 +8,7 @@ rate is at least the target).  alpha2 then follows in closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
@@ -39,12 +40,15 @@ class FastDesignResult:
         return DesignParams(self.alpha1, self.alpha2)
 
 
+# Built and checked once per ChannelStats: every surrogate evaluation asks again.
+@lru_cache(maxsize=64)
 def primary_links(stats: ChannelStats) -> quadform.GaussianVectorSpec:
     return quadform.GaussianVectorSpec.from_diag(
         [stats.mu11, stats.mu12], [stats.var11, stats.var12]
     )
 
 
+@lru_cache(maxsize=64)
 def cr_links(stats: ChannelStats) -> quadform.GaussianVectorSpec:
     return quadform.GaussianVectorSpec.from_diag(
         [stats.mu21, stats.mu22], [stats.var21, stats.var22]
@@ -93,24 +97,22 @@ def primary_target_ergodic(stats: ChannelStats, pw: PowerConfig) -> float:
     return float(val)
 
 
-def primary_rate_surrogate(stats: ChannelStats, alpha1: float, pw: PowerConfig) -> float:
+def primary_rate_surrogate(stats: ChannelStats, alpha1, pw: PowerConfig):
     """Second-order lower estimate of the primary ergodic rate at alpha1.
 
     The signal+interference log term is expanded to second order around its
     mean (an under-estimate, concavity) while the interference-only term is
     replaced by Jensen's upper bound, so the difference under-estimates the
-    true ergodic rate and designs on it are conservative.
+    true ergodic rate and designs on it are conservative.  An array of alpha1
+    gives an array of rates.
     """
     g = primary_links(stats)
     m = build_matrices(DesignParams(alpha1, 0.0), pw)
     mu1 = quadform.qf_mean(g, m.S) / pw.noise_p
     var1 = quadform.qf_variance(g, m.S) / pw.noise_p ** 2
     mu2 = quadform.qf_mean(g, m.Q) / pw.noise_p
-    return float(
-        np.log2(1.0 + mu1)
-        - 0.5 * LOG2E * var1 / (1.0 + mu1) ** 2
-        - np.log2(1.0 + mu2)
-    )
+    rate = np.log2(1.0 + mu1) - 0.5 * LOG2E * var1 / (1.0 + mu1) ** 2 - np.log2(1.0 + mu2)
+    return float(rate) if np.ndim(rate) == 0 else rate
 
 
 def solve_alpha1_fast(
@@ -124,7 +126,7 @@ def solve_alpha1_fast(
         return primary_rate_surrogate(stats, a1, pw) - r_target
 
     grid = np.linspace(0.0, 1.0, _PRESCAN_N)
-    vals = np.array([f(a) for a in grid])
+    vals = f(grid)
     if vals[0] >= 0.0:
         # already protected without relaying; residual is the slack
         return FastDesignResult(0.0, alpha2_fast(stats, 0.0, pw), r_target, vals[0])

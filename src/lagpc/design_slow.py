@@ -58,22 +58,18 @@ def select_r(
     return r
 
 
-def ratio_stats(
-    stats: ChannelStats, alpha1: float, pw: PowerConfig
-) -> quadform.RatioMoments:
-    """Moments of (interference + noise) / coherent-signal power ratio."""
+def ratio_stats(stats: ChannelStats, alpha1, pw: PowerConfig) -> quadform.RatioMoments:
+    """Moments of (interference + noise) / coherent-signal power ratio.
+
+    An array of alpha1 gives moments of that shape.
+    """
     g = primary_links(stats)
     m = build_matrices(DesignParams(alpha1, 0.0), pw)
     return quadform.ratio_moments(g, m.P, m.Q, offset=pw.noise_p)
 
 
 def solve_alpha1_slow(
-    stats: ChannelStats,
-    pw: PowerConfig,
-    r_p: float,
-    p_out: float,
-    r_override: float | None = None,
-    k_threshold_db: float = 10.0,
+    stats: ChannelStats, pw: PowerConfig, r_p: float, p_out: float
 ) -> SlowDesignResult:
     """Smallest alpha1 whose tail bound keeps primary outage under p_out."""
     if not 0.0 < p_out < 1.0:
@@ -83,7 +79,7 @@ def solve_alpha1_slow(
     # r-selection uses the sharper candidate's multiplier for its own guard.
     k_db = 10.0 * np.log10(min(stats.k_factor("11"), stats.k_factor("12")))
     delta_sharp = np.sqrt(_SHARP_R / p_out - 1.0) if _SHARP_R / p_out > 1 else 0.0
-    r = select_r(k_db, delta_sharp, k_threshold_db, override=r_override)
+    r = select_r(k_db, delta_sharp)
     if r / p_out <= 1.0:
         raise InfeasibleDesignError("outage target too loose for the bound (r/P_out <= 1)")
     delta = float(np.sqrt(r / p_out - 1.0))
@@ -96,7 +92,9 @@ def solve_alpha1_slow(
         return quadform.cantelli_threshold(rm, r, p_out) - rhs
 
     grid = np.linspace(0.0, 1.0, _PRESCAN_N)
-    vals = np.array([f(a) for a in grid])
+    vals = f(grid)
+    if np.isnan(vals).any():
+        raise quadform.DomainError("denominator form has (near-)zero mean")
     if vals[0] <= 0.0:
         return SlowDesignResult(0.0, None, r, delta, None, None)
     if np.all(vals > 0.0):
@@ -111,28 +109,35 @@ def solve_alpha1_slow(
     return SlowDesignResult(float(root), None, r, delta, None, None)
 
 
+_OUTAGE = {"gamma": quadform.outage_gamma, "alzer": quadform.outage_alzer}
+
+
 def outage_surrogate(
     stats: ChannelStats,
-    alpha1: float,
-    alpha2: complex,
+    alpha1,
+    alpha2,
     pw: PowerConfig,
     r_cr: float,
     method: str = "gamma",
-) -> float:
-    """Chi-square-matched estimate of P(cognitive rate < r_cr)."""
+):
+    """Chi-square-matched estimate of P(cognitive rate < r_cr).
+
+    Arrays of alpha1 and/or alpha2 give an array of estimates, each element
+    as the single point would: 0.0 where the matched threshold is nonpositive
+    (every realization meets the target), 1.0 where the moment match is
+    undefined (a hopeless point), the gamma or Alzer tail otherwise.
+    """
+    if method not in _OUTAGE:
+        raise ValueError(f"unknown method {method!r}")
     m = build_matrices(DesignParams(alpha1, alpha2), pw, r_cr_target=r_cr)
     threshold = (m.c0 * m.d - 1.0) * pw.noise_s
-    if threshold <= 0:
-        return 0.0  # target met by every realization under the match
-    try:
-        c2 = quadform.chi2_params(cr_links(stats), m.E)
-    except quadform.DomainError:
-        return 1.0  # moment match undefined here; treat as hopeless point
-    if method == "gamma":
-        return quadform.outage_gamma(c2, threshold)
-    if method == "alzer":
-        return quadform.outage_alzer(c2, threshold)
-    raise ValueError(f"unknown method {method!r}")
+    shape = np.shape(threshold)
+    threshold = np.reshape(threshold, -1)
+    # always a stack, so an undefined match reads NaN instead of raising
+    c2 = quadform.chi2_params(cr_links(stats), m.E.reshape(-1, 2, 2))
+    tail = np.where(np.isnan(c2.w), 1.0, _OUTAGE[method](c2, threshold))
+    p = np.where(threshold <= 0, 0.0, tail).reshape(shape)
+    return float(p) if p.ndim == 0 else p
 
 
 def solve_alpha2_slow(
@@ -142,13 +147,13 @@ def solve_alpha2_slow(
     r_cr: float,
     method: str = "gamma",
     grid_n: int = 41,
-    restrict_real: bool = False,
 ) -> SlowDesignResult:
     """Minimize the outage surrogate over complex alpha2.
 
     Coarse grid over a disc centered on the fast-fading closed form (the
-    high-K optimum lands there), then coordinate descent with shrinking
-    steps.  Plateau ties resolve toward the disc center.
+    high-K optimum lands there), evaluated in one call, then coordinate
+    descent with shrinking steps.  Plateau ties resolve toward the disc
+    center.
     """
     if not 0.0 <= alpha1 < 1.0:
         raise ValueError("alpha1 must lie in [0, 1)")
@@ -159,30 +164,27 @@ def solve_alpha2_slow(
     if radius == 0.0:
         radius = 1.0
 
-    def obj(a2: complex) -> float:
+    def obj(a2):
         return outage_surrogate(stats, alpha1, a2, pw, r_cr, method)
 
     offs = np.linspace(-radius, radius, grid_n)
+    dre, dim = np.meshgrid(offs, offs, indexing="ij")  # dre-major
+    dist = np.hypot(dre, dim)
+    inside = dist <= radius + 1e-12
+    points = center + dre[inside] + 1j * dim[inside]
+    vals = obj(points)
     best_val = np.inf
     best = center
     best_dist = 0.0
-    for dre in offs:
-        for dim in ([0.0] if restrict_real else offs):
-            if np.hypot(dre, dim) > radius + 1e-12:
-                continue
-            a2 = center + dre + 1j * dim
-            val = obj(a2)
-            dist = np.hypot(dre, dim)
-            if val < best_val - 1e-15 or (
-                abs(val - best_val) <= 1e-15 and dist < best_dist
-            ):
-                best_val, best, best_dist = val, a2, dist
+    # sequential: which of two tied points wins depends on the visiting order
+    for a2, val, dst in zip(points.tolist(), vals.tolist(), dist[inside].tolist()):
+        if val < best_val - 1e-15 or (abs(val - best_val) <= 1e-15 and dst < best_dist):
+            best_val, best, best_dist = val, a2, dst
     # local refinement
     step = offs[1] - offs[0] if grid_n > 1 else radius / 2
-    directions = [1.0, -1.0] if restrict_real else [1.0, -1.0, 1j, -1j]
     while step >= 1e-4:
         moved = False
-        for d in directions:
+        for d in (1.0, -1.0, 1j, -1j):
             cand = best + d * step
             val = obj(cand)
             if val < best_val - 1e-15:
@@ -200,10 +202,9 @@ def design(
     p_out: float,
     r_cr: float,
     method: str = "gamma",
-    r_override: float | None = None,
 ) -> SlowDesignResult:
     """Both stages: protect the primary, then minimize own outage."""
-    st1 = solve_alpha1_slow(stats, pw, r_p, p_out, r_override=r_override)
+    st1 = solve_alpha1_slow(stats, pw, r_p, p_out)
     st2 = solve_alpha2_slow(stats, st1.alpha1, pw, r_cr, method=method)
     return SlowDesignResult(
         st1.alpha1, st2.alpha2, st1.r_used, st1.delta, st2.objective_value, method

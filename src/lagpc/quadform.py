@@ -1,13 +1,23 @@
 """Moments of quadratic forms in complex Gaussian vectors, and tail bounds.
 
-For H ~ CN(mu, Sigma) and Hermitian A, the form eps = H^H A H has
+For H ~ CN(mu, Sigma) and Hermitian A, B, the forms H^H A H and H^H B H have
 
-    E[eps]   = mu^H A mu + tr(Sigma A)
-    var[eps] = tr(Sigma A Sigma A) + 2 Re{mu^H A Sigma A mu}
+    E[H^H A H]                = mu^H A mu + tr(Sigma A)  = tr(A R)
+    cov(H^H A H, H^H B H)     = tr(A Sigma B Sigma) + 2 Re{mu^H A Sigma B mu}
+                              = Re tr(A Sigma B W)
+
+with R = Sigma + mu mu^H and W = Sigma + 2 mu mu^H.  Both are fixed by the
+spec, so every moment is a linear or bilinear function of the entries of the
+forms: flattening A row-major to a, tr(A R) = a . vec(R^T) and
+tr(A Sigma B W) = a^T G b with G[(i,j),(k,l)] = Sigma_jk W_li.
 
 These feed three consumers: a second-order Taylor design equation (fast
 fading), a delta-method ratio approximation (slow fading, alpha1), and a
 moment-matched chi-square outage surrogate (slow fading, alpha2).
+
+Every function takes a single 2x2 form, giving floats, or a stack
+A[..., 2, 2] of forms, giving arrays of the stack's shape; a design scan is
+then one call.
 """
 from __future__ import annotations
 
@@ -31,12 +41,22 @@ class GaussianVectorSpec:
     cov: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "mean", np.asarray(self.mean, dtype=complex))
-        object.__setattr__(self, "cov", np.asarray(self.cov, dtype=complex))
-        if np.max(np.abs(self.cov - self.cov.conj().T)) > _HERM_TOL:
+        # read-only copies: a spec may be cached and shared between callers
+        mu = np.array(self.mean, dtype=complex)
+        cov = np.array(self.cov, dtype=complex)
+        mu.flags.writeable = cov.flags.writeable = False
+        object.__setattr__(self, "mean", mu)
+        object.__setattr__(self, "cov", cov)
+        if np.max(np.abs(cov - cov.conj().T)) > _HERM_TOL:
             raise ValueError("covariance not Hermitian")
-        if np.min(np.linalg.eigvalsh(self.cov)) < -1e-9:
+        if np.min(np.linalg.eigvalsh(cov)) < -1e-9:
             raise ValueError("covariance not positive semi-definite")
+        # the moment weights of the module docstring, vec(R^T) and G
+        n = mu.size
+        mu_mu = np.outer(mu, mu.conj())
+        object.__setattr__(self, "_mean_weights", (cov + mu_mu).T.reshape(n * n))
+        kernel = np.einsum("jk,li->ijkl", cov, cov + 2.0 * mu_mu).reshape(n * n, n * n)
+        object.__setattr__(self, "_cov_kernel", kernel)
 
     @classmethod
     def from_diag(cls, mean, variances) -> "GaussianVectorSpec":
@@ -57,47 +77,74 @@ class Chi2Approx:
 
 def _check_hermitian(A) -> np.ndarray:
     A = np.asarray(A, dtype=complex)
-    if np.max(np.abs(A - A.conj().T)) > _HERM_TOL:
+    if np.abs(A - A.swapaxes(-1, -2).conj()).max(initial=0.0) > _HERM_TOL:
         raise ValueError("matrix not Hermitian")
     return A
 
 
-def qf_mean(g: GaussianVectorSpec, A) -> float:
-    A = _check_hermitian(A)
-    return float(np.real(g.mean.conj() @ A @ g.mean + np.trace(g.cov @ A)))
+def _value(x):
+    """A float for one form, the array of the stack's shape for a stack."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
-def qf_variance(g: GaussianVectorSpec, A) -> float:
-    A = _check_hermitian(A)
-    SA = g.cov @ A
-    return float(
-        np.real(np.trace(SA @ SA)) + 2.0 * np.real(g.mean.conj() @ A @ SA @ g.mean)
-    )
+def _flat(A):
+    """Forms [..., n, n] flattened row-major to [..., n*n]."""
+    return A.reshape(A.shape[:-2] + (-1,))
 
 
-def qf_covariance(g: GaussianVectorSpec, A, B) -> float:
-    """cov(H^H A H, H^H B H) for Hermitian A, B."""
-    A = _check_hermitian(A)
-    B = _check_hermitian(B)
-    return float(
-        np.real(np.trace(A @ g.cov @ B @ g.cov))
-        + 2.0 * np.real(g.mean.conj() @ A @ g.cov @ B @ g.mean)
-    )
+# The unchecked moments; the public functions check each form once.
+def _mean(g: GaussianVectorSpec, A):
+    return np.real(_flat(A) @ g._mean_weights)
+
+
+def _covariance(g: GaussianVectorSpec, A, B):
+    return np.real(np.sum((_flat(A) @ g._cov_kernel) * _flat(B), axis=-1))
+
+
+def _variance(g: GaussianVectorSpec, A):
+    return _covariance(g, A, A)
+
+
+def qf_mean(g: GaussianVectorSpec, A):
+    return _value(_mean(g, _check_hermitian(A)))
+
+
+def qf_variance(g: GaussianVectorSpec, A):
+    return _value(_variance(g, _check_hermitian(A)))
+
+
+def qf_covariance(g: GaussianVectorSpec, A, B):
+    """cov(H^H A H, H^H B H) for Hermitian A, B (stacks broadcast together)."""
+    return _value(_covariance(g, _check_hermitian(A), _check_hermitian(B)))
+
+
+def _mask_undefined(bad, message: str, *moments):
+    """One form raises DomainError(message) where ``bad``; a stack gets NaN there."""
+    if np.ndim(bad) == 0:
+        if bad:
+            raise DomainError(message)
+        return moments
+    return tuple(np.where(bad, np.nan, m) for m in moments)
 
 
 def ratio_moments(g: GaussianVectorSpec, P, Q, offset: float = 1.0) -> RatioMoments:
     """Second-order delta-method mean/std of (H^H Q H + offset) / (H^H P H),
-    validated against Monte Carlo."""
-    a = qf_mean(g, P)
-    if a <= 1e-12:
-        raise DomainError("denominator form has (near-)zero mean")
-    vp = qf_variance(g, P)
-    vq = qf_variance(g, Q)
-    cov = qf_covariance(g, Q, P)
-    b = qf_mean(g, Q) + offset
+    validated against Monte Carlo.
+
+    Stacks of forms give arrays, NaN where the denominator form has
+    (near-)zero mean; a single form raises DomainError there.
+    """
+    P = _check_hermitian(P)
+    Q = _check_hermitian(Q)
+    a = _mean(g, P)
+    (a,) = _mask_undefined(a <= 1e-12, "denominator form has (near-)zero mean", a)
+    vp = _variance(g, P)
+    vq = _variance(g, Q)
+    cov = _covariance(g, Q, P)
+    b = _mean(g, Q) + offset
     mean = (b / a) * (1.0 - cov / (a * b) + vp / a ** 2)
     var = (b / a) ** 2 * (vq / b ** 2 - 2.0 * cov / (a * b) + vp / a ** 2)
-    return RatioMoments(mean=float(mean), std=float(np.sqrt(max(var, 0.0))))
+    return RatioMoments(mean=_value(mean), std=_value(np.sqrt(np.maximum(var, 0.0))))
 
 
 def chi2_params(g: GaussianVectorSpec, E) -> Chi2Approx:
@@ -105,97 +152,43 @@ def chi2_params(g: GaussianVectorSpec, E) -> Chi2Approx:
 
     E need only be Hermitian; the match is usable whenever the form has
     positive mean and variance (at typical design points E is indefinite).
+    A stack of forms gives arrays, NaN where the match is undefined; a single
+    form raises DomainError there.
     """
     E = _check_hermitian(E)
-    m1 = qf_mean(g, E)
-    m2 = qf_variance(g, E)
-    if m1 <= 0 or m2 <= 0:
-        raise DomainError("quadratic form needs positive mean and variance")
-    return Chi2Approx(v=m2 / (2.0 * m1), w=2.0 * m1 ** 2 / m2)
+    m1 = _mean(g, E)
+    m2 = _variance(g, E)
+    m1, m2 = _mask_undefined(
+        (m1 <= 0) | (m2 <= 0), "quadratic form needs positive mean and variance", m1, m2
+    )
+    return Chi2Approx(v=_value(m2 / (2.0 * m1)), w=_value(2.0 * m1 ** 2 / m2))
 
 
-def eigh2x2(A):
-    """Closed-form eigendecomposition of a 2x2 Hermitian matrix.
-
-    Returns (eigenvalues ascending, unitary V with columns as eigenvectors).
-    """
-    A = _check_hermitian(A)
-    a, c = A[0, 0].real, A[1, 1].real
-    b = A[0, 1]
-    half_tr = 0.5 * (a + c)
-    disc = np.sqrt(max((0.5 * (a - c)) ** 2 + abs(b) ** 2, 0.0))
-    lam = np.array([half_tr - disc, half_tr + disc])
-    if abs(b) < 1e-300:
-        V = np.eye(2, dtype=complex) if a <= c else np.eye(2)[:, ::-1].astype(complex)
-        return lam, V
-    cols = []
-    for lv in lam:
-        # (A - lv I) v = 0; the larger of the two candidate solutions is
-        # the numerically safe one.
-        v1 = np.array([b, lv - a])
-        v2 = np.array([lv - c, b.conjugate()])
-        v = v1 if np.linalg.norm(v1) >= np.linalg.norm(v2) else v2
-        cols.append(v / np.linalg.norm(v))
-    return lam, np.stack(cols, axis=1)
-
-
-def _sqrtm2x2_psd(S):
-    """Closed-form principal square root of a 2x2 PSD Hermitian matrix."""
-    S = np.asarray(S, dtype=complex)
-    det = S[0, 0] * S[1, 1] - S[0, 1] * S[1, 0]
-    s = np.sqrt(max(det.real, 0.0))
-    tr = (S[0, 0] + S[1, 1]).real
-    denom = np.sqrt(tr + 2.0 * s)
-    if denom == 0:
-        return np.zeros((2, 2), dtype=complex)
-    return (S + s * np.eye(2)) / denom
-
-
-def chi2_params_via_eigen(g: GaussianVectorSpec, E) -> Chi2Approx:
-    """Same match through the eigenvalues of Sigma^(1/2) E Sigma^(1/2).
-
-    The form is a weighted sum of noncentral chi-squares,
-    sum_i lambda_i chi2(2, 2|mu3_i|^2)/2; its moments give identical (v, w).
-    Requires nonsingular Sigma.
-    """
-    E = _check_hermitian(E)
-    root = _sqrtm2x2_psd(g.cov)
-    if abs(np.linalg.det(root)) < 1e-12:
-        raise DomainError("eigen route needs a nonsingular covariance")
-    lam, V = eigh2x2(root @ E @ root)
-    mu3 = V.conj().T @ np.linalg.solve(root, g.mean)
-    m1 = float(np.sum(lam * (1.0 + np.abs(mu3) ** 2)))
-    m2 = float(np.sum(lam ** 2 * (1.0 + 2.0 * np.abs(mu3) ** 2)))
-    if m1 <= 0 or m2 <= 0:
-        raise DomainError("quadratic form needs positive mean and variance")
-    return Chi2Approx(v=m2 / (2.0 * m1), w=2.0 * m1 ** 2 / m2)
-
-
-def outage_gamma(c2: Chi2Approx, threshold: float) -> float:
+def outage_gamma(c2: Chi2Approx, threshold):
     """P(v*chi2(w) < threshold), regularized lower incomplete gamma."""
-    if threshold <= 0:
-        return 0.0
-    return float(gammainc(c2.w / 2.0, threshold / (2.0 * c2.v)))
+    threshold = np.asarray(threshold, dtype=float)
+    p = gammainc(c2.w / 2.0, threshold / (2.0 * c2.v))
+    return _value(np.where(threshold <= 0, 0.0, p))
 
 
-def alzer_s(w: float) -> float:
+def alzer_s(w):
     """Sharpness constant of the exponential lower bound on gammainc(w/2, .)."""
-    if w <= 0:
+    w = np.asarray(w, dtype=float)
+    if np.any(w <= 0):
         raise DomainError("w must be positive")
-    if w <= 2.0:
-        return 1.0
-    return float(np.exp(-(2.0 / w) * gammaln(1.0 + w / 2.0)))
+    return _value(np.where(w <= 2.0, 1.0, np.exp(-(2.0 / w) * gammaln(1.0 + w / 2.0))))
 
 
-def outage_alzer(c2: Chi2Approx, threshold: float) -> float:
+def outage_alzer(c2: Chi2Approx, threshold):
     """Lower bound (1 - exp(-s x))^(w/2) on outage_gamma; exact at w = 2."""
-    if threshold <= 0:
-        return 0.0
+    threshold = np.asarray(threshold, dtype=float)
     x = threshold / (2.0 * c2.v)
-    return float((1.0 - np.exp(-alzer_s(c2.w) * x)) ** (c2.w / 2.0))
+    with np.errstate(invalid="ignore"):  # x < 0 is masked below
+        p = (1.0 - np.exp(-alzer_s(c2.w) * x)) ** (c2.w / 2.0)
+    return _value(np.where(threshold <= 0, 0.0, p))
 
 
-def cantelli_threshold(rm: RatioMoments, r: float, p_out: float) -> float:
+def cantelli_threshold(rm: RatioMoments, r: float, p_out: float):
     """One-sided mean-plus-deviation design level mu + sqrt(r/P_out - 1) sigma."""
     if r / p_out <= 1.0:
         raise DomainError("requires r/P_out > 1")

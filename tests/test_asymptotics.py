@@ -58,6 +58,16 @@ def test_slow_design_converges_an_order_slower():
     assert d1[-1] > 10.0 * fast.deviations["alpha1_fast"][0]
 
 
+def test_alpha2_approaches_the_limit_design():
+    """Measured against the limit alpha2 itself, not nonfading_alpha2 at the
+    designed alpha1, so an alpha1 fault shows in the alpha2 leg too."""
+    rep = convergence_sweep(PW, k_grid=(40.0, 50.0, 60.0, 70.0, 80.0))
+    assert rep.slow_k_db == rep.k_db
+    for designed in (rep.alpha2_fast, rep.alpha2_slow):
+        gap = [abs(a2 - rep.alpha2_limit) for a2 in designed]
+        assert all(a > b for a, b in zip(gap, gap[1:]))  # strictly shrinking
+
+
 def test_slow_alpha1_crosses_below_1e3_by_60db():
     rep = convergence_sweep(PW, modes=("slow",), k_grid=(60.0,))
     assert rep.deviations["alpha1_slow"][0] < 1e-3

@@ -141,3 +141,12 @@ def test_params_property_roundtrip():
     res = solve_alpha1_fast(ChannelStats.from_k_factor(5.0), PW)
     p = res.params
     assert p.alpha1 == res.alpha1 and p.alpha2 == res.alpha2
+
+
+def test_array_surrogate_matches_point_calls():
+    stats = ChannelStats.from_k_factor(10.0)
+    grid = np.linspace(0.0, 1.0, 11)
+    rates = primary_rate_surrogate(stats, grid, PW)
+    assert rates.shape == grid.shape
+    for a1, rate in zip(grid, rates):
+        assert rate == pytest.approx(primary_rate_surrogate(stats, float(a1), PW), rel=1e-12)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from lagpc import montecarlo, quadform
-from lagpc.channel import ChannelStats, DesignParams, PowerConfig
-from lagpc.design_fast import InfeasibleDesignError
+from lagpc.channel import ChannelStats, DesignParams, PowerConfig, build_matrices
+from lagpc.design_fast import InfeasibleDesignError, cr_links
 from lagpc.design_slow import (
     design,
     outage_surrogate,
@@ -171,5 +171,39 @@ def test_solve_alpha2_validates():
         solve_alpha2_slow(stats, 0.5, PW, -1.0)
     with pytest.raises(ValueError):
         outage_surrogate(stats, 0.5, 0.5 + 0j, PW, 1.0, method="bogus")
-    real = solve_alpha2_slow(stats, 0.5, PW, 1.0, grid_n=15, restrict_real=True)
-    assert real.alpha2.imag == 0.0
+
+
+def test_array_surrogates_match_point_calls():
+    """One call over an alpha2 array applies the three branches per element:
+    0.0 at a nonpositive threshold, 1.0 where the moment match is undefined,
+    the gamma or Alzer tail otherwise."""
+    stats = ChannelStats.from_k_factor(10.0)
+    alpha1, r_cr = 0.3, -1.0
+    a2 = np.array([0.0, 0.9, 1.2, 5.0, 1.5 + 0.5j, 0.3, 2.0, 50.0, 3.0])
+    undefined = [3, 7]
+    for i in undefined:  # these points take the fallback, not the tail
+        m = build_matrices(DesignParams(alpha1, a2[i]), PW, r_cr_target=r_cr)
+        with pytest.raises(quadform.DomainError):
+            quadform.chi2_params(cr_links(stats), m.E)
+    for method in ("gamma", "alzer"):
+        got = outage_surrogate(stats, alpha1, a2, PW, r_cr, method)
+        want = [outage_surrogate(stats, alpha1, complex(a), PW, r_cr, method) for a in a2]
+        assert got.shape == a2.shape
+        for i, (g, w) in enumerate(zip(got, want)):
+            if i in (0, 5):
+                assert g == w == 0.0
+            elif i in undefined:
+                assert g == w == 1.0
+            else:
+                assert 0.0 < w < 1.0
+                assert g == pytest.approx(w, rel=1e-12)
+
+
+def test_array_prescan_matches_point_calls():
+    stats = ChannelStats.from_k_factor(10.0)
+    grid = np.linspace(0.0, 1.0, 11)
+    rm = ratio_stats(stats, grid, PW)
+    for i, a1 in enumerate(grid):
+        single = ratio_stats(stats, float(a1), PW)
+        assert rm.mean[i] == pytest.approx(single.mean, rel=1e-12)
+        assert rm.std[i] == pytest.approx(single.std, rel=1e-12)

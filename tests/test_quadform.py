@@ -8,7 +8,6 @@ from lagpc.quadform import (
     DomainError,
     GaussianVectorSpec,
     chi2_params,
-    chi2_params_via_eigen,
     qf_covariance,
     qf_mean,
     qf_variance,
@@ -119,6 +118,62 @@ def test_chi2_params_matches_form_moments():
     assert 2.0 * c2.v ** 2 * c2.w == pytest.approx(m2)
 
 
+def _eigh2x2(A):
+    """Oracle: closed-form eigendecomposition of a 2x2 Hermitian matrix.
+
+    Returns (eigenvalues ascending, unitary V with columns as eigenvectors).
+    """
+    A = np.asarray(A, dtype=complex)
+    a, c = A[0, 0].real, A[1, 1].real
+    b = A[0, 1]
+    half_tr = 0.5 * (a + c)
+    disc = np.sqrt(max((0.5 * (a - c)) ** 2 + abs(b) ** 2, 0.0))
+    lam = np.array([half_tr - disc, half_tr + disc])
+    if abs(b) < 1e-300:
+        V = np.eye(2, dtype=complex) if a <= c else np.eye(2)[:, ::-1].astype(complex)
+        return lam, V
+    cols = []
+    for lv in lam:
+        # (A - lv I) v = 0; the larger of the two candidate solutions is
+        # the numerically safe one.
+        v1 = np.array([b, lv - a])
+        v2 = np.array([lv - c, b.conjugate()])
+        v = v1 if np.linalg.norm(v1) >= np.linalg.norm(v2) else v2
+        cols.append(v / np.linalg.norm(v))
+    return lam, np.stack(cols, axis=1)
+
+
+def _sqrtm2x2_psd(S):
+    """Oracle: closed-form principal square root of a 2x2 PSD Hermitian matrix."""
+    S = np.asarray(S, dtype=complex)
+    det = S[0, 0] * S[1, 1] - S[0, 1] * S[1, 0]
+    s = np.sqrt(max(det.real, 0.0))
+    tr = (S[0, 0] + S[1, 1]).real
+    denom = np.sqrt(tr + 2.0 * s)
+    if denom == 0:
+        return np.zeros((2, 2), dtype=complex)
+    return (S + s * np.eye(2)) / denom
+
+
+def _chi2_params_via_eigen(g, E):
+    """Oracle: the chi-square match through the eigenvalues of
+    Sigma^(1/2) E Sigma^(1/2).
+
+    The form is a weighted sum of noncentral chi-squares,
+    sum_i lambda_i chi2(2, 2|mu3_i|^2)/2; its moments give identical (v, w).
+    Requires nonsingular Sigma.
+    """
+    E = np.asarray(E, dtype=complex)
+    root = _sqrtm2x2_psd(g.cov)
+    assert abs(np.linalg.det(root)) >= 1e-12, "eigen route needs a nonsingular covariance"
+    lam, V = _eigh2x2(root @ E @ root)
+    mu3 = V.conj().T @ np.linalg.solve(root, g.mean)
+    m1 = float(np.sum(lam * (1.0 + np.abs(mu3) ** 2)))
+    m2 = float(np.sum(lam ** 2 * (1.0 + 2.0 * np.abs(mu3) ** 2)))
+    assert m1 > 0 and m2 > 0
+    return Chi2Approx(v=m2 / (2.0 * m1), w=2.0 * m1 ** 2 / m2)
+
+
 def test_chi2_params_two_routes_agree():
     """Moment matching and the eigen-decomposition route coincide for PSD
     forms with PSD covariance."""
@@ -126,7 +181,7 @@ def test_chi2_params_two_routes_agree():
     for _ in range(10):
         g, E = _random_instance(rng, psd=True)
         a = chi2_params(g, E)
-        b = chi2_params_via_eigen(g, E)
+        b = _chi2_params_via_eigen(g, E)
         assert a.v == pytest.approx(b.v, rel=1e-9)
         assert a.w == pytest.approx(b.w, rel=1e-9)
 
@@ -149,7 +204,7 @@ def test_eigh2x2_matches_numpy():
     for _ in range(200):
         A = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         A = A + A.conj().T
-        vals, vecs = quadform.eigh2x2(A)
+        vals, vecs = _eigh2x2(A)
         ref = np.linalg.eigvalsh(A)
         np.testing.assert_allclose(np.sort(vals), ref, atol=1e-10)
         # eigenvector property
@@ -215,3 +270,66 @@ def test_cantelli_threshold_infeasible():
     rm = quadform.RatioMoments(mean=0.2, std=0.05)
     with pytest.raises(DomainError):
         quadform.cantelli_threshold(rm, 2.0 / 9.0, 0.5)  # r/p <= 1
+
+
+def _hermitian_stack(rng, shape):
+    A = rng.normal(size=shape + (2, 2)) + 1j * rng.normal(size=shape + (2, 2))
+    return A + np.swapaxes(A, -1, -2).conj()
+
+
+def _trace_moments(g, A, B):
+    """Reference: mean of H^H A H and cov(H^H A H, H^H B H) by the trace
+    formulas, one form at a time."""
+    mu, S = g.mean, g.cov
+    mean = np.real(mu.conj() @ A @ mu + np.trace(S @ A))
+    cov = np.real(np.trace(A @ S @ B @ S) + 2.0 * (mu.conj() @ A @ S @ B @ mu))
+    return mean, cov
+
+
+@pytest.mark.parametrize("full_cov", [False, True])
+def test_stacked_moments_match_single_forms(full_cov):
+    """Every element of a stack's moments equals the single-form call, and
+    the single form equals the trace formulas."""
+    rng = np.random.default_rng(12)
+    for shape in [(1,), (7,), (3, 4)] * 40:  # 120 stacks per covariance kind
+        mean = rng.normal(size=2) + 1j * rng.normal(size=2)
+        if full_cov:
+            L = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            g = GaussianVectorSpec(mean, L @ L.conj().T)
+        else:
+            g = GaussianVectorSpec.from_diag(mean, rng.uniform(0.1, 2.0, size=2))
+        A, B = _hermitian_stack(rng, shape), _hermitian_stack(rng, shape)
+        got = (qf_mean(g, A), qf_variance(g, A), qf_covariance(g, A, B))
+        for idx in np.ndindex(*shape):
+            want = (qf_mean(g, A[idx]), qf_variance(g, A[idx]), qf_covariance(g, A[idx], B[idx]))
+            for stack, single in zip(got, want):
+                assert isinstance(single, float) and stack.shape == shape
+                assert stack[idx] == pytest.approx(single, rel=1e-12, abs=1e-300)
+            ref_mean, ref_cov = _trace_moments(g, A[idx], B[idx])
+            _, ref_var = _trace_moments(g, A[idx], A[idx])
+            # absolute floors at the rounding level of the entries involved
+            c = np.linalg.norm(g.cov) + np.vdot(mean, mean).real
+            ab = np.linalg.norm(A[idx]) + np.linalg.norm(B[idx])
+            assert want[0] == pytest.approx(ref_mean, rel=1e-12, abs=1e-12 * ab * c)
+            assert want[1] == pytest.approx(ref_var, rel=1e-12, abs=1e-12 * (ab * c) ** 2)
+            assert want[2] == pytest.approx(ref_cov, rel=1e-12, abs=1e-12 * (ab * c) ** 2)
+
+
+def test_stacked_matches_mark_undefined_elements_nan():
+    """A stack gives NaN where the single form raises DomainError."""
+    g = GaussianVectorSpec.from_diag([1.0, 0.5j], [0.5, 0.3])
+    E = np.stack([np.eye(2), -np.eye(2), np.diag([1.0, -0.2])])
+    c2 = chi2_params(g, E)
+    assert np.isnan(c2.v[1]) and np.isnan(c2.w[1])
+    for i in (0, 2):
+        single = chi2_params(g, E[i])
+        assert (c2.v[i], c2.w[i]) == pytest.approx((single.v, single.w), rel=1e-12)
+    with pytest.raises(DomainError):
+        chi2_params(g, E[1])
+    zero = GaussianVectorSpec.from_diag([0.0, 0.0], [1.0, 1.0])
+    P = np.stack([np.eye(2), np.diag([1.0, -1.0])])
+    rm = ratio_moments(zero, P, np.eye(2))
+    assert np.isnan(rm.mean[1]) and np.isnan(rm.std[1])
+    assert rm.mean[0] == pytest.approx(ratio_moments(zero, P[0], np.eye(2)).mean, rel=1e-12)
+    with pytest.raises(DomainError):
+        ratio_moments(zero, P[1], np.eye(2))
