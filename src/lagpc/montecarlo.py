@@ -3,7 +3,9 @@ comparison sweeps behind the rate/outage figures.
 
 Sampling is counter-based (see channel.sample_realizations), so estimates are
 identical however the index range is chunked; every scheme at a given
-operating point reuses the same realizations (common random numbers).
+operating point reuses the same realizations (common random numbers).  The
+figure sweeps draw one block per operating point, and every curve and grid
+search reads a prefix of it.
 """
 from __future__ import annotations
 
@@ -20,6 +22,7 @@ from .design_fast import InfeasibleDesignError
 SCHEME_LABELS = ("la_gpc", "full_csit", "naive_dpc", "interference_as_noise", "full_search")
 
 _CHUNK = 1 << 20
+_DISC_ROWS = 16  # alpha2 points per det block in _disc_scores; bounds its temporaries
 
 # Slow-fading operating points: K_dB -> (R_P, P_out_P, R_CR)
 SLOW_TARGETS = {
@@ -82,36 +85,64 @@ def scheme_rates(
     raise ValueError(f"unknown scheme {which!r}")
 
 
-def rate_sums(stats, params, pw, which, n, seed, start=0):
-    """(sum, sum of squares, count) of scheme rates over an index range."""
+def _sums(r, stats, params, pw, which, r_target):
+    """(sum, sum of squares, count below r_target) of one scheme's rates over
+    the block r, one entry per _CHUNK of it; the count is 0 without a target."""
+    parts = []
+    for lo in range(0, len(r), _CHUNK):
+        rates = scheme_rates(r[lo : lo + _CHUNK], stats, params, pw, which)
+        below = 0 if r_target is None else int(np.count_nonzero(rates < r_target))
+        parts.append((float(np.sum(rates)), float(np.sum(rates ** 2)), below))
+    return parts
+
+
+def _drawn_sums(stats, params, pw, which, r_target, seed, chunks):
+    """_sums over the (start, size) chunks of the stream, each drawn on its own."""
+    parts = []
+    for lo, m in chunks:
+        r = channel.sample_realizations(stats, m, seed, start=lo)
+        parts += _sums(r, stats, params, pw, which, r_target)
+    return parts
+
+
+def _estimate(parts, n: int, seed: int, r_target: float | None) -> McEstimate:
+    """Sample-mean rate with its standard error, or with a target the
+    empirical P(rate < r_target) with its binomial standard error.
+
+    The parts are added in chunk order, so the estimate depends neither on
+    how the range was split over workers nor on whether it was drawn whole.
+    """
+    if r_target is not None:
+        p = sum(below for _, _, below in parts) / n
+        return McEstimate(p, float(np.sqrt(p * (1.0 - p) / n)), n, seed)
     s1 = s2 = 0.0
-    done = 0
-    while done < n:
-        m = min(_CHUNK, n - done)
-        r = channel.sample_realizations(stats, m, seed, start=start + done)
-        rates = scheme_rates(r, stats, params, pw, which)
-        s1 += float(np.sum(rates))
-        s2 += float(np.sum(rates ** 2))
-        done += m
-    return s1, s2, n
+    for p1, p2, _ in parts:
+        s1 += p1
+        s2 += p2
+    mean = s1 / n
+    var = max(s2 / n - mean ** 2, 0.0)
+    return McEstimate(mean, float(np.sqrt(var / n)), n, seed)
 
 
-def outage_counts(stats, params, pw, r_target, which_user, n, seed, start=0):
-    which = "la_gpc" if which_user == "cr" else which_user
-    count = 0
-    done = 0
-    while done < n:
-        m = min(_CHUNK, n - done)
-        r = channel.sample_realizations(stats, m, seed, start=start + done)
-        rates = scheme_rates(r, stats, params, pw, which)
-        count += int(np.sum(rates < r_target))
-        done += m
-    return count
+def _drawn_estimate(stats, params, pw, which, r_target, n, seed, workers) -> McEstimate:
+    """_estimate over the first n realizations of the stream.
 
-
-def _worker_ranges(n: int, workers: int):
-    per = (n + workers - 1) // workers
-    return [(i, min(per, n - i)) for i in range(0, n, per)]
+    Workers take whole chunks; a run of fewer than two chunks stays in
+    process, where it is faster than starting a pool.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    workers = default_workers() if workers is None else workers
+    chunks = [(lo, min(_CHUNK, n - lo)) for lo in range(0, n, _CHUNK)]
+    if workers < 2 or len(chunks) < 2:
+        parts = _drawn_sums(stats, params, pw, which, r_target, seed, chunks)
+    else:
+        per = -(-len(chunks) // workers)
+        groups = [chunks[i : i + per] for i in range(0, len(chunks), per)]
+        args = [(stats, params, pw, which, r_target, seed, g) for g in groups]
+        with ProcessPoolExecutor(max_workers=len(groups)) as ex:
+            parts = [part for group in ex.map(_drawn_sums, *zip(*args)) for part in group]
+    return _estimate(parts, n, seed, r_target)
 
 
 def default_workers() -> int:
@@ -137,25 +168,7 @@ def ergodic_capacity(
     workers: int | None = None,
 ) -> McEstimate:
     """Sample-mean rate with its standard error."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    workers = default_workers() if workers is None else workers
-    ranges = _worker_ranges(n, workers)
-    if len(ranges) > 1:
-        with ProcessPoolExecutor(max_workers=len(ranges)) as ex:
-            parts = list(
-                ex.map(
-                    rate_sums,
-                    *zip(*((stats, params, pw, which, m, seed, st) for st, m in ranges)),
-                )
-            )
-    else:
-        parts = [rate_sums(stats, params, pw, which, n, seed)]
-    s1 = sum(p[0] for p in parts)
-    s2 = sum(p[1] for p in parts)
-    mean = s1 / n
-    var = max(s2 / n - mean ** 2, 0.0)
-    return McEstimate(mean, float(np.sqrt(var / n)), n, seed)
+    return _drawn_estimate(stats, params, pw, which, None, n, seed, workers)
 
 
 def outage_probability(
@@ -169,125 +182,115 @@ def outage_probability(
     workers: int | None = None,
 ) -> McEstimate:
     """Empirical P(rate < r_target) with binomial standard error."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    workers = default_workers() if workers is None else workers
-    ranges = _worker_ranges(n, workers)
-    if len(ranges) > 1:
-        with ProcessPoolExecutor(max_workers=len(ranges)) as ex:
-            counts = list(
-                ex.map(
-                    outage_counts,
-                    *zip(*((stats, params, pw, r_target, which_user, m, seed, st) for st, m in ranges)),
-                )
-            )
-    else:
-        counts = [outage_counts(stats, params, pw, r_target, which_user, n, seed)]
-    p = sum(counts) / n
-    return McEstimate(p, float(np.sqrt(p * (1.0 - p) / n)), n, seed)
+    which = "la_gpc" if which_user == "cr" else which_user
+    return _drawn_estimate(stats, params, pw, which, r_target, n, seed, workers)
 
 
-def brute_force_alpha1_fast(
-    stats: ChannelStats,
-    pw: PowerConfig,
-    r_target: float,
-    grid_n: int = 201,
-    mc_n: int = 10 ** 5,
-    seed: int = 0,
-) -> float:
-    """Smallest grid alpha1 whose MC primary ergodic rate meets the target."""
-    if grid_n < 50:
-        raise ValueError("grid_n too coarse")
-    r = channel.sample_realizations(stats, mc_n, seed)
+def _alpha1_scan(r: channel.ChannelRealization, pw: PowerConfig, grid_n: int):
+    """(alpha1, signal, interference plus noise) of the primary link at each
+    grid alpha1, smallest first."""
     # primary_rate as a function of alpha1 decomposes into three fixed forms
     a = np.abs(r.h11) ** 2 * pw.Pp
     b = 2.0 * np.real(np.conj(r.h11) * r.h12) * np.sqrt(pw.Pp)
     c = np.abs(r.h12) ** 2
     for a1 in np.linspace(0.0, 1.0, grid_n):
         amp = np.sqrt(a1 * pw.Pc)
-        sig = a + b * amp + c * amp ** 2
-        mean = float(np.mean(np.log2(1.0 + sig / (c * (1.0 - a1) * pw.Pc + pw.noise_p))))
-        if mean >= r_target:
-            return float(a1)
+        yield float(a1), a + b * amp + c * amp ** 2, c * (1.0 - a1) * pw.Pc + pw.noise_p
+
+
+def brute_force_alpha1_fast(
+    r: channel.ChannelRealization, pw: PowerConfig, r_target: float, grid_n: int = 201
+) -> float:
+    """Smallest grid alpha1 whose MC primary ergodic rate over r meets the target."""
+    if grid_n < 50:
+        raise ValueError("grid_n too coarse")
+    for a1, sig, den in _alpha1_scan(r, pw, grid_n):
+        if float(np.mean(np.log2(1.0 + sig / den))) >= r_target:
+            return a1
     raise InfeasibleDesignError("no grid alpha1 meets the ergodic target")
 
 
 def brute_force_alpha1_outage(
-    stats: ChannelStats,
-    pw: PowerConfig,
-    r_p: float,
-    p_out: float,
-    grid_n: int = 201,
-    mc_n: int = 10 ** 6,
-    seed: int = 0,
+    r: channel.ChannelRealization, pw: PowerConfig, r_p: float, p_out: float, grid_n: int = 201
 ) -> float:
-    """Smallest grid alpha1 whose MC primary outage is within the budget."""
-    r = channel.sample_realizations(stats, mc_n, seed)
-    a = np.abs(r.h11) ** 2 * pw.Pp
-    b = 2.0 * np.real(np.conj(r.h11) * r.h12) * np.sqrt(pw.Pp)
-    c = np.abs(r.h12) ** 2
-    for a1 in np.linspace(0.0, 1.0, grid_n):
-        amp = np.sqrt(a1 * pw.Pc)
-        sig = a + b * amp + c * amp ** 2
-        rates = np.log2(1.0 + sig / (c * (1.0 - a1) * pw.Pc + pw.noise_p))
-        if float(np.mean(rates < r_p)) <= p_out:
-            return float(a1)
+    """Smallest grid alpha1 whose MC primary outage over r is within the budget."""
+    for a1, sig, den in _alpha1_scan(r, pw, grid_n):
+        if float(np.mean(1.0 + sig / den < 2.0 ** r_p)) <= p_out:
+            return a1
     raise InfeasibleDesignError("no grid alpha1 meets the outage target")
 
 
+def _disc_scores(r, alpha1, pw, a2, r_cr=None) -> np.ndarray:
+    """MC ergodic CR rate at each alpha2 in a2, or with r_cr minus the MC CR outage.
+
+    With sigma2 = (1 - alpha1) Pc, the determinant in channel.cr_rate is
+    det = A + |a2|^2 B - 2 Re(a2) Re(C) + 2 Im(a2) Im(C) per sample, so the
+    dets of a block of points are one (points x 4) @ (4 x samples) product.
+    """
+    sigma2 = (1.0 - alpha1) * pw.Pc
+    hs = channel.effective_interference_gain(r, alpha1, pw)
+    h22_pow = np.abs(r.h22) ** 2
+    hs_pow = np.abs(hs) ** 2
+    signal = sigma2 * (h22_pow * sigma2 + hs_pow * pw.Pp + pw.noise_s)  # sigma2 * ys_pow
+    cross = r.h22 * np.conj(hs) * (sigma2 * pw.Pp)  # C
+    forms = np.stack(
+        [
+            sigma2 * (hs_pow * pw.Pp + pw.noise_s),  # A
+            pw.Pp * (h22_pow * sigma2 + pw.noise_s),  # B
+            -2.0 * cross.real,
+            2.0 * cross.imag,
+        ]
+    )
+    rows = np.stack([np.ones(len(a2)), np.abs(a2) ** 2, a2.real, a2.imag], axis=1)
+    if r_cr is None:
+        base = float(np.mean(np.log2(signal)))
+    else:
+        limit = signal * 2.0 ** -r_cr  # rate < r_cr  <=>  det > limit
+    scores = np.empty(len(a2))
+    for lo in range(0, len(a2), _DISC_ROWS):
+        det = rows[lo : lo + _DISC_ROWS] @ forms
+        if r_cr is None:
+            scores[lo : lo + _DISC_ROWS] = base - np.mean(np.log2(det), axis=1)
+        else:
+            scores[lo : lo + _DISC_ROWS] = -np.mean(det > limit, axis=1)
+    return scores
+
+
 def brute_force_alpha2(
+    r: channel.ChannelRealization,
     stats: ChannelStats,
     alpha1: float,
     pw: PowerConfig,
     objective: str = "ergodic",
     r_cr: float | None = None,
-    center: complex | None = None,
-    radius: float | None = None,
     grid_n: int = 61,
-    mc_n: int = 10 ** 5,
-    seed: int = 0,
 ) -> complex:
-    """Grid search of alpha2: max MC ergodic rate or min MC outage.
+    """Grid search of alpha2: max MC ergodic rate or min MC outage over r.
 
-    Same disc as the statistical alpha2 design so the two are comparable.
+    The disc is centred on the fast statistical design with radius twice its
+    modulus, as in the designs, so the two are comparable; the first point
+    (dre-major) with the best score wins.
     """
     if objective not in ("ergodic", "outage"):
         raise ValueError("objective must be 'ergodic' or 'outage'")
     if objective == "outage" and r_cr is None:
         raise ValueError("outage objective needs r_cr")
-    if center is None:
-        center = complex(design_fast.alpha2_fast(stats, alpha1, pw))
-    if radius is None:
-        radius = 2.0 * abs(center) or 1.0
-    r = channel.sample_realizations(stats, mc_n, seed)
-    sigma2 = (1.0 - alpha1) * pw.Pc
-    hs = channel.effective_interference_gain(r, alpha1, pw)
-    ys_pow = np.abs(r.h22) ** 2 * sigma2 + np.abs(hs) ** 2 * pw.Pp + pw.noise_s
-    w1 = np.conj(r.h22) * sigma2
-    w2 = np.conj(hs) * pw.Pp
+    center = complex(design_fast.alpha2_fast(stats, alpha1, pw))
+    radius = 2.0 * abs(center) or 1.0
     offs = np.linspace(-radius, radius, grid_n)
+    dre, dim = np.meshgrid(offs, offs, indexing="ij")
+    inside = np.hypot(dre, dim) <= radius + 1e-12
+    a2 = center + dre[inside] + 1j * dim[inside]
+    scores = _disc_scores(r, alpha1, pw, a2, r_cr if objective == "outage" else None)
     best = None
     best_score = -np.inf
-    for dre in offs:
-        for dim in offs:
-            if np.hypot(dre, dim) > radius + 1e-12:
-                continue
-            a2 = center + dre + 1j * dim
-            det = (sigma2 + abs(a2) ** 2 * pw.Pp) * ys_pow - np.abs(w1 + a2 * w2) ** 2
-            rates = np.log2(sigma2 * ys_pow / det)
-            if objective == "ergodic":
-                score = float(np.mean(rates))
-            else:
-                score = -float(np.mean(rates < r_cr))
-            if score > best_score:
-                best_score, best = score, a2
+    for point, score in zip(a2, scores):
+        if score > best_score:
+            best_score, best = score, point
     return complex(best)
 
 
-def _record(k_db, scheme, metric, est: McEstimate, params: DesignParams) -> SweepRecord:
-    return SweepRecord(
-        k_db, scheme, metric, est.value, est.std_error, params.alpha1, complex(params.alpha2), est.seed
-    )
+_METRICS = {2: "primary_ergodic_rate", 3: "cr_ergodic_rate", 4: "primary_outage", 5: "cr_outage"}
 
 
 def figure_sweep(
@@ -312,70 +315,58 @@ def figure_sweep(
         pw = PowerConfig(10.0, 10.0)
     if slow_targets is None:
         slow_targets = SLOW_TARGETS
-    if figure_id not in (2, 3, 4, 5):
+    if figure_id not in _METRICS:
         raise ValueError(f"unknown figure {figure_id}")
+    metric = _METRICS[figure_id]
+    ergodic = figure_id in (2, 3)
+    primary = figure_id in (2, 4)
+    n = n_ergodic if ergodic else n_outage
     rows: list[SweepRecord] = []
     for k_db in k_grid:
         stats = ChannelStats.from_k_factor(k_db)
-        if figure_id in (2, 3):
-            target = design_fast.primary_target_ergodic(stats, pw)
-            des = design_fast.solve_alpha1_fast(stats, pw, target)
-            bf_a1 = brute_force_alpha1_fast(stats, pw, target, mc_n=n_ergodic, seed=seed)
-            if figure_id == 2:
-                metric = "primary_ergodic_rate"
-                for scheme, a1 in (("la_gpc", des.alpha1), ("full_search", bf_a1)):
-                    p = DesignParams(a1, 0.0)
-                    est = ergodic_capacity(stats, p, pw, n_ergodic, seed, which="primary")
-                    rows.append(_record(k_db, scheme, metric, est, p))
-                rows.append(
-                    SweepRecord(k_db, "full_csit", metric, target, 0.0, 0.0, 0j, seed)
-                )
-            else:
-                metric = "cr_ergodic_rate"
-                for scheme in ("la_gpc", "full_csit", "naive_dpc", "interference_as_noise"):
-                    est = ergodic_capacity(stats, des.params, pw, n_ergodic, seed, which=scheme)
-                    rows.append(_record(k_db, scheme, metric, est, des.params))
-                bf_a2 = brute_force_alpha2(
-                    stats, bf_a1, pw, "ergodic", grid_n=bf_grid_n, mc_n=bf_mc_n, seed=seed
-                )
-                p = DesignParams(bf_a1, bf_a2)
-                est = ergodic_capacity(stats, p, pw, n_ergodic, seed, which="la_gpc")
-                rows.append(_record(k_db, "full_search", metric, est, p))
+        # one block per K: the estimates and the alpha1 search read its first
+        # n realizations, the alpha2 search its first bf_mc_n
+        block = channel.sample_realizations(stats, n if primary else max(n, bf_mc_n), seed)
+        r = block[:n]
+        if ergodic:
+            reference = design_fast.primary_target_ergodic(stats, pw)
+            des = design_fast.solve_alpha1_fast(stats, pw, reference)
+            bf_a1 = brute_force_alpha1_fast(r, pw, reference)
+            r_p = r_cr = None
         else:
-            r_p, p_out, r_cr = slow_targets[k_db]
-            st = design_slow.design(stats, pw, r_p, p_out, r_cr)
-            bf_a1 = brute_force_alpha1_outage(stats, pw, r_p, p_out, mc_n=n_outage, seed=seed)
-            if figure_id == 4:
-                metric = "primary_outage"
-                for scheme, a1 in (("la_gpc", st.alpha1), ("full_search", bf_a1)):
-                    p = DesignParams(a1, 0.0)
-                    est = outage_probability(stats, p, pw, r_p, "primary", n_outage, seed)
-                    rows.append(_record(k_db, scheme, metric, est, p))
-                rows.append(
-                    SweepRecord(k_db, "full_csit", metric, p_out, 0.0, 0.0, 0j, seed)
-                )
-            else:
-                metric = "cr_outage"
-                for scheme in ("la_gpc", "naive_dpc", "interference_as_noise"):
-                    if scheme == "la_gpc":
-                        p = st.params
-                    elif scheme == "naive_dpc":
-                        p = DesignParams(st.alpha1, channel.naive_alpha2(stats, st.alpha1, pw))
-                    else:
-                        p = DesignParams(st.alpha1, 0.0)
-                    est = outage_probability(stats, p, pw, r_cr, "cr", n_outage, seed)
-                    rows.append(_record(k_db, scheme, metric, est, p))
-                r = channel.sample_realizations(stats, n_outage, seed)
-                csit = scheme_rates(r, stats, st.params, pw, "full_csit")
-                pr = float(np.mean(csit < r_cr))
-                se = float(np.sqrt(pr * (1.0 - pr) / n_outage))
-                rows.append(
-                    SweepRecord(k_db, "full_csit", metric, pr, se, st.alpha1, 0j, seed)
-                )
-                bf_a2 = brute_force_alpha2(
-                    stats, bf_a1, pw, "outage", r_cr=r_cr, grid_n=bf_grid_n, mc_n=bf_mc_n, seed=seed
-                )
-                p = DesignParams(bf_a1, bf_a2)
-                est = outage_probability(stats, p, pw, r_cr, "cr", n_outage, seed)
-                rows.append(_record(k_db, "full_search", metric, est, p))
+            r_p, reference, r_cr = slow_targets[k_db]
+            des = design_slow.design(stats, pw, r_p, reference, r_cr)
+            bf_a1 = brute_force_alpha1_outage(r, pw, r_p, reference)
+
+        def record(scheme, which, p, r_target):
+            est = _estimate(_sums(r, stats, p, pw, which, r_target), n, seed, r_target)
+            return SweepRecord(
+                k_db, scheme, metric, est.value, est.std_error, p.alpha1, complex(p.alpha2), seed
+            )
+
+        if primary:
+            for scheme, a1 in (("la_gpc", des.alpha1), ("full_search", bf_a1)):
+                rows.append(record(scheme, "primary", DesignParams(a1, 0.0), r_p))
+            rows.append(SweepRecord(k_db, "full_csit", metric, reference, 0.0, 0.0, 0j, seed))
+            continue
+        if ergodic:
+            labels = ("la_gpc", "full_csit", "naive_dpc", "interference_as_noise")
+            schemes = [(label, label, des.params) for label in labels]
+        else:
+            # the outage baselines are the la_gpc rate at their own alpha2
+            # (alpha2 = 0 is treating the interference as noise)
+            naive = DesignParams(des.alpha1, channel.naive_alpha2(stats, des.alpha1, pw))
+            plain = DesignParams(des.alpha1, 0.0)
+            schemes = [
+                ("la_gpc", "la_gpc", des.params),
+                ("naive_dpc", "la_gpc", naive),
+                ("interference_as_noise", "la_gpc", plain),
+                ("full_csit", "full_csit", plain),
+            ]
+        rows.extend(record(scheme, which, p, r_cr) for scheme, which, p in schemes)
+        objective = "ergodic" if ergodic else "outage"
+        bf_a2 = brute_force_alpha2(
+            block[:bf_mc_n], stats, bf_a1, pw, objective, r_cr=r_cr, grid_n=bf_grid_n
+        )
+        rows.append(record("full_search", "la_gpc", DesignParams(bf_a1, bf_a2), r_cr))
     return rows

@@ -86,7 +86,7 @@ def test_criterion_3_near_optimality_vs_grid_search():
         stats = ChannelStats.from_k_factor(k_db)
         fast = solve_alpha1_fast(stats, PW)
         best2 = montecarlo.brute_force_alpha2(
-            stats, fast.alpha1, PW, objective="ergodic", grid_n=41, mc_n=3 * 10 ** 4, seed=5
+            sample_realizations(stats, 3 * 10 ** 4, 5), stats, fast.alpha1, PW, objective="ergodic", grid_n=41
         )
         r = sample_realizations(stats, 10 ** 5, 17)
         r_design = float(np.mean(cr_rate(r, fast.params, PW)))
@@ -101,8 +101,8 @@ def test_criterion_3_near_optimality_vs_grid_search():
         r_p, p_out, r_cr = SLOW_PAIRS[k_db]
         res = slow_design(stats, PW, r_p, p_out, r_cr)
         best2 = montecarlo.brute_force_alpha2(
-            stats, res.alpha1, PW, objective="outage", r_cr=r_cr,
-            grid_n=41, mc_n=3 * 10 ** 4, seed=5,
+            sample_realizations(stats, 3 * 10 ** 4, 5), stats, res.alpha1, PW, objective="outage",
+            r_cr=r_cr, grid_n=41,
         )
         kw = dict(n=2 * 10 ** 5, seed=11, workers=1)
         p_design = montecarlo.outage_probability(

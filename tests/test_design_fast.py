@@ -107,7 +107,7 @@ def test_alpha2_matches_grid_search():
     stats = ChannelStats.from_k_factor(10.0)
     res = solve_alpha1_fast(stats, PW)
     best = montecarlo.brute_force_alpha2(
-        stats, res.alpha1, PW, objective="ergodic", grid_n=41, mc_n=30000, seed=5
+        sample_realizations(stats, 30000, 5), stats, res.alpha1, PW, objective="ergodic", grid_n=41
     )
     r = sample_realizations(stats, 100000, 17)
     rate_design = float(np.mean(cr_rate(r, DesignParams(res.alpha1, res.alpha2), PW)))

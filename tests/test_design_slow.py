@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lagpc import montecarlo, quadform
-from lagpc.channel import ChannelStats, DesignParams, PowerConfig, build_matrices
+from lagpc.channel import ChannelStats, DesignParams, PowerConfig, build_matrices, sample_realizations
 from lagpc.design_fast import InfeasibleDesignError, cr_links
 from lagpc.design_slow import (
     design,
@@ -114,14 +114,13 @@ def test_alpha2_slow_near_grid_search():
     st1 = solve_alpha1_slow(stats, PW, r_p, p_out)
     st2 = solve_alpha2_slow(stats, st1.alpha1, PW, r_cr)
     best = montecarlo.brute_force_alpha2(
+        sample_realizations(stats, 30000, 5),
         stats,
         st1.alpha1,
         PW,
         objective="outage",
         r_cr=r_cr,
         grid_n=41,
-        mc_n=30000,
-        seed=5,
     )
     kw = dict(n=200000, seed=11, workers=1)
     p_design = montecarlo.outage_probability(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lagpc import channel, montecarlo
+from lagpc import channel, design_fast, montecarlo
 from lagpc.channel import ChannelStats, DesignParams, PowerConfig
 from lagpc.design_fast import InfeasibleDesignError
 from lagpc.montecarlo import (
@@ -11,9 +11,7 @@ from lagpc.montecarlo import (
     brute_force_alpha2,
     ergodic_capacity,
     figure_sweep,
-    outage_counts,
     outage_probability,
-    rate_sums,
     scheme_rates,
 )
 
@@ -22,12 +20,77 @@ STATS = ChannelStats.from_k_factor(10.0)
 PARAMS = DesignParams(0.75, 1.26 + 0j)
 
 
-def test_rate_sums_partition_independence():
-    whole = rate_sums(STATS, PARAMS, PW, "la_gpc", 500, seed=3)
-    head = rate_sums(STATS, PARAMS, PW, "la_gpc", 180, seed=3)
-    tail = rate_sums(STATS, PARAMS, PW, "la_gpc", 320, seed=3, start=180)
+def _oracle_alpha1_fast(r, pw, r_target, grid_n):
+    """The scalar-loop alpha1 search the batched one replaced."""
+    a = np.abs(r.h11) ** 2 * pw.Pp
+    b = 2.0 * np.real(np.conj(r.h11) * r.h12) * np.sqrt(pw.Pp)
+    c = np.abs(r.h12) ** 2
+    for a1 in np.linspace(0.0, 1.0, grid_n):
+        amp = np.sqrt(a1 * pw.Pc)
+        sig = a + b * amp + c * amp ** 2
+        mean = float(np.mean(np.log2(1.0 + sig / (c * (1.0 - a1) * pw.Pc + pw.noise_p))))
+        if mean >= r_target:
+            return float(a1)
+    raise InfeasibleDesignError("no grid alpha1 meets the ergodic target")
+
+
+def _oracle_alpha1_outage(r, pw, r_p, p_out, grid_n):
+    a = np.abs(r.h11) ** 2 * pw.Pp
+    b = 2.0 * np.real(np.conj(r.h11) * r.h12) * np.sqrt(pw.Pp)
+    c = np.abs(r.h12) ** 2
+    for a1 in np.linspace(0.0, 1.0, grid_n):
+        amp = np.sqrt(a1 * pw.Pc)
+        sig = a + b * amp + c * amp ** 2
+        rates = np.log2(1.0 + sig / (c * (1.0 - a1) * pw.Pc + pw.noise_p))
+        if float(np.mean(rates < r_p)) <= p_out:
+            return float(a1)
+    raise InfeasibleDesignError("no grid alpha1 meets the outage target")
+
+
+def _oracle_alpha2(r, stats, alpha1, pw, objective, r_cr, grid_n):
+    """The point-by-point disc search the batched one replaced: (best, scores)."""
+    center = complex(design_fast.alpha2_fast(stats, alpha1, pw))
+    radius = 2.0 * abs(center) or 1.0
+    sigma2 = (1.0 - alpha1) * pw.Pc
+    hs = channel.effective_interference_gain(r, alpha1, pw)
+    ys_pow = np.abs(r.h22) ** 2 * sigma2 + np.abs(hs) ** 2 * pw.Pp + pw.noise_s
+    w1 = np.conj(r.h22) * sigma2
+    w2 = np.conj(hs) * pw.Pp
+    offs = np.linspace(-radius, radius, grid_n)
+    best = None
+    best_score = -np.inf
+    scores = []
+    for dre in offs:
+        for dim in offs:
+            if np.hypot(dre, dim) > radius + 1e-12:
+                continue
+            a2 = center + dre + 1j * dim
+            det = (sigma2 + abs(a2) ** 2 * pw.Pp) * ys_pow - np.abs(w1 + a2 * w2) ** 2
+            rates = np.log2(sigma2 * ys_pow / det)
+            if objective == "ergodic":
+                score = float(np.mean(rates))
+            else:
+                score = -float(np.mean(rates < r_cr))
+            scores.append((a2, score))
+            if score > best_score:
+                best_score, best = score, a2
+    return complex(best), scores
+
+
+def _log_scale(r, alpha1):
+    """Mean |log2(sigma2 * ys_pow)|, the size of the terms of an ergodic disc score."""
+    sigma2 = (1.0 - alpha1) * PW.Pc
+    hs = channel.effective_interference_gain(r, alpha1, PW)
+    ys_pow = np.abs(r.h22) ** 2 * sigma2 + np.abs(hs) ** 2 * PW.Pp + PW.noise_s
+    return float(np.mean(np.abs(np.log2(sigma2 * ys_pow))))
+
+
+def test_sums_partition_independence():
+    whole = montecarlo._drawn_sums(STATS, PARAMS, PW, "la_gpc", 1.0, 3, [(0, 500)])[0]
+    head, tail = montecarlo._drawn_sums(STATS, PARAMS, PW, "la_gpc", 1.0, 3, [(0, 180), (180, 320)])
     assert whole[0] == pytest.approx(head[0] + tail[0], rel=1e-12)
     assert whole[1] == pytest.approx(head[1] + tail[1], rel=1e-12)
+    assert whole[2] == head[2] + tail[2]
 
 
 def test_workers_do_not_change_estimates():
@@ -38,6 +101,20 @@ def test_workers_do_not_change_estimates():
     po1 = outage_probability(STATS, PARAMS, PW, 1.0, n=6000, seed=7, workers=1)
     po3 = outage_probability(STATS, PARAMS, PW, 1.0, n=6000, seed=7, workers=3)
     assert po3.value == po1.value  # integer counts partition exactly
+
+
+def test_estimates_bit_identical_across_worker_counts(monkeypatch):
+    monkeypatch.setattr(montecarlo, "_CHUNK", 1000)
+    runs = [
+        (
+            ergodic_capacity(STATS, PARAMS, PW, n=4500, seed=7, workers=w),
+            outage_probability(STATS, PARAMS, PW, 1.0, n=4500, seed=7, workers=w),
+        )
+        for w in (1, 2, 3)
+    ]
+    for erg, out in runs[1:]:
+        assert (erg.value, erg.std_error) == (runs[0][0].value, runs[0][0].std_error)
+        assert (out.value, out.std_error) == (runs[0][1].value, runs[0][1].std_error)
 
 
 def test_determinism_and_seed_sensitivity():
@@ -75,14 +152,14 @@ def test_scheme_rates_against_direct_formulas():
         scheme_rates(r, STATS, PARAMS, PW, "bogus")
 
 
-def test_outage_counts_label_routing():
+def test_outage_label_routing():
     """"cr" means the proposed scheme; other labels pass through."""
     n, thr = 2000, 1.0
     r = channel.sample_realizations(STATS, n, 4)
     for label, which in (("cr", "la_gpc"), ("full_csit", "full_csit"), ("primary", "primary")):
-        got = outage_counts(STATS, PARAMS, PW, thr, label, n, seed=4)
+        got = outage_probability(STATS, PARAMS, PW, thr, label, n, seed=4, workers=1).value
         want = int(np.sum(scheme_rates(r, STATS, PARAMS, PW, which) < thr))
-        assert got == want
+        assert got * n == want
 
 
 def test_binomial_std_error():
@@ -106,30 +183,64 @@ def test_sweep_record_rejects_unknown_scheme():
 
 def test_brute_force_alpha1_fast():
     target = 3.35
-    a1 = brute_force_alpha1_fast(STATS, PW, target, grid_n=101, mc_n=30000, seed=2)
     r = channel.sample_realizations(STATS, 30000, 2)
+    a1 = brute_force_alpha1_fast(r, PW, target, grid_n=101)
     assert float(np.mean(channel.primary_rate(r, a1, PW))) >= target
     step = 1.0 / 100
     if a1 >= step:  # smallest grid point that clears the bar
         assert float(np.mean(channel.primary_rate(r, a1 - step, PW))) < target
     with pytest.raises(InfeasibleDesignError):
-        brute_force_alpha1_fast(STATS, PW, 8.0, grid_n=60, mc_n=2000)
+        brute_force_alpha1_fast(channel.sample_realizations(STATS, 2000, 0), PW, 8.0, grid_n=60)
     with pytest.raises(ValueError):
-        brute_force_alpha1_fast(STATS, PW, target, grid_n=10)
+        brute_force_alpha1_fast(channel.sample_realizations(STATS, 10 ** 5, 0), PW, target, grid_n=10)
 
 
 def test_brute_force_alpha1_outage():
-    a1 = brute_force_alpha1_outage(STATS, PW, 2.0, 0.01, grid_n=101, mc_n=50000, seed=3)
     r = channel.sample_realizations(STATS, 50000, 3)
+    a1 = brute_force_alpha1_outage(r, PW, 2.0, 0.01, grid_n=101)
     rates = channel.primary_rate(r, a1, PW)
     assert float(np.mean(rates < 2.0)) <= 0.01
 
 
 def test_brute_force_alpha2_validates():
+    r = channel.sample_realizations(STATS, 10 ** 5, 0)
     with pytest.raises(ValueError):
-        brute_force_alpha2(STATS, 0.5, PW, objective="best")
+        brute_force_alpha2(r, STATS, 0.5, PW, objective="best")
     with pytest.raises(ValueError):
-        brute_force_alpha2(STATS, 0.5, PW, objective="outage")  # r_cr missing
+        brute_force_alpha2(r, STATS, 0.5, PW, objective="outage")  # r_cr missing
+
+
+def test_batched_searches_match_the_scalar_oracles():
+    """48 disc searches and 16 alpha1 scans pick the oracle's grid point."""
+    cases = 0
+    for k_db in (0.0, 5.0, 10.0, 15.0):
+        stats = ChannelStats.from_k_factor(k_db)
+        r_p, p_out, r_cr = montecarlo.SLOW_TARGETS[k_db]
+        target = design_fast.primary_target_ergodic(stats, PW)
+        for seed in (1, 2):
+            r = channel.sample_realizations(stats, 3000, seed)
+            assert brute_force_alpha1_fast(r, PW, target, grid_n=101) == _oracle_alpha1_fast(
+                r, PW, target, 101
+            )
+            assert brute_force_alpha1_outage(r, PW, r_p, p_out, grid_n=101) == _oracle_alpha1_outage(
+                r, PW, r_p, p_out, 101
+            )
+            for alpha1 in (0.3, 0.6, 0.8):
+                oracle = {}
+                for objective in ("ergodic", "outage"):
+                    best, oracle[objective] = _oracle_alpha2(r, stats, alpha1, PW, objective, r_cr, 21)
+                    assert brute_force_alpha2(r, stats, alpha1, PW, objective, r_cr=r_cr, grid_n=21) == best
+                    cases += 1
+                a2 = np.array([p for p, _ in oracle["outage"]])
+                outage = montecarlo._disc_scores(r, alpha1, PW, a2, r_cr)
+                assert outage.tolist() == [score for _, score in oracle["outage"]]
+                ergodic = montecarlo._disc_scores(r, alpha1, PW, a2)
+                exact = [float(np.mean(channel.cr_rate(r, DesignParams(alpha1, p), PW))) for p in a2]
+                # a score is a difference of two means of log2 terms of a few
+                # bits each, and it crosses zero inside the disc: floor the
+                # tolerance at the rounding level of those terms
+                np.testing.assert_allclose(ergodic, exact, rtol=1e-12, atol=1e-12 * _log_scale(r, alpha1))
+    assert cases >= 40
 
 
 def test_figure_sweep_rate_structure():
@@ -165,6 +276,22 @@ def test_figure_sweep_outage_structure():
         assert 0.0 <= r.value <= 1.0
     # a mean-channel precoder cannot beat the outage-designed one by much
     assert schemes["la_gpc"].value <= schemes["naive_dpc"].value + 0.02
+
+
+def test_figure_sweep_draws_one_block_per_k(monkeypatch):
+    draws = []
+    sample = channel.sample_realizations
+
+    def counting(stats, n, seed, start=0):
+        draws.append(n)
+        return sample(stats, n, seed, start)
+
+    monkeypatch.setattr(channel, "sample_realizations", counting)
+    figure_sweep(3, k_grid=(5.0, 10.0), n_ergodic=4000, bf_grid_n=11, bf_mc_n=2000)
+    assert draws == [4000, 4000]
+    draws.clear()
+    figure_sweep(5, k_grid=(5.0, 10.0), n_outage=20000, bf_grid_n=11, bf_mc_n=2000)
+    assert draws == [20000, 20000]
 
 
 def test_figure_sweep_rejects_unknown_figure():
