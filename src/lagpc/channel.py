@@ -18,6 +18,7 @@ from numpy.random import Generator, Philox
 from scipy.special import ndtri
 
 _UNIT_TOL = 1e-6
+_DRAW_PIECE = 1 << 18  # realizations per piece in sample_realizations
 
 
 @dataclass(frozen=True)
@@ -144,13 +145,19 @@ def sample_realizations(
     bitgen = Philox(key=seed)
     # 8 doubles per realization = 2 Philox counter increments.
     bitgen.advance(2 * start)
-    u = Generator(bitgen).random((n, 8))
-    z = ndtri(np.maximum(u, 2.0 ** -53))  # guard ndtri(0) = -inf
+    gen = Generator(bitgen)
     sd = np.sqrt(
         np.array([stats.var11, stats.var12, stats.var21, stats.var22]) / 2.0
     )
     mu = np.array([stats.mu11, stats.mu12, stats.mu21, stats.mu22])
-    h = mu[None, :] + sd[None, :] * (z[:, 0::2] + 1j * z[:, 1::2])
+    h = np.empty((n, 4), dtype=complex)
+    # filled in place, piece by piece, so the temporaries stay one piece long
+    for lo in range(0, n, _DRAW_PIECE):
+        u = gen.random((min(_DRAW_PIECE, n - lo), 8))
+        z = ndtri(np.maximum(u, 2.0 ** -53))  # guard ndtri(0) = -inf
+        piece = h[lo : lo + len(u)]
+        np.multiply(sd, z[:, 0::2] + 1j * z[:, 1::2], out=piece)
+        piece += mu
     return ChannelRealization(h[:, 0], h[:, 1], h[:, 2], h[:, 3])
 
 

@@ -414,6 +414,8 @@ def _cmd_simulate_outage(cfg) -> ResultTable:
 
 
 def _lattice_rows(k_db, rate, snr_db, trials, schemes, p_p, noise, alpha1, theory_n, seed, label_suffix=""):
+    # one theory-outage block per K, shared by every scheme and SNR
+    block = channel.sample_realizations(ChannelStats.from_k_factor(k_db), theory_n, seed)
     rows = []
     for scheme in schemes:
         scenario = lattice.LatticeScenario(
@@ -429,7 +431,7 @@ def _lattice_rows(k_db, rate, snr_db, trials, schemes, p_p, noise, alpha1, theor
             theory_n=theory_n,
         )
         label = scheme + label_suffix
-        for p in lattice.codeword_error_sim(scenario):
+        for p in lattice.codeword_error_sim(scenario, block):
             base = (p.alpha1, p.alpha2.real, p.alpha2.imag, seed)
             rows.append(
                 (p.snr_db, label, "codeword_error_rate", p.error_rate, p.ci95 / 1.96) + base

@@ -13,6 +13,7 @@ Table 2.3).
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,14 +44,17 @@ def e8_generator() -> np.ndarray:
     return rows.T.copy()
 
 
-def _round_nearest(x):
-    """Componentwise nearest integer (exact halves fall to the even side)."""
-    return np.rint(x)
+@functools.cache
+def _e8_coordinates() -> np.ndarray:
+    """Matrix taking E8 points (..., 8), multiplied on the right, to their
+    basis coordinates; built on first use, so importing runs no LAPACK."""
+    return np.linalg.inv(e8_generator()).T
 
 
 def _closest_d8(x: np.ndarray) -> np.ndarray:
-    """Nearest point of D8 (integer vectors with even sum), batched (..., 8)."""
-    f = _round_nearest(x)
+    """Nearest point of D8 (integer vectors with even sum), batched (..., 8);
+    exact halves round to the even side."""
+    f = np.rint(x)
     err = x - f
     odd = np.sum(f, axis=-1) % 2 != 0
     if np.any(odd):
@@ -147,54 +151,65 @@ def build_nested(q_nest: int) -> NestedPair:
     return NestedPair(fine, coarse, q_nest, 2.0 * np.log2(q_nest))
 
 
-def message_to_digits(index: int, q: int) -> np.ndarray:
-    if not 0 <= index < q ** N_DIM:
+def message_to_digits(index, q: int) -> np.ndarray:
+    """Base-q digits (least significant first) of message indices (...,), as (..., 8)."""
+    index = np.asarray(index, dtype=np.int64)
+    if np.any((index < 0) | (index >= q ** N_DIM)):
         raise ValueError("message index out of range")
-    digits = np.empty(N_DIM, dtype=np.int64)
-    for i in range(N_DIM):
-        index, digits[i] = divmod(index, q)
-    return digits
+    return index[..., None] // q ** np.arange(N_DIM) % q
 
 
-def digits_to_message(digits, q: int) -> int:
-    idx = 0
-    for d in reversed(np.asarray(digits, dtype=np.int64) % q):
-        idx = idx * q + int(d)
-    return int(idx)
+def digits_to_message(digits, q: int):
+    """Message indices (...,) of digit vectors (..., 8), each digit taken mod q."""
+    return np.asarray(digits, dtype=np.int64) % q @ q ** np.arange(N_DIM)
 
 
-def codeword(pair: NestedPair, index: int) -> np.ndarray:
-    """Voronoi-codebook representative of one message."""
+def _apply(gen: np.ndarray, x) -> np.ndarray:
+    """gen @ x for every row of a stack (..., 8).  Each row is the same
+    matrix-vector product as a lone gen @ x, so stacks agree with per-row
+    calls to the bit."""
+    return np.matmul(gen, np.asarray(x)[..., None])[..., 0]
+
+
+def codeword(pair: NestedPair, index) -> np.ndarray:
+    """Voronoi-codebook representatives (..., 8) of messages (...,)."""
     b = message_to_digits(index, pair.q_nest)
-    return mod_lambda(pair.fine.gen @ b, pair.coarse)
+    return mod_lambda(_apply(pair.fine.gen, b), pair.coarse)
 
 
-def sample_dither(pair: NestedPair, rng: Generator) -> np.ndarray:
-    """Uniform over the coarse cell: uniform parallelepiped point, folded."""
-    u = rng.random(N_DIM)
-    return mod_lambda(pair.coarse.gen @ u, pair.coarse)
+def _fold_dither(pair: NestedPair, u) -> np.ndarray:
+    """Uniform parallelepiped points from uniforms u (..., 8), folded into the coarse cell."""
+    return mod_lambda(_apply(pair.coarse.gen, u), pair.coarse)
 
 
-def _gain(c: complex, frame) -> np.ndarray:
-    """A complex gain applied to each channel use of an interleaved frame."""
-    return (c * np.ascontiguousarray(frame, dtype=float).view(complex)).view(float)
+def sample_dither(pair: NestedPair, rng: Generator, shape: tuple = ()) -> np.ndarray:
+    """Dithers (*shape, 8) uniform over the coarse cell.  A stack consumes the
+    stream exactly as one call per row."""
+    return _fold_dither(pair, rng.random((*shape, N_DIM)))
+
+
+def _gain(c, frame) -> np.ndarray:
+    """Complex gains c (...,) applied to each channel use of interleaved frames (..., 8)."""
+    frame = np.ascontiguousarray(frame, dtype=float).view(complex)
+    return (np.asarray(c)[..., None] * frame).view(float)
 
 
 @dataclass(frozen=True)
 class FilterSet:
-    """Precoder, receiver gain and error variance of one realization.
+    """Precoder, receiver gain and error variance of one realization or a stack.
 
     precoder = alpha2 / sqrt(sigma2) scales the interference frame that the
     encoder subtracts; z is the MMSE gain on the received frame; error_var is
     the per-dimension variance of the effective error z*y + d - codeword.
+    z and error_var have the realization's shape, length-1 axes dropped.
     regularized is always False: error_var is a sum of nonnegative terms, one
     of which is positive (noise_s |z|^2 when z != 0, and 1/2 when z = 0), so
     it never needs a ridge.
     """
 
     precoder: complex
-    z: complex
-    error_var: float
+    z: complex | np.ndarray
+    error_var: float | np.ndarray
     regularized: bool = False
 
 
@@ -204,26 +219,28 @@ def build_filters(
     pw: PowerConfig,
     s_power: float | None = None,
 ) -> FilterSet:
-    """Side-information precoder, MMSE gain and error variance for one realization.
+    """Side-information precoder, MMSE gain and error variance per realization.
 
-    s_power overrides the interference power seen by the filter design (0
-    builds the interference-free baseline).
+    A stack r of n realizations gives z and error_var of shape (n,); the
+    one-realization slice r[i : i + 1] gives 0-d ones, equal to row i of the
+    stack.  s_power overrides the interference power seen by the filter
+    design (0 builds the interference-free baseline).
     """
     if params.alpha1 >= 1.0:
         raise ValueError("no lattice signal at alpha1 = 1")
     sigma2 = (1.0 - params.alpha1) * pw.Pc
     root = np.sqrt(sigma2)
-    h22 = complex(np.asarray(r.h22).item())
-    hs = complex(np.asarray(channel.effective_interference_gain(r, params.alpha1, pw)).item())
+    h22 = np.asarray(r.h22)
+    hs = np.asarray(channel.effective_interference_gain(r, params.alpha1, pw))
     s_pow = pw.Pp if s_power is None else float(s_power)
     pre = complex(params.alpha2) / root
-    z = (root * h22.conjugate() + pre * s_pow * hs.conjugate()) / (
-        sigma2 * abs(h22) ** 2 + s_pow * abs(hs) ** 2 + pw.noise_s
+    z = (root * np.conj(h22) + pre * s_pow * np.conj(hs)) / (
+        sigma2 * np.abs(h22) ** 2 + s_pow * np.abs(hs) ** 2 + pw.noise_s
     )
     err = 0.5 * (
-        abs(z * root * h22 - 1.0) ** 2 + s_pow * abs(z * hs - pre) ** 2 + pw.noise_s * abs(z) ** 2
+        np.abs(z * root * h22 - 1.0) ** 2 + s_pow * np.abs(z * hs - pre) ** 2 + pw.noise_s * np.abs(z) ** 2
     )
-    return FilterSet(precoder=pre, z=z, error_var=float(err))
+    return FilterSet(precoder=pre, z=np.squeeze(z), error_var=np.squeeze(err))
 
 
 def achievable_rate(filters: FilterSet) -> float:
@@ -234,7 +251,7 @@ def achievable_rate(filters: FilterSet) -> float:
 
 
 def encode(
-    message_index: int,
+    message_index,
     s_frame: np.ndarray,
     dither: np.ndarray,
     pair: NestedPair,
@@ -242,23 +259,20 @@ def encode(
     alpha1: float,
     p_c: float,
 ) -> np.ndarray:
-    """Dithered mod-coarse transmit frame for one message."""
+    """Dithered mod-coarse transmit frames (..., 8) for messages (...,)."""
     c_c = codeword(pair, message_index)
     v = mod_lambda(c_c - _gain(filters.precoder, s_frame) - dither, pair.coarse)
     return np.sqrt((1.0 - alpha1) * p_c) * v
 
 
-def decode(
-    y: np.ndarray, filters: FilterSet, dither: np.ndarray, pair: NestedPair
-) -> int:
-    """Message index recovered from one received frame.
+def decode(y: np.ndarray, filters: FilterSet, dither: np.ndarray, pair: NestedPair):
+    """Message indices (...,) recovered from received frames (..., 8).
 
     The error of z*y + dither is white (error_var in every dimension), so
     the nearest fine-lattice point is the maximum-likelihood decision.
     """
-    point = pair.fine.closest(_gain(filters.z, y) + dither)
-    b = np.rint(np.linalg.solve(pair.fine.gen, point)).astype(np.int64)
-    return digits_to_message(b, pair.q_nest)
+    point = e8_closest_point((_gain(filters.z, y) + dither) / pair.fine.scale)
+    return digits_to_message(np.rint(point @ _e8_coordinates()), pair.q_nest)
 
 
 def transmit_samples(
@@ -277,18 +291,18 @@ def transmit_samples(
     makes the aggregate nearly Gaussian at designed operating points.
     """
     rng = Generator(Philox(key=seed))
-    relay = np.sqrt(alpha1 * pw.Pc / pw.Pp)
-    out = np.empty((n_frames, N_DIM))
+    # each frame draws its message, dither uniforms and interference in turn
+    msgs = np.empty(n_frames, dtype=np.int64)
+    u = np.empty((n_frames, N_DIM))
+    g = np.empty((n_frames, N_DIM))
     for i in range(n_frames):
-        msg = int(rng.integers(pair.codebook_size))
-        dither = sample_dither(pair, rng)
-        s_c = (rng.normal(size=T_SYMBOLS) + 1j * rng.normal(size=T_SYMBOLS)) * np.sqrt(
-            pw.Pp / 2.0
-        )
-        s_frame = s_c.view(float)
-        x = encode(msg, s_frame, dither, pair, filters, alpha1, pw.Pc)
-        out[i] = x + relay * s_frame
-    return out.ravel()
+        msgs[i] = rng.integers(pair.codebook_size)
+        rng.random(out=u[i])
+        rng.standard_normal(out=g[i])
+    s_frame = ((g[:, :T_SYMBOLS] + 1j * g[:, T_SYMBOLS:]) * np.sqrt(pw.Pp / 2.0)).view(float)
+    x = encode(msgs, s_frame, _fold_dither(pair, u), pair, filters, alpha1, pw.Pc)
+    relay = np.sqrt(alpha1 * pw.Pc / pw.Pp)
+    return (x + relay * s_frame).ravel()
 
 
 @dataclass(frozen=True)
@@ -328,23 +342,41 @@ def _design_alpha2(scheme, stats, alpha1, pw, rate):
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def codeword_error_sim(scenario: LatticeScenario) -> list[ErrorRatePoint]:
+def codeword_error_sim(
+    scenario: LatticeScenario, theory_block: ChannelRealization | None = None
+) -> list[ErrorRatePoint]:
     """Codeword error rate across the SNR sweep, with the matched-rate
-    outage of the unstructured scheme as the theory reference."""
+    outage of the unstructured scheme as the theory reference.
+
+    Each SNR point draws every trial's randomness from its own stream in
+    trial order (channel, message, dither, interference, noise), then runs
+    the filters, the encoder and the decoder once on the (trials, 8) stack.
+    The outage is scored on theory_block, the first theory_n realizations
+    of channel.sample_realizations at the scenario's K and seed; callers
+    that run several schemes at one K draw it once and pass it in.
+    """
     from . import montecarlo
 
     q = int(round(2.0 ** (scenario.rate_bpcu / 2.0)))
     if 2.0 * np.log2(q) != scenario.rate_bpcu:
         raise ValueError("rate must be 2*log2(q) for integer q")
     stats = channel.ChannelStats.from_k_factor(scenario.k_db)
+    if theory_block is None:
+        theory_block = channel.sample_realizations(stats, scenario.theory_n, scenario.seed)
+    if len(theory_block) != scenario.theory_n:
+        raise ValueError("theory_block must hold theory_n realizations")
     pair = build_nested(q)
     # what is actually on the air vs what the receiver filter assumes; they
     # coincide for every scheme here (the as-noise receiver knows the power,
     # it just cannot precode against the realization)
     interference_on = scenario.scheme != "no_interference"
     filter_s_power = scenario.p_p if interference_on else 0.0
+    # matched-rate outage of the unstructured scheme; the clean-channel
+    # baseline is compared against the interference-free outage
+    theory_which = "full_csit" if scenario.scheme == "no_interference" else "la_gpc"
     mu = np.array([stats.mu11, stats.mu12, stats.mu21, stats.mu22])
     sd = np.sqrt([stats.var11, stats.var12, stats.var21, stats.var22])
+    n = scenario.trials
     rows = []
     for i, snr in enumerate(scenario.snr_db):
         p_c = 10.0 ** (snr / 10.0)
@@ -352,43 +384,41 @@ def codeword_error_sim(scenario: LatticeScenario) -> list[ErrorRatePoint]:
         a2 = _design_alpha2(scenario.scheme, stats, scenario.alpha1, pw, scenario.rate_bpcu)
         params = DesignParams(scenario.alpha1, a2)
         rng = Generator(Philox(SeedSequence(entropy=scenario.seed, spawn_key=(i,))))
-        errors = 0
-        for _ in range(scenario.trials):
-            g = (rng.normal(size=4) + 1j * rng.normal(size=4)) / np.sqrt(2.0)
-            h = mu + sd * g
-            r = ChannelRealization(*h)
-            hs = complex(channel.effective_interference_gain(r, scenario.alpha1, pw))
-            filters = build_filters(r, params, pw, s_power=filter_s_power)
-            msg = int(rng.integers(pair.codebook_size))
-            dither = sample_dither(pair, rng)
-            if interference_on:
-                s_c = (rng.normal(size=T_SYMBOLS) + 1j * rng.normal(size=T_SYMBOLS)) * np.sqrt(
-                    scenario.p_p / 2.0
-                )
-            else:
-                s_c = np.zeros(T_SYMBOLS, dtype=complex)
+        g = np.empty((n, 8))  # re, then im, of the four gains
+        msgs = np.empty(n, dtype=np.int64)
+        u = np.empty((n, N_DIM))
+        w = np.empty((n, 2 * N_DIM if interference_on else N_DIM))  # interference, then noise
+        # a normal draw of size k is k scalar draws, so one call per group
+        # reads the stream exactly as separate re/im/noise calls would
+        for t in range(n):
+            rng.standard_normal(out=g[t])
+            msgs[t] = rng.integers(pair.codebook_size)
+            rng.random(out=u[t])
+            rng.standard_normal(out=w[t])
+        h = mu + sd * ((g[:, :4] + 1j * g[:, 4:]) / np.sqrt(2.0))
+        r = ChannelRealization(*h.T)
+        hs = channel.effective_interference_gain(r, scenario.alpha1, pw)
+        filters = build_filters(r, params, pw, s_power=filter_s_power)
+        if interference_on:
+            s_c = (w[:, :T_SYMBOLS] + 1j * w[:, T_SYMBOLS:N_DIM]) * np.sqrt(scenario.p_p / 2.0)
             s_frame = s_c.view(float)
-            x = encode(msg, s_frame, dither, pair, filters, scenario.alpha1, p_c)
-            z = rng.normal(size=N_DIM) * np.sqrt(scenario.noise / 2.0)
-            y = _gain(complex(r.h22), x) + _gain(hs, s_frame) + z
-            errors += decode(y, filters, dither, pair) != msg
-        p_err = errors / scenario.trials
-        ci = 1.96 * np.sqrt(max(p_err * (1.0 - p_err), 1e-12) / scenario.trials)
-        # matched-rate outage of the unstructured scheme; the clean-channel
-        # baseline is compared against the interference-free outage
-        theory_which = "full_csit" if scenario.scheme == "no_interference" else "cr"
-        theory = montecarlo.outage_probability(
-            stats, params, pw, scenario.rate_bpcu, theory_which,
-            n=scenario.theory_n, seed=scenario.seed,
-        ).value
+        else:
+            s_frame = np.zeros((n, N_DIM))
+        dither = _fold_dither(pair, u)
+        x = encode(msgs, s_frame, dither, pair, filters, scenario.alpha1, p_c)
+        y = _gain(r.h22, x) + _gain(hs, s_frame) + w[:, -N_DIM:] * np.sqrt(scenario.noise / 2.0)
+        p_err = np.count_nonzero(decode(y, filters, dither, pair) != msgs) / n
+        ci = 1.96 * np.sqrt(max(p_err * (1.0 - p_err), 1e-12) / n)
+        parts = montecarlo._sums(theory_block, stats, params, pw, theory_which, scenario.rate_bpcu)
+        theory = montecarlo._estimate(parts, scenario.theory_n, scenario.seed, scenario.rate_bpcu)
         rows.append(
             ErrorRatePoint(
                 snr_db=float(snr),
                 scheme=scenario.scheme,
                 error_rate=float(p_err),
                 ci95=float(ci),
-                trials=scenario.trials,
-                theory_outage=float(theory),
+                trials=n,
+                theory_outage=float(theory.value),
                 alpha1=scenario.alpha1,
                 alpha2=a2,
                 seed=scenario.seed,

@@ -69,6 +69,16 @@ def test_sample_realizations_partition_independent():
     np.testing.assert_array_equal(whole.h22[180:], rest.h22)
 
 
+def test_sample_realizations_pieces_tile_the_stream(monkeypatch):
+    """Filling the block in pieces draws the same stream as one piece."""
+    stats = ChannelStats.from_k_factor(3.0)
+    whole = channel.sample_realizations(stats, 500, seed=9, start=40)
+    monkeypatch.setattr(channel, "_DRAW_PIECE", 64)
+    pieces = channel.sample_realizations(stats, 500, seed=9, start=40)
+    for name in ("h11", "h12", "h21", "h22"):
+        np.testing.assert_array_equal(getattr(pieces, name), getattr(whole, name))
+
+
 def test_sample_realizations_deterministic_and_seed_sensitive():
     stats = ChannelStats.from_k_factor(0.0)
     a = channel.sample_realizations(stats, 64, seed=4)

@@ -199,6 +199,31 @@ def test_lattice_sim_command(tmp_path):
     assert len(table.rows) == 2
 
 
+def test_lattice_sim_draws_one_theory_block(tmp_path, monkeypatch):
+    from lagpc import channel
+
+    draws = []
+    sample = channel.sample_realizations
+
+    def counting(stats, n, seed, start=0):
+        draws.append(n)
+        return sample(stats, n, seed, start)
+
+    monkeypatch.setattr(channel, "sample_realizations", counting)
+    cfg = {
+        "k_db": 10,
+        "snr_db": [22, 24, 26],
+        "trials": 20,
+        "schemes": ["la_gpc", "interference_as_noise"],
+        "theory_n": 3000,
+    }
+    rc, out = _run(tmp_path, "lattice-sim", config=cfg)
+    assert rc == 0
+    assert draws == [3000]  # one block for 2 schemes x 3 SNRs
+    table = ResultTable.from_csv(out / "lattice-sim.csv")
+    assert len(table.rows) == 12
+
+
 def test_transmit_statistics_figure(tmp_path):
     rc, out = _run(
         tmp_path, "reproduce-figure", args=["6", "--samples", "3000"], config={}

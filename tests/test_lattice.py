@@ -2,9 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
-from numpy.random import Generator, Philox
+from numpy.random import Generator, Philox, SeedSequence
 
 from lagpc import lattice as lat
+from lagpc import montecarlo
 from lagpc.channel import (
     ChannelRealization,
     ChannelStats,
@@ -276,6 +277,58 @@ def test_dithered_transmit_power(pair2):
     assert per_dim == pytest.approx(0.5 * (1.0 - alpha1) * p_c, rel=0.05)
 
 
+def test_digit_and_codeword_stacks_equal_row_calls(pair2):
+    rng = np.random.default_rng(11)
+    for q, pair in ((2, pair2), (4, lat.build_nested(4))):
+        msgs = rng.integers(q ** lat.N_DIM, size=(3, 7))
+        digits = lat.message_to_digits(msgs, q)
+        assert digits.shape == (3, 7, lat.N_DIM)
+        flat = msgs.ravel()
+        np.testing.assert_array_equal(
+            digits.reshape(-1, lat.N_DIM), [lat.message_to_digits(int(m), q) for m in flat]
+        )
+        np.testing.assert_array_equal(lat.digits_to_message(digits, q), msgs)
+        np.testing.assert_array_equal(
+            lat.codeword(pair, msgs).reshape(-1, lat.N_DIM), [lat.codeword(pair, int(m)) for m in flat]
+        )
+    # one bad index anywhere in the stack is an error
+    with pytest.raises(ValueError):
+        lat.message_to_digits(np.array([3, 256, 7]), 2)
+    with pytest.raises(ValueError):
+        lat.message_to_digits(np.array([[0, 5], [-1, 2]]), 4)
+
+
+def test_codec_stacks_equal_row_calls(pair2):
+    """Filters, dither, encoder and decoder on a stack of frames give row i
+    of the stack exactly as the one-frame calls do."""
+    n, a1 = 60, 0.2
+    pw = PowerConfig(10.0 ** 1.6, 100.0)
+    r = sample_realizations(STATS, n, 12)
+    params = DesignParams(a1, 0.9 - 0.1j)
+    filters = lat.build_filters(r, params, pw)
+    rows = [lat.build_filters(r[i : i + 1], params, pw) for i in range(n)]
+    np.testing.assert_array_equal(filters.z, [f.z for f in rows])
+    np.testing.assert_array_equal(filters.error_var, [f.error_var for f in rows])
+    assert all(f.precoder == filters.precoder and f.regularized is False for f in rows)
+
+    d = lat.sample_dither(pair2, Generator(Philox(key=5)), (n,))
+    one = Generator(Philox(key=5))
+    np.testing.assert_array_equal(d, [lat.sample_dither(pair2, one) for _ in range(n)])
+
+    rng = Generator(Philox(key=6))
+    msgs = rng.integers(pair2.codebook_size, size=n)
+    s = np.array([_interference_frame(rng, pw.Pp) for _ in range(n)])
+    x = lat.encode(msgs, s, d, pair2, filters, a1, pw.Pc)
+    np.testing.assert_array_equal(
+        x, [lat.encode(int(msgs[i]), s[i], d[i], pair2, rows[i], a1, pw.Pc) for i in range(n)]
+    )
+    hs = effective_interference_gain(r, a1, pw)
+    y = _received(r.h22[:, None], x, hs[:, None], s) + rng.normal(size=x.shape) * np.sqrt(0.5)
+    got = lat.decode(y, filters, d, pair2)
+    np.testing.assert_array_equal(got, [lat.decode(y[i], rows[i], d[i], pair2) for i in range(n)])
+    assert 0 < np.count_nonzero(got != msgs) < n  # right and wrong decisions both compared
+
+
 # --- filters and the rate identity -----------------------------------------
 
 
@@ -427,6 +480,33 @@ def test_decode_matches_sphere_decode(pair2):
 # --- whole-link simulation ---------------------------------------------------
 
 
+def _reference_transmit_samples(pair, filters, alpha1, pw, n_frames, seed):
+    """The sampler one frame at a time, as it ran before the batched one."""
+    rng = Generator(Philox(key=seed))
+    relay = np.sqrt(alpha1 * pw.Pc / pw.Pp)
+    out = np.empty((n_frames, lat.N_DIM))
+    for i in range(n_frames):
+        msg = int(rng.integers(pair.codebook_size))
+        dither = lat.sample_dither(pair, rng)
+        s_c = (rng.normal(size=lat.T_SYMBOLS) + 1j * rng.normal(size=lat.T_SYMBOLS)) * np.sqrt(
+            pw.Pp / 2.0
+        )
+        s_frame = s_c.view(float)
+        x = lat.encode(msg, s_frame, dither, pair, filters, alpha1, pw.Pc)
+        out[i] = x + relay * s_frame
+    return out.ravel()
+
+
+def test_transmit_samples_match_per_frame_reference(pair2):
+    r = _mean_realization()
+    res = solve_alpha1_fast(STATS, PW)
+    filters = lat.build_filters(r, res.params, PW)
+    for seed in (1, 6):
+        got = lat.transmit_samples(pair2, filters, res.alpha1, PW, n_frames=2000, seed=seed)
+        want = _reference_transmit_samples(pair2, filters, res.alpha1, PW, 2000, seed)
+        np.testing.assert_array_equal(got, want)
+
+
 def test_transmit_samples_gaussianization(pair2):
     """Relaying washes out the sub-Gaussian cell shape of the bare codeword."""
     r = _mean_realization()
@@ -442,6 +522,72 @@ def test_transmit_samples_gaussianization(pair2):
     skew_d = float(np.mean(des ** 3) / np.mean(des ** 2) ** 1.5)
     assert abs(kurt_d) < 0.08
     assert abs(skew_d) < 0.05
+
+
+def _reference_codeword_error_sim(sc):
+    """The codec simulation one trial at a time on single frames, with the
+    theory outage from the pooled estimator, as it ran before the batched one."""
+    q = int(round(2.0 ** (sc.rate_bpcu / 2.0)))
+    stats = ChannelStats.from_k_factor(sc.k_db)
+    pair = lat.build_nested(q)
+    interference_on = sc.scheme != "no_interference"
+    filter_s_power = sc.p_p if interference_on else 0.0
+    mu = np.array([stats.mu11, stats.mu12, stats.mu21, stats.mu22])
+    sd = np.sqrt([stats.var11, stats.var12, stats.var21, stats.var22])
+    rows = []
+    for i, snr in enumerate(sc.snr_db):
+        p_c = 10.0 ** (snr / 10.0)
+        pw = PowerConfig(p_c, sc.p_p, noise_p=1.0, noise_s=sc.noise)
+        a2 = lat._design_alpha2(sc.scheme, stats, sc.alpha1, pw, sc.rate_bpcu)
+        params = DesignParams(sc.alpha1, a2)
+        rng = Generator(Philox(SeedSequence(entropy=sc.seed, spawn_key=(i,))))
+        errors = 0
+        for _ in range(sc.trials):
+            g = (rng.normal(size=4) + 1j * rng.normal(size=4)) / np.sqrt(2.0)
+            r = ChannelRealization(*(mu + sd * g))
+            hs = complex(effective_interference_gain(r, sc.alpha1, pw))
+            filters = lat.build_filters(r, params, pw, s_power=filter_s_power)
+            msg = int(rng.integers(pair.codebook_size))
+            dither = lat.sample_dither(pair, rng)
+            if interference_on:
+                s_frame = _interference_frame(rng, sc.p_p)
+            else:
+                s_frame = np.zeros(lat.N_DIM)
+            x = lat.encode(msg, s_frame, dither, pair, filters, sc.alpha1, p_c)
+            z = rng.normal(size=lat.N_DIM) * np.sqrt(sc.noise / 2.0)
+            y = _received(complex(r.h22), x, hs, s_frame) + z
+            errors += lat.decode(y, filters, dither, pair) != msg
+        p_err = errors / sc.trials
+        ci = 1.96 * np.sqrt(max(p_err * (1.0 - p_err), 1e-12) / sc.trials)
+        which = "full_csit" if sc.scheme == "no_interference" else "cr"
+        theory = montecarlo.outage_probability(
+            stats, params, pw, sc.rate_bpcu, which, n=sc.theory_n, seed=sc.seed
+        ).value
+        rows.append(
+            lat.ErrorRatePoint(
+                float(snr), sc.scheme, float(p_err), float(ci), sc.trials, float(theory),
+                sc.alpha1, a2, sc.seed,
+            )
+        )
+    return rows
+
+
+@pytest.mark.parametrize("scheme", ["la_gpc", "interference_as_noise", "no_interference"])
+def test_codeword_error_sim_matches_per_trial_reference(scheme):
+    """The batched simulation draws the same stream and takes the same
+    decisions as the per-trial loop: rate 2 and 4, K = 0 and 10 dB, two seeds."""
+    mixed = 0
+    for rate, snr_db in ((2.0, (10.0, 16.0)), (4.0, (20.0, 26.0))):
+        for k_db in (0.0, 10.0):
+            for seed in (3, 8):
+                sc = lat.LatticeScenario(
+                    k_db=k_db, rate_bpcu=rate, snr_db=snr_db, trials=60, seed=seed,
+                    scheme=scheme, theory_n=4000,
+                )
+                got = lat.codeword_error_sim(sc)
+                assert got == _reference_codeword_error_sim(sc)
+                mixed += sum(0.0 < p.error_rate < 1.0 for p in got)
+    assert mixed >= 6  # points with right and wrong decisions both
 
 
 def test_codeword_error_sim_determinism():
