@@ -11,7 +11,7 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -48,14 +48,9 @@ class ResultTable:
         self.validate()
         lines = [",".join(self.header())]
         for row in self.rows:
-            x, scheme, metric, value, se, a1, a2r, a2i, seed = row
-            lines.append(
-                ",".join(
-                    [repr(float(x)), scheme, metric]
-                    + [repr(float(v)) for v in (value, se, a1, a2r, a2i)]
-                    + [str(int(seed))]
-                )
-            )
+            x, scheme, metric, *nums, seed = row
+            nums = [repr(float(v)) for v in nums]
+            lines.append(",".join([repr(float(x)), scheme, metric, *nums, str(int(seed))]))
         Path(path).write_text("\n".join(lines) + "\n")
 
     @classmethod
@@ -106,182 +101,108 @@ def emit_plotdata(table: ResultTable, out_dir) -> list:
 
 
 # ---------------------------------------------------------------------------
-# config schemas
+# config schemas: each key maps to (kind, default, check).  A kind names a
+# parser, which returns None for a value of the wrong shape, and the text that
+# value gets; a check is a (predicate, message) pair that every element of the
+# parsed value must pass.
 
 _MISSING = object()
 
 
-@dataclass(frozen=True)
-class _Field:
-    kind: str  # number | int | str | num_list | str_list | pair
-    default: object = _MISSING
-    check: object = None
-
-    def coerce(self, key, value, problems):
-        if self.kind == "number":
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                problems.append(f"{key}: expected a number")
-                return None
-            value = float(value)
-        elif self.kind == "int":
-            if isinstance(value, bool) or not isinstance(value, int):
-                problems.append(f"{key}: expected an integer")
-                return None
-        elif self.kind == "str":
-            if not isinstance(value, str):
-                problems.append(f"{key}: expected a string")
-                return None
-        elif self.kind == "num_list":
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                value = [value]
-            if not isinstance(value, list) or not value or any(
-                isinstance(v, bool) or not isinstance(v, (int, float)) for v in value
-            ):
-                problems.append(f"{key}: expected a number or nonempty list of numbers")
-                return None
-            value = tuple(float(v) for v in value)
-        elif self.kind == "str_list":
-            if not isinstance(value, list) or not value or any(not isinstance(v, str) for v in value):
-                problems.append(f"{key}: expected a nonempty list of strings")
-                return None
-            value = tuple(value)
-        elif self.kind == "pair":
-            if not isinstance(value, list) or len(value) != 2 or any(
-                isinstance(v, bool) or not isinstance(v, (int, float)) for v in value
-            ):
-                problems.append(f"{key}: expected [re, im]")
-                return None
-            value = complex(value[0], value[1])
-        if self.check is not None:
-            msg = self.check(value)
-            if msg:
-                problems.append(f"{key}: {msg}")
-                return None
-        return value
+def _is_num(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-_field = _Field
+def _list_of(ok, convert, size=None):
+    """Parser of a nonempty list (of `size` elements, if given) whose elements all pass `ok`."""
+    return lambda v: (
+        convert(v) if isinstance(v, list) and v and all(map(ok, v)) and size in (None, len(v)) else None
+    )
 
 
-def _positive(v):
-    if not (isinstance(v, tuple) and all(x > 0 for x in v)) and not (
-        isinstance(v, float) and v > 0
-    ):
-        return "must be positive"
-
-
-def _unit_interval(v):
-    if not 0.0 <= v <= 1.0:
-        return "must be within [0, 1]"
-
-
-def _open_unit(v):
-    if not 0.0 < v < 1.0:
-        return "must be strictly between 0 and 1"
-
-
-def _in(options):
-    def check(v):
-        vals = v if isinstance(v, tuple) else (v,)
-        bad = [x for x in vals if x not in options]
-        if bad:
-            return f"must be among {sorted(map(str, options))}"
-
-    return check
-
-
-def _nonneg_int(v):
-    if v < 0:
-        return "must be nonnegative"
-
-
-def _pos_int(v):
-    if v < 1:
-        return "must be at least 1"
-
-
-_POWER_FIELDS = {
-    "p_c": _field("number", 10.0, _positive),
-    "p_p": _field("number", 10.0, _positive),
-    "noise_p": _field("number", 1.0, _positive),
-    "noise_s": _field("number", 1.0, _positive),
+_floats = _list_of(_is_num, lambda v: tuple(map(float, v)))
+_KINDS = {
+    "number": (lambda v: float(v) if _is_num(v) else None, "expected a number"),
+    "int": (lambda v: v if isinstance(v, int) and not isinstance(v, bool) else None, "expected an integer"),
+    "str": (lambda v: v if isinstance(v, str) else None, "expected a string"),
+    "num_list": (lambda v: _floats([v] if _is_num(v) else v), "expected a number or nonempty list of numbers"),
+    "str_list": (_list_of(lambda x: isinstance(x, str), tuple), "expected a nonempty list of strings"),
+    "pair": (_list_of(_is_num, lambda v: complex(*v), size=2), "expected [re, im]"),
 }
 
-_COMMON_FIELDS = {"seed": _field("int", 0, _nonneg_int)}
+_POSITIVE = (lambda x: x > 0, "must be positive")
+_UNIT = (lambda x: 0.0 <= x <= 1.0, "must be within [0, 1]")
+_OPEN_UNIT = (lambda x: 0.0 < x < 1.0, "must be strictly between 0 and 1")
+_AT_LEAST_1 = (lambda x: x >= 1, "must be at least 1")
+
+
+def _among(options):
+    return (lambda x: x in options, f"must be among {sorted(map(str, options))}")
+
 
 _SIM_SCHEMES = ("la_gpc", "full_csit", "naive_dpc", "interference_as_noise")
 _LATTICE_SCHEMES = ("la_gpc", "no_interference", "interference_as_noise")
+_K_GRID = ("num_list", (0.0, 5.0, 10.0, 15.0), None)
+_POWER_FIELDS = {key: ("number", default, _POSITIVE) for key, default in
+                 (("p_c", 10.0), ("p_p", 10.0), ("noise_p", 1.0), ("noise_s", 1.0))}
+_SEED = ("int", 0, (lambda x: x >= 0, "must be nonnegative"))
+_COMMON_FIELDS = {"seed": _SEED, **_POWER_FIELDS}
+_SIM_FIELDS = {
+    "schemes": ("str_list", ("la_gpc",), _among(_SIM_SCHEMES)),
+    "user": ("str", "cr", _among(("cr", "primary"))),
+    "alpha1": ("number", None, _UNIT),
+    "alpha2": ("pair", None, None),
+}
 
 SCHEMAS = {
-    "design-fast": {
-        **_COMMON_FIELDS,
-        **_POWER_FIELDS,
-        "k_db": _field("num_list", (0.0, 5.0, 10.0, 15.0)),
-        "r_target": _field("number", None, _positive),
-    },
+    "design-fast": {**_COMMON_FIELDS, "k_db": _K_GRID, "r_target": ("number", None, _POSITIVE)},
     "design-slow": {
         **_COMMON_FIELDS,
-        **_POWER_FIELDS,
-        "k_db": _field("num_list", (0.0, 5.0, 10.0, 15.0)),
-        "r_p": _field("number", None, _positive),
-        "p_out_p": _field("number", None, _open_unit),
-        "r_cr": _field("number", None, _positive),
+        "k_db": _K_GRID,
+        "r_p": ("number", None, _POSITIVE),
+        "p_out_p": ("number", None, _OPEN_UNIT),
+        "r_cr": ("number", None, _POSITIVE),
     },
-    "simulate-ergodic": {
-        **_COMMON_FIELDS,
-        **_POWER_FIELDS,
-        "k_db": _field("num_list", (0.0, 5.0, 10.0, 15.0)),
-        "n": _field("int", 10 ** 5, _pos_int),
-        "schemes": _field("str_list", ("la_gpc",), _in(_SIM_SCHEMES)),
-        "user": _field("str", "cr", _in(("cr", "primary"))),
-        "alpha1": _field("number", None, _unit_interval),
-        "alpha2": _field("pair", None),
-    },
+    "simulate-ergodic": {**_COMMON_FIELDS, "k_db": _K_GRID, "n": ("int", 10 ** 5, _AT_LEAST_1), **_SIM_FIELDS},
     "simulate-outage": {
         **_COMMON_FIELDS,
-        **_POWER_FIELDS,
-        "k_db": _field("num_list", (0.0, 5.0, 10.0, 15.0)),
-        "n": _field("int", 10 ** 6, _pos_int),
-        "r_target": _field("number", _MISSING, _positive),
-        "schemes": _field("str_list", ("la_gpc",), _in(_SIM_SCHEMES)),
-        "user": _field("str", "cr", _in(("cr", "primary"))),
-        "alpha1": _field("number", None, _unit_interval),
-        "alpha2": _field("pair", None),
-        "r_p": _field("number", None, _positive),
-        "p_out_p": _field("number", None, _open_unit),
+        "k_db": _K_GRID,
+        "n": ("int", 10 ** 6, _AT_LEAST_1),
+        "r_target": ("number", _MISSING, _POSITIVE),
+        **_SIM_FIELDS,
+        "r_p": ("number", None, _POSITIVE),
+        "p_out_p": ("number", None, _OPEN_UNIT),
     },
     "lattice-sim": {
-        **_COMMON_FIELDS,
-        "k_db": _field("number", 10.0),
-        "rate": _field("number", 2.0, _in((2.0, 4.0))),
-        "snr_db": _field("num_list", (22.0, 24.0, 26.0)),
-        "trials": _field("int", 3000, _pos_int),
-        "schemes": _field("str_list", _LATTICE_SCHEMES, _in(_LATTICE_SCHEMES)),
-        "p_p": _field("number", 100.0, _positive),
-        "noise": _field("number", 1.0, _positive),
-        "alpha1": _field("number", 0.0, _unit_interval),
-        "theory_n": _field("int", 2 * 10 ** 5, _pos_int),
+        "seed": _SEED,
+        "k_db": ("number", 10.0, None),
+        "rate": ("number", 2.0, _among((2.0, 4.0))),
+        "snr_db": ("num_list", (22.0, 24.0, 26.0), None),
+        "trials": ("int", 3000, _AT_LEAST_1),
+        "schemes": ("str_list", _LATTICE_SCHEMES, _among(_LATTICE_SCHEMES)),
+        "p_p": ("number", 100.0, _POSITIVE),
+        "noise": ("number", 1.0, _POSITIVE),
+        "alpha1": ("number", 0.0, _UNIT),
+        "theory_n": ("int", 2 * 10 ** 5, _AT_LEAST_1),
     },
     "asymptotic-check": {
         **_COMMON_FIELDS,
-        **_POWER_FIELDS,
-        "k_db": _field("num_list", asymptotics.DEFAULT_K_GRID),
-        "modes": _field("str_list", ("fast", "slow"), _in(("fast", "slow"))),
-        "slow_p_out": _field("number", 0.1, _open_unit),
-        "slow_r_cr": _field("number", 1.0, _positive),
+        "k_db": ("num_list", asymptotics.DEFAULT_K_GRID, None),
+        "modes": ("str_list", ("fast", "slow"), _among(("fast", "slow"))),
+        "slow_p_out": ("number", 0.1, _OPEN_UNIT),
+        "slow_r_cr": ("number", 1.0, _POSITIVE),
     },
     "reproduce-figure": {
         **_COMMON_FIELDS,
-        **_POWER_FIELDS,
-        "figure": _field("int", _MISSING, lambda v: None if v in (2, 3, 4, 5, 6, 7, 8) else "must be 2..8"),
-        "k_db": _field("num_list", None),
-        "n_ergodic": _field("int", 10 ** 5, _pos_int),
-        "n_outage": _field("int", 10 ** 6, _pos_int),
-        "bf_grid_n": _field("int", 61, _pos_int),
-        "bf_mc_n": _field("int", 3 * 10 ** 4, _pos_int),
-        "trials": _field("int", 3000, _pos_int),
-        "snr_db": _field("num_list", None),
-        "n_frames": _field("int", 10 ** 5, _pos_int),
+        "figure": ("int", _MISSING, (lambda x: 2 <= x <= 8, "must be 2..8")),
+        "k_db": ("num_list", None, None),
+        "n_ergodic": ("int", 10 ** 5, _AT_LEAST_1),
+        "n_outage": ("int", 10 ** 6, _AT_LEAST_1),
+        "bf_grid_n": ("int", 61, _AT_LEAST_1),
+        "bf_mc_n": ("int", 3 * 10 ** 4, _AT_LEAST_1),
+        "trials": ("int", 3000, _AT_LEAST_1),
+        "snr_db": ("num_list", None, None),
+        "n_frames": ("int", 10 ** 5, _AT_LEAST_1),
     },
 }
 
@@ -293,15 +214,21 @@ def validate_config(command: str, config: dict) -> dict:
     if unknown:
         problems.append("unknown keys: " + ", ".join(unknown))
     out = {}
-    for key, fld in schema.items():
-        if key in config and config[key] is not None:
-            v = fld.coerce(key, config[key], problems)
-            if v is not None:
-                out[key] = v
-        elif fld.default is _MISSING:
-            problems.append(f"{key}: required")
+    for key, (kind, default, check) in schema.items():
+        if config.get(key) is None:
+            if default is _MISSING:
+                problems.append(f"{key}: required")
+            else:
+                out[key] = default
+            continue
+        parse, expected = _KINDS[kind]
+        value = parse(config[key])
+        if value is None:
+            problems.append(f"{key}: {expected}")
+        elif check and not all(map(check[0], value if isinstance(value, tuple) else (value,))):
+            problems.append(f"{key}: {check[1]}")
         else:
-            out[key] = fld.default
+            out[key] = value
     if problems:
         raise ConfigError("; ".join(problems))
     return out
@@ -311,197 +238,151 @@ def _power_config(cfg) -> PowerConfig:
     return PowerConfig(cfg["p_c"], cfg["p_p"], cfg["noise_p"], cfg["noise_s"])
 
 
+def _row(x, scheme, metric, value, se, alpha1, alpha2, seed):
+    a2 = complex(alpha2)
+    return (x, scheme, metric, value, se, alpha1, a2.real, a2.imag, seed)
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers, each config -> ResultTable
 
 
 def _cmd_design_fast(cfg) -> ResultTable:
     pw = _power_config(cfg)
-    seed = cfg["seed"]
     rows = []
     for k in cfg["k_db"]:
         stats = ChannelStats.from_k_factor(k)
-        target = cfg["r_target"]
-        if target is None:
-            target = design_fast.primary_target_ergodic(stats, pw)
+        # r_target, when given, is positive
+        target = cfg["r_target"] or design_fast.primary_target_ergodic(stats, pw)
         res = design_fast.solve_alpha1_fast(stats, pw, target)
-        a2 = res.alpha2
-        base = (res.alpha1, a2.real, a2.imag, seed)
-        rows.append((k, "la_gpc", "design_residual", res.residual, 0.0) + base)
-        rows.append((k, "la_gpc", "primary_rate_target", res.r_target, 0.0) + base)
+        for metric, value in (("design_residual", res.residual), ("primary_rate_target", res.r_target)):
+            rows.append(_row(k, "la_gpc", metric, value, 0.0, res.alpha1, res.alpha2, cfg["seed"]))
     return ResultTable("K_dB", rows)
 
 
-def _slow_targets_for(k, cfg):
-    explicit = [cfg["r_p"], cfg["p_out_p"], cfg["r_cr"]]
+def _slow_targets(k, cfg):
+    """(r_p, p_out_p, r_cr) from the config when it sets them, else the
+    paper's targets at K; shared by design-slow and figures 4 and 5."""
+    explicit = [cfg.get("r_p"), cfg.get("p_out_p"), cfg.get("r_cr")]
     if any(v is not None for v in explicit):
-        if any(v is None for v in explicit):
+        if None in explicit:
             raise ConfigError("r_p, p_out_p, r_cr: all three required together")
         return tuple(explicit)
     if k not in montecarlo.SLOW_TARGETS:
-        raise ConfigError(f"k_db: no default targets for K = {k:g}; set r_p, p_out_p, r_cr")
+        hint = "; set r_p, p_out_p, r_cr" if "r_p" in cfg else ""
+        raise ConfigError(f"k_db: no default targets for K = {k:g}{hint}")
     return montecarlo.SLOW_TARGETS[k]
 
 
 def _cmd_design_slow(cfg) -> ResultTable:
     pw = _power_config(cfg)
-    seed = cfg["seed"]
     rows = []
     for k in cfg["k_db"]:
-        stats = ChannelStats.from_k_factor(k)
-        r_p, p_out, r_cr = _slow_targets_for(k, cfg)
-        res = design_slow.design(stats, pw, r_p, p_out, r_cr)
-        a2 = complex(res.alpha2)
-        base = (res.alpha1, a2.real, a2.imag, seed)
-        rows.append((k, "la_gpc", "surrogate_outage", res.objective_value, 0.0) + base)
-        rows.append((k, "la_gpc", "cantelli_r", res.r_used, 0.0) + base)
+        res = design_slow.design(ChannelStats.from_k_factor(k), pw, *_slow_targets(k, cfg))
+        for metric, value in (("surrogate_outage", res.objective_value), ("cantelli_r", res.r_used)):
+            rows.append(_row(k, "la_gpc", metric, value, 0.0, res.alpha1, res.alpha2, cfg["seed"]))
     return ResultTable("K_dB", rows)
 
 
-def _designed_params(cfg, stats, pw, k) -> DesignParams:
-    if cfg["alpha1"] is not None or cfg["alpha2"] is not None:
-        if cfg["alpha1"] is None or cfg["alpha2"] is None:
-            raise ConfigError("alpha1, alpha2: give both or neither")
-        return DesignParams(cfg["alpha1"], cfg["alpha2"])
-    if "r_target" in cfg:  # outage command: slow-fading design
-        r_p = cfg.get("r_p")
-        p_out = cfg.get("p_out_p")
-        if r_p is None or p_out is None:
-            raise ConfigError("r_p, p_out_p: required when alpha1/alpha2 absent")
-        return design_slow.design(stats, pw, r_p, p_out, cfg["r_target"]).params
-    target = design_fast.primary_target_ergodic(stats, pw)
-    return design_fast.solve_alpha1_fast(stats, pw, target).params
+def _cmd_simulate(cfg) -> ResultTable:
+    """simulate-ergodic, or simulate-outage when the config has r_target.
 
-
-def _cmd_simulate_ergodic(cfg) -> ResultTable:
+    Without alpha1/alpha2 each K gets the fast design (ergodic) or the slow
+    design for r_p, p_out_p and r_target (outage)."""
     pw = _power_config(cfg)
     seed = cfg["seed"]
+    outage = "r_target" in cfg
+    given = (cfg["alpha1"], cfg["alpha2"])
+    if given.count(None) == 1:
+        raise ConfigError("alpha1, alpha2: give both or neither")
+    if outage and None in given and (cfg["r_p"] is None or cfg["p_out_p"] is None):
+        raise ConfigError("r_p, p_out_p: required when alpha1/alpha2 absent")
+    if cfg["user"] == "primary":
+        schemes, metric = ("primary",), ("primary_outage" if outage else "primary_ergodic_rate")
+    else:
+        schemes, metric = cfg["schemes"], ("outage_probability" if outage else "ergodic_rate")
     rows = []
     for k in cfg["k_db"]:
         stats = ChannelStats.from_k_factor(k)
-        params = _designed_params(cfg, stats, pw, k)
-        base = (params.alpha1, params.alpha2.real, params.alpha2.imag, seed)
-        if cfg["user"] == "primary":
-            est = montecarlo.ergodic_capacity(stats, params, pw, cfg["n"], seed, which="primary")
-            rows.append((k, "la_gpc", "primary_ergodic_rate", est.value, est.std_error) + base)
-            continue
-        for scheme in cfg["schemes"]:
-            est = montecarlo.ergodic_capacity(stats, params, pw, cfg["n"], seed, which=scheme)
-            rows.append((k, scheme, "ergodic_rate", est.value, est.std_error) + base)
+        if None not in given:
+            params = DesignParams(*given)
+        elif outage:
+            params = design_slow.design(stats, pw, cfg["r_p"], cfg["p_out_p"], cfg["r_target"]).params
+        else:
+            target = design_fast.primary_target_ergodic(stats, pw)
+            params = design_fast.solve_alpha1_fast(stats, pw, target).params
+        for which in schemes:
+            if outage:
+                est = montecarlo.outage_probability(stats, params, pw, cfg["r_target"], which, cfg["n"], seed)
+            else:
+                est = montecarlo.ergodic_capacity(stats, params, pw, cfg["n"], seed, which=which)
+            label = "la_gpc" if which == "primary" else which
+            rows.append(_row(k, label, metric, est.value, est.std_error, params.alpha1, params.alpha2, seed))
     return ResultTable("K_dB", rows)
 
 
-def _cmd_simulate_outage(cfg) -> ResultTable:
-    pw = _power_config(cfg)
+def _lattice_rows(cfg, label_suffix=""):
+    """Codeword error and theory outage rows for a lattice-sim config; figures
+    7 and 8 pass one per K with the K in `label_suffix`."""
     seed = cfg["seed"]
-    rows = []
-    for k in cfg["k_db"]:
-        stats = ChannelStats.from_k_factor(k)
-        params = _designed_params(cfg, stats, pw, k)
-        base = (params.alpha1, params.alpha2.real, params.alpha2.imag, seed)
-        if cfg["user"] == "primary":
-            est = montecarlo.outage_probability(
-                stats, params, pw, cfg["r_target"], "primary", cfg["n"], seed
-            )
-            rows.append((k, "la_gpc", "primary_outage", est.value, est.std_error) + base)
-            continue
-        for scheme in cfg["schemes"]:
-            est = montecarlo.outage_probability(
-                stats, params, pw, cfg["r_target"], scheme, cfg["n"], seed
-            )
-            rows.append((k, scheme, "outage_probability", est.value, est.std_error) + base)
-    return ResultTable("K_dB", rows)
-
-
-def _lattice_rows(k_db, rate, snr_db, trials, schemes, p_p, noise, alpha1, theory_n, seed, label_suffix=""):
     # one theory-outage block per K, shared by every scheme and SNR
-    block = channel.sample_realizations(ChannelStats.from_k_factor(k_db), theory_n, seed)
+    block = channel.sample_realizations(ChannelStats.from_k_factor(cfg["k_db"]), cfg["theory_n"], seed)
     rows = []
-    for scheme in schemes:
+    for scheme in cfg["schemes"]:
         scenario = lattice.LatticeScenario(
-            k_db=k_db,
-            rate_bpcu=rate,
-            snr_db=tuple(snr_db),
-            trials=trials,
-            seed=seed,
-            p_p=p_p,
-            noise=noise,
-            alpha1=alpha1,
-            scheme=scheme,
-            theory_n=theory_n,
+            k_db=cfg["k_db"], rate_bpcu=cfg["rate"], snr_db=cfg["snr_db"], trials=cfg["trials"], seed=seed,
+            p_p=cfg["p_p"], noise=cfg["noise"], alpha1=cfg["alpha1"], scheme=scheme, theory_n=cfg["theory_n"],
         )
-        label = scheme + label_suffix
         for p in lattice.codeword_error_sim(scenario, block):
-            base = (p.alpha1, p.alpha2.real, p.alpha2.imag, seed)
-            rows.append(
-                (p.snr_db, label, "codeword_error_rate", p.error_rate, p.ci95 / 1.96) + base
-            )
-            rows.append((p.snr_db, label, "theory_outage", p.theory_outage, 0.0) + base)
+            for metric, value, se in (
+                ("codeword_error_rate", p.error_rate, p.ci95 / 1.96), ("theory_outage", p.theory_outage, 0.0)
+            ):
+                rows.append(_row(p.snr_db, scheme + label_suffix, metric, value, se, p.alpha1, p.alpha2, seed))
     return rows
 
 
-def _cmd_lattice_sim(cfg) -> ResultTable:
-    rows = _lattice_rows(
-        cfg["k_db"], cfg["rate"], cfg["snr_db"], cfg["trials"], cfg["schemes"],
-        cfg["p_p"], cfg["noise"], cfg["alpha1"], cfg["theory_n"], cfg["seed"],
-    )
-    return ResultTable("SNR_dB", rows)
-
-
 def _cmd_asymptotic_check(cfg) -> ResultTable:
-    pw = _power_config(cfg)
     seed = cfg["seed"]
     rep = asymptotics.convergence_sweep(
-        pw,
-        modes=cfg["modes"],
-        k_grid=cfg["k_db"],
-        slow_p_out=cfg["slow_p_out"],
-        slow_r_cr=cfg["slow_r_cr"],
+        _power_config(cfg), cfg["modes"], cfg["k_db"], cfg["slow_p_out"], cfg["slow_r_cr"]
     )
-    rows = []
-    lim = (rep.alpha1_limit, rep.alpha2_limit.real, rep.alpha2_limit.imag, seed)
-    for k in rep.k_db:
-        rows.append((k, "la_gpc", "alpha1_nonfading", rep.alpha1_limit, 0.0) + lim)
-        rows.append((k, "la_gpc", "alpha2_nonfading", abs(rep.alpha2_limit), 0.0) + lim)
+    a1, a2 = rep.alpha1_limit, rep.alpha2_limit
+    rows = [
+        _row(k, "la_gpc", metric, value, 0.0, a1, a2, seed)
+        for k in rep.k_db
+        for metric, value in (("alpha1_nonfading", a1), ("alpha2_nonfading", abs(a2)))
+    ]
     for mode in cfg["modes"]:
         ks = rep.k_db if mode == "fast" else rep.slow_k_db
-        a1s = rep.alpha1_fast if mode == "fast" else rep.alpha1_slow
-        a2s = rep.alpha2_fast if mode == "fast" else rep.alpha2_slow
+        a1s, a2s = getattr(rep, f"alpha1_{mode}"), getattr(rep, f"alpha2_{mode}")
         for i, k in enumerate(ks):
-            a2 = complex(a2s[i])
-            base = (a1s[i], a2.real, a2.imag, seed)
-            rows.append(
-                (k, "la_gpc", f"alpha1_deviation_{mode}", rep.deviations[f"alpha1_{mode}"][i], 0.0)
-                + base
-            )
-            rows.append(
-                (k, "la_gpc", f"alpha2_deviation_{mode}", rep.deviations[f"alpha2_{mode}"][i], 0.0)
-                + base
-            )
+            for name in ("alpha1", "alpha2"):
+                dev = rep.deviations[f"{name}_{mode}"][i]
+                rows.append(_row(k, "la_gpc", f"{name}_deviation_{mode}", dev, 0.0, a1s[i], a2s[i], seed))
     return ResultTable("K_dB", rows)
+
+
+# the figures that read each optional key; any other figure rejects it
+_FIGURE_KEYS = {"k_db": (2, 3, 4, 5), "snr_db": (7, 8)}
 
 
 def _cmd_reproduce_figure(cfg) -> ResultTable:
     pw = _power_config(cfg)
     seed = cfg["seed"]
     fig = cfg["figure"]
+    for key, figures in _FIGURE_KEYS.items():
+        if cfg[key] is not None and fig not in figures:
+            raise ConfigError(f"{key}: figure {fig} does not read it")
     if fig in (2, 3, 4, 5):
         k_grid = cfg["k_db"] or montecarlo.DEFAULT_K_GRID
+        if fig in (4, 5):
+            for k in k_grid:
+                _slow_targets(k, cfg)
         recs = montecarlo.figure_sweep(
-            fig,
-            pw,
-            k_grid=k_grid,
-            n_ergodic=cfg["n_ergodic"],
-            n_outage=cfg["n_outage"],
-            seed=seed,
-            bf_grid_n=cfg["bf_grid_n"],
-            bf_mc_n=cfg["bf_mc_n"],
+            fig, pw, k_grid=k_grid, n_ergodic=cfg["n_ergodic"], n_outage=cfg["n_outage"], seed=seed,
+            bf_grid_n=cfg["bf_grid_n"], bf_mc_n=cfg["bf_mc_n"],
         )
-        rows = [
-            (r.k_db, r.scheme, r.metric, r.value, r.std_error, r.alpha1, r.alpha2.real, r.alpha2.imag, r.seed)
-            for r in recs
-        ]
-        return ResultTable("K_dB", rows)
+        return ResultTable("K_dB", [_row(*astuple(r)) for r in recs])
     if fig == 6:
         # transmit histogram at the fast design for K = 10 dB; the filters come
         # from the mean channel, which only fixes the precoding rotation
@@ -515,36 +396,33 @@ def _cmd_reproduce_figure(cfg) -> ResultTable:
         filters = lattice.build_filters(mean_r, res.params, pw)
         x = lattice.transmit_samples(pair, filters, res.alpha1, pw, cfg["n_frames"], seed)
         x = (x - x.mean()) / x.std()
-        base = (res.alpha1, res.alpha2.real, res.alpha2.imag, seed)
-        rows = [
-            (0.0, "la_gpc", "tx_skew", float(np.mean(x ** 3)), 0.0) + base,
-            (0.0, "la_gpc", "tx_excess_kurtosis", float(np.mean(x ** 4) - 3.0), 0.0) + base,
-        ]
         dens, edges = np.histogram(x, bins=81, range=(-4.05, 4.05), density=True)
-        for c, d in zip(0.5 * (edges[:-1] + edges[1:]), dens):
-            rows.append((float(c), "la_gpc", "tx_density", float(d), 0.0) + base)
+        points = [(0.0, "tx_skew", np.mean(x ** 3)), (0.0, "tx_excess_kurtosis", np.mean(x ** 4) - 3.0)]
+        points += [(c, "tx_density", d) for c, d in zip(0.5 * (edges[:-1] + edges[1:]), dens)]
+        # plain floats: the .dat files print each value with repr
+        rows = [_row(float(a), "la_gpc", m, float(v), 0.0, res.alpha1, res.alpha2, seed) for a, m, v in points]
         return ResultTable("amplitude", rows)
-    # figures 7 and 8: codeword error curves at both stated K factors
-    rate = 2.0 if fig == 7 else 4.0
+    # figures 7 and 8: codeword error curves at both stated K factors; the
+    # theory outage of each K uses a fifth of n_outage
+    if cfg["n_outage"] < 5:
+        raise ConfigError(f"n_outage: must be at least 5 for figure {fig}")
     snr_db = cfg["snr_db"] or ((22.0, 24.0, 26.0) if fig == 7 else (28.0, 30.0, 32.0))
     rows = []
     for k in (0.0, 10.0):
-        rows.extend(
-            _lattice_rows(
-                k, rate, snr_db, cfg["trials"], _LATTICE_SCHEMES,
-                100.0, 1.0, 0.0, cfg["n_outage"] // 5, seed,
-                label_suffix=f"@K{k:g}",
-            )
+        lattice_cfg = dict(
+            seed=seed, k_db=k, rate=2.0 if fig == 7 else 4.0, snr_db=snr_db, trials=cfg["trials"],
+            schemes=_LATTICE_SCHEMES, p_p=100.0, noise=1.0, alpha1=0.0, theory_n=cfg["n_outage"] // 5,
         )
+        rows.extend(_lattice_rows(lattice_cfg, label_suffix=f"@K{k:g}"))
     return ResultTable("SNR_dB", rows)
 
 
 _HANDLERS = {
     "design-fast": _cmd_design_fast,
     "design-slow": _cmd_design_slow,
-    "simulate-ergodic": _cmd_simulate_ergodic,
-    "simulate-outage": _cmd_simulate_outage,
-    "lattice-sim": _cmd_lattice_sim,
+    "simulate-ergodic": _cmd_simulate,
+    "simulate-outage": _cmd_simulate,
+    "lattice-sim": lambda cfg: ResultTable("SNR_dB", _lattice_rows(cfg)),
     "asymptotic-check": _cmd_asymptotic_check,
     "reproduce-figure": _cmd_reproduce_figure,
 }

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -169,6 +171,43 @@ def test_infeasible_exit_code(tmp_path, capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
+def test_unknown_slow_k_is_a_config_error_before_sampling(tmp_path, capsys, monkeypatch):
+    from lagpc import channel
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the K check")
+
+    monkeypatch.setattr(channel, "sample_realizations", no_sampling)
+    for fig in ("4", "5"):
+        rc, out = _run(tmp_path / fig, "reproduce-figure", args=[fig], config={"k_db": [10, 2.5]})
+        assert rc == 2
+        assert capsys.readouterr().err == "config error: k_db: no default targets for K = 2.5\n"
+        assert not out.exists()
+    rc, _ = _run(tmp_path / "slow", "design-slow", config={"k_db": [2.5]})
+    assert rc == 2
+    hint = "; set r_p, p_out_p, r_cr"
+    assert capsys.readouterr().err == f"config error: k_db: no default targets for K = 2.5{hint}\n"
+
+
+def test_lattice_figures_need_five_outage_samples(tmp_path, capsys):
+    rc, out = _run(tmp_path / "7", "reproduce-figure", args=["7", "--samples", "4"])
+    assert rc == 2
+    assert capsys.readouterr().err == "config error: n_outage: must be at least 5 for figure 7\n"
+    assert not out.exists()
+    rc, _ = _run(tmp_path / "8", "reproduce-figure", args=["8"], config={"n_outage": 4, "trials": 5})
+    assert rc == 2
+    assert "n_outage" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fig,key,value", [(6, "k_db", [10]), (7, "k_db", [3]), (8, "k_db", 0),
+                                           (2, "snr_db", [22]), (5, "snr_db", [22]), (6, "snr_db", 24)])
+def test_figures_reject_keys_they_do_not_read(tmp_path, capsys, fig, key, value):
+    rc, out = _run(tmp_path, "reproduce-figure", args=[str(fig)], config={key: value})
+    assert rc == 2
+    assert capsys.readouterr().err == f"config error: {key}: figure {fig} does not read it\n"
+    assert not out.exists()
+
+
 def test_samples_and_seed_overrides(tmp_path):
     cfg = {"k_db": [10], "schemes": ["la_gpc"]}
     rc, out = _run(
@@ -239,3 +278,59 @@ def test_transmit_statistics_figure(tmp_path):
     # density integrates to one over the binned range
     dens = [row[3] for row in table.rows if row[2] == "tx_density"]
     assert sum(dens) * 0.1 == pytest.approx(1.0, abs=0.01)
+
+
+# --- recorded outputs ------------------------------------------------------------
+
+_ALL_SIM = ["la_gpc", "full_csit", "naive_dpc", "interference_as_noise"]
+_GOLDEN_CASES = {
+    "design-fast": ("design-fast", [], {"k_db": [0, 10]}),
+    "design-slow-default-targets": ("design-slow", [], {}),
+    "ergodic-cr": ("simulate-ergodic", [], {"k_db": [10], "n": 2000, "schemes": _ALL_SIM}),
+    "ergodic-primary": ("simulate-ergodic", [], {"k_db": [0, 10], "n": 2000, "user": "primary"}),
+    "ergodic-explicit-alpha": (
+        "simulate-ergodic", [],
+        {"k_db": [5], "n": 2000, "alpha1": 0.6, "alpha2": [0.3, -0.2], "schemes": ["la_gpc", "naive_dpc"]},
+    ),
+    "outage-cr": (
+        "simulate-outage", ["--seed", "3"],
+        {"k_db": [10], "n": 4000, "r_target": 1.0, "r_p": 2.0, "p_out_p": 0.01, "schemes": _ALL_SIM},
+    ),
+    "outage-primary": (
+        "simulate-outage", [],
+        {"k_db": [0], "n": 4000, "r_target": 1.0, "user": "primary", "alpha1": 0.65, "alpha2": [1.14, 0.0]},
+    ),
+    "lattice-sim": (
+        "lattice-sim", [],
+        {"k_db": 10, "snr_db": [22, 24], "trials": 40, "theory_n": 3000,
+         "schemes": ["la_gpc", "interference_as_noise"]},
+    ),
+    "asymptotic-check": ("asymptotic-check", [], {"modes": ["fast", "slow"], "k_db": [0, 20]}),
+    "figure-2": ("reproduce-figure", ["2"], {"k_db": [5], "n_ergodic": 2000, "bf_mc_n": 2000}),
+    "figure-5": ("reproduce-figure", ["5"], {"k_db": [10], "n_outage": 3000, "bf_grid_n": 5, "bf_mc_n": 2000}),
+    "figure-6": ("reproduce-figure", ["6", "--samples", "2000"], {}),
+    "figure-7": ("reproduce-figure", ["7", "--seed", "3"], {"trials": 30, "n_outage": 5000}),
+}
+
+
+def _output_digests(tmp_path):
+    """{case: {file name: SHA-256 hex digest}} of every file each case writes."""
+    out = {}
+    for case, (name, args, config) in _GOLDEN_CASES.items():
+        rc, out_dir = _run(tmp_path / case, name, args=args, config=config)
+        assert rc == 0, case
+        out[case] = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out_dir.iterdir())}
+    return out
+
+
+def test_outputs_match_recorded_digests(tmp_path):
+    """Every CSV, .dat and manifest file of the cases above is byte-identical to
+    the recorded run in cli_output_digests.json.
+
+    The digests were recorded before the config schema and the handlers were
+    rewritten as tables and shared builders.  A deliberate output change
+    re-records them (write `_output_digests` to that file as JSON) and names
+    the moved rows in CHANGES.md.
+    """
+    recorded = json.loads((Path(__file__).parent / "cli_output_digests.json").read_text())
+    assert _output_digests(tmp_path) == recorded
