@@ -288,7 +288,8 @@ def _cmd_simulate(cfg) -> ResultTable:
     """simulate-ergodic, or simulate-outage when the config has r_target.
 
     Without alpha1/alpha2 each K gets the fast design (ergodic) or the slow
-    design for r_p, p_out_p and r_target (outage)."""
+    design for r_p, p_out_p and r_target (outage).  The primary's outage is
+    scored at r_p when the config gives it, else at r_target."""
     pw = _power_config(cfg)
     seed = cfg["seed"]
     outage = "r_target" in cfg
@@ -313,7 +314,8 @@ def _cmd_simulate(cfg) -> ResultTable:
             params = design_fast.solve_alpha1_fast(stats, pw, target).params
         for which in schemes:
             if outage:
-                est = montecarlo.outage_probability(stats, params, pw, cfg["r_target"], which, cfg["n"], seed)
+                threshold = cfg["r_p"] if which == "primary" and cfg["r_p"] is not None else cfg["r_target"]
+                est = montecarlo.outage_probability(stats, params, pw, threshold, which, cfg["n"], seed)
             else:
                 est = montecarlo.ergodic_capacity(stats, params, pw, cfg["n"], seed, which=which)
             label = "la_gpc" if which == "primary" else which
@@ -362,17 +364,16 @@ def _cmd_asymptotic_check(cfg) -> ResultTable:
     return ResultTable("K_dB", rows)
 
 
-# the figures that read each optional key; any other figure rejects it
-_FIGURE_KEYS = {"k_db": (2, 3, 4, 5), "snr_db": (7, 8)}
+# the figures that read each key besides seed; any other figure rejects it when the user's config sets it
+_FIGURE_KEYS = {**dict.fromkeys(("p_c", "p_p", "noise_p", "noise_s"), (2, 3, 4, 5, 6)), "n_frames": (6,),
+                **dict.fromkeys(("k_db", "bf_grid_n", "bf_mc_n"), (2, 3, 4, 5)), "n_ergodic": (2, 3),
+                "n_outage": (4, 5, 7, 8), "trials": (7, 8), "snr_db": (7, 8)}
 
 
 def _cmd_reproduce_figure(cfg) -> ResultTable:
     pw = _power_config(cfg)
     seed = cfg["seed"]
     fig = cfg["figure"]
-    for key, figures in _FIGURE_KEYS.items():
-        if cfg[key] is not None and fig not in figures:
-            raise ConfigError(f"{key}: figure {fig} does not read it")
     if fig in (2, 3, 4, 5):
         k_grid = cfg["k_db"] or montecarlo.DEFAULT_K_GRID
         if fig in (4, 5):
@@ -484,6 +485,7 @@ def main(argv=None) -> int:
                 raise ConfigError(f"cannot read config: {e}")
             if not isinstance(raw, dict):
                 raise ConfigError("config must be a JSON object")
+        given = {k for k, v in raw.items() if v is not None} if args.command == "reproduce-figure" else ()
         if getattr(args, "figure", None) is not None:
             raw["figure"] = args.figure
         if args.seed is not None:
@@ -493,6 +495,9 @@ def main(argv=None) -> int:
                 if key in SCHEMAS[args.command]:
                     raw[key] = args.samples
         cfg = validate_config(args.command, raw)
+        for key, figures in _FIGURE_KEYS.items():
+            if key in given and cfg["figure"] not in figures:
+                raise ConfigError(f"{key}: figure {cfg['figure']} does not read it")
         table = _HANDLERS[args.command](cfg)
         csv_path, man_path, plot_paths = _write_outputs(args.command, cfg, table, args.out)
     except ConfigError as e:

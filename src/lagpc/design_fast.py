@@ -11,8 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
+from numpy.polynomial.legendre import leggauss
 from scipy.special import i0e
 
 from . import quadform
@@ -22,6 +21,7 @@ LOG2E = float(np.log2(np.e))
 _PRESCAN_N = 200
 _RESIDUAL_TOL = 1e-9
 _U_WINDOW = 40.0  # standard deviations of |H11|; the tail beyond is ~e^-800
+_leggauss = lru_cache(maxsize=2)(leggauss)  # the 96- and 192-node rules, built once per process
 
 
 class InfeasibleDesignError(Exception):
@@ -40,6 +40,53 @@ class FastDesignResult:
         return DesignParams(self.alpha1, self.alpha2)
 
 
+def brentq(f, a, b, xtol, rtol, maxiter=100):
+    """Root of f in [a, b] by Brent's method, step for step as scipy's brentq.c (same bracket, same float).
+    ValueError when f(a) and f(b) share a sign or f returns NaN, RuntimeError after maxiter iterations."""
+    def call(x):
+        if np.isnan(fx := float(f(x))):
+            raise ValueError(f"the function value at x={x:.6g} is NaN")
+        return fx
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0.0 or fcur == 0.0:
+        return xpre if fpre == 0.0 else xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk, spre, scur = xpre, fpre, xcur - xpre, xcur - xpre
+        if abs(fblk) < abs(fcur):  # keep the best point in xcur
+            xpre, xcur, xblk, fpre, fcur, fblk = xcur, xblk, xcur, fcur, fblk, fcur
+        delta, sbis = (xtol + rtol * abs(xcur)) / 2, (xblk - xcur) / 2  # tolerance 2 delta, bisection step
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        step = None  # bisect unless the interpolation step below is short enough
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre, dblk = (fpre - fcur) / (xpre - xcur), (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                step = stry
+        spre, scur = (sbis, sbis) if step is None else (scur, step)
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = call(xcur)
+    raise RuntimeError(f"brentq did not converge after {maxiter} iterations, value is {xcur!r}")
+
+
+def _gauss_legendre(f, windows):
+    """Integral of the vectorized f over the (lo, hi) windows by the 192-node
+    Gauss-Legendre rule, and its distance from the 96-node rule as the error."""
+    lo, hi = np.array(windows).T[:, :, None]
+    half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+    coarse, fine = (np.sum(half * w * f(mid + half * x)) for x, w in map(_leggauss, (96, 192)))
+    return float(fine), float(abs(fine - coarse))
+
+
 # Built and checked once per ChannelStats: every surrogate evaluation asks again.
 @lru_cache(maxsize=64)
 def primary_links(stats: ChannelStats) -> quadform.GaussianVectorSpec:
@@ -56,15 +103,15 @@ def cr_links(stats: ChannelStats) -> quadform.GaussianVectorSpec:
 
 
 def primary_target_ergodic(stats: ChannelStats, pw: PowerConfig) -> float:
-    """E[log2(1 + |H11|^2 Pp / noise)] by quadrature over the Rician density.
+    """E[log2(1 + |H11|^2 Pp / noise)] by Gauss-Legendre quadrature over the Rician density.
 
     The integration variable is the standardized amplitude
     u = (|H11| - nu) / sigma with sigma^2 = var/2, on a finite window of
     +-40 around the peak (cut at |H11| = 0).  The density there is
     standard-normal-like at every K, so the quadrature cannot miss a narrow
     peak at high K the way an integral over the power on [0, inf) does.
-    A result outside (0, Jensen's bound] raises instead of passing as a
-    valid target.
+    A result on which the 96- and 192-node rules disagree, or one outside
+    (0, Jensen's bound], raises instead of passing as a valid target.
     """
     snr = pw.Pp / pw.noise_p
     nu2 = abs(stats.mu11) ** 2
@@ -82,18 +129,12 @@ def primary_target_ergodic(stats: ChannelStats, pw: PowerConfig) -> float:
         dens = (2.0 * r * sigma / s2) * np.exp(-0.5 * u * u) * i0e(2.0 * nu * r / s2)
         return np.log2(1.0 + r * r * snr) * dens
 
-    val = err = 0.0
-    for lo, hi in ((max(-nu / sigma, -_U_WINDOW), 0.0), (0.0, _U_WINDOW)):
-        v, e = quad(integrand, lo, hi, epsabs=1e-12, epsrel=1e-9, limit=400)
-        val += v
-        err += e
+    val, err = _gauss_legendre(integrand, ((max(-nu / sigma, -_U_WINDOW), 0.0), (0.0, _U_WINDOW)))
     if err > 1e-6 * max(abs(val), 1.0):
         raise RuntimeError(f"ergodic-rate quadrature did not converge (err={err:g})")
     jensen = float(np.log2(1.0 + (nu2 + s2) * snr))
     if not 0.0 < val <= jensen + err:
-        raise RuntimeError(
-            f"ergodic-rate quadrature gave {val!r}, outside (0, {jensen!r}] (Jensen)"
-        )
+        raise RuntimeError(f"ergodic-rate quadrature gave {val!r}, outside (0, {jensen!r}] (Jensen)")
     return float(val)
 
 

@@ -12,11 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import quadform
 from .channel import ChannelStats, DesignParams, PowerConfig, build_matrices
-from .design_fast import InfeasibleDesignError, alpha2_fast, cr_links, primary_links
+from .design_fast import InfeasibleDesignError, alpha2_fast, brentq, cr_links, primary_links
 
 _PRESCAN_N = 200
 _RESIDUAL_TOL = 1e-9

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -200,12 +203,28 @@ def test_lattice_figures_need_five_outage_samples(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("fig,key,value", [(6, "k_db", [10]), (7, "k_db", [3]), (8, "k_db", 0),
-                                           (2, "snr_db", [22]), (5, "snr_db", [22]), (6, "snr_db", 24)])
+                                           (2, "snr_db", [22]), (5, "snr_db", [22]), (6, "snr_db", 24),
+                                           (7, "p_p", 50), (8, "noise_s", 2), (2, "trials", 10),
+                                           (5, "n_frames", 100), (7, "bf_grid_n", 3), (6, "n_ergodic", 100)])
 def test_figures_reject_keys_they_do_not_read(tmp_path, capsys, fig, key, value):
     rc, out = _run(tmp_path, "reproduce-figure", args=[str(fig)], config={key: value})
     assert rc == 2
     assert capsys.readouterr().err == f"config error: {key}: figure {fig} does not read it\n"
     assert not out.exists()
+
+
+def test_primary_outage_is_scored_at_r_p(tmp_path):
+    from lagpc import design_slow, montecarlo
+    from lagpc.channel import ChannelStats, PowerConfig
+
+    cfg = {"k_db": [10], "n": 20000, "r_target": 1.0, "r_p": 2.0, "p_out_p": 0.01, "user": "primary"}
+    rc, out = _run(tmp_path, "simulate-outage", config=cfg)
+    assert rc == 0
+    [row] = ResultTable.from_csv(out / "simulate-outage.csv").rows
+    stats, pw = ChannelStats.from_k_factor(10.0), PowerConfig(10.0, 10.0)
+    params = design_slow.design(stats, pw, 2.0, 0.01, 1.0).params
+    est = montecarlo.outage_probability(stats, params, pw, 2.0, "primary", 20000, 0)
+    assert row[3] == est.value > 0.0
 
 
 def test_samples_and_seed_overrides(tmp_path):
@@ -280,6 +299,16 @@ def test_transmit_statistics_figure(tmp_path):
     assert sum(dens) * 0.1 == pytest.approx(1.0, abs=0.01)
 
 
+def test_cli_import_loads_only_scipy_special():
+    code = "import sys, lagpc.cli; print(' '.join(sorted(sys.modules)))"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    modules = loaded.stdout.split()
+    assert "scipy.special" in modules
+    assert [m for m in modules if m.startswith(("scipy.optimize", "scipy.integrate"))] == []
+
+
 # --- recorded outputs ------------------------------------------------------------
 
 _ALL_SIM = ["la_gpc", "full_csit", "naive_dpc", "interference_as_noise"]
@@ -328,9 +357,11 @@ def test_outputs_match_recorded_digests(tmp_path):
     the recorded run in cli_output_digests.json.
 
     The digests were recorded before the config schema and the handlers were
-    rewritten as tables and shared builders.  A deliberate output change
-    re-records them (write `_output_digests` to that file as JSON) and names
-    the moved rows in CHANGES.md.
+    rewritten as tables and shared builders; the six cases downstream of the
+    fast-fading target were re-recorded when that target moved to a fixed
+    Gauss-Legendre rule.  A deliberate output change re-records them (write
+    `_output_digests` to that file as JSON) and names the moved rows in
+    CHANGES.md.
     """
     recorded = json.loads((Path(__file__).parent / "cli_output_digests.json").read_text())
     assert _output_digests(tmp_path) == recorded

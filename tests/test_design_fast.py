@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
+from scipy.integrate import quad
+from scipy.optimize import brentq as scipy_brentq
+from scipy.special import i0e
 
-from lagpc import montecarlo
+from lagpc import design_fast, design_slow, montecarlo
 from lagpc.channel import (
     ChannelStats,
     DesignParams,
@@ -13,6 +17,7 @@ from lagpc.channel import (
 from lagpc.design_fast import (
     InfeasibleDesignError,
     alpha2_fast,
+    brentq,
     primary_rate_surrogate,
     primary_target_ergodic,
     solve_alpha1_fast,
@@ -54,13 +59,94 @@ def test_target_at_high_k_approaches_the_mean_link():
 
 
 def test_target_outside_jensen_range_raises(monkeypatch):
-    from lagpc import design_fast
-
     stats = ChannelStats.from_k_factor(10.0)
     for fake in (0.0, np.log2(1.0 + PW.Pp / PW.noise_p) + 1e-3):
-        monkeypatch.setattr(design_fast, "quad", lambda *a, v=fake, **k: (v / 2.0, 0.0))
+        monkeypatch.setattr(design_fast, "_gauss_legendre", lambda *a, v=fake, **k: (v, 0.0))
         with pytest.raises(RuntimeError, match="Jensen"):
             primary_target_ergodic(stats, PW)
+
+
+def _quad_target(stats, pw):
+    """The target by scipy's adaptive quad over the same standardized-amplitude windows."""
+    snr, nu, s2 = pw.Pp / pw.noise_p, abs(stats.mu11), stats.var11
+    sigma = np.sqrt(s2 / 2.0)
+
+    def integrand(u):
+        r = nu + sigma * u
+        dens = (2.0 * r * sigma / s2) * np.exp(-0.5 * u * u) * i0e(2.0 * nu * r / s2)
+        return np.log2(1.0 + r * r * snr) * dens
+
+    windows = ((max(-nu / sigma, -40.0), 0.0), (0.0, 40.0))
+    return sum(quad(integrand, lo, hi, epsabs=1e-12, epsrel=1e-9, limit=400)[0] for lo, hi in windows)
+
+
+def test_target_matches_adaptive_quadrature():
+    for k_db in np.arange(-10.0, 100.1, 5.0):
+        stats = ChannelStats.from_k_factor(float(k_db))
+        for pp in (1.0, 10.0, 100.0, 1000.0):
+            pw = PowerConfig(10.0, pp)
+            assert primary_target_ergodic(stats, pw) == pytest.approx(_quad_target(stats, pw), rel=1e-12, abs=0)
+
+
+def test_target_raises_when_the_rules_disagree(monkeypatch):
+    # 3- and 6-node rules cannot resolve the peak on the 40-wide windows
+    monkeypatch.setattr(design_fast, "_leggauss", lambda n: leggauss(n // 32))
+    with pytest.raises(RuntimeError, match="did not converge"):
+        primary_target_ergodic(ChannelStats.from_k_factor(10.0), PW)
+
+
+def _scipy_checked_brentq(brackets):
+    """brentq that also runs scipy.optimize.brentq on the same bracket and requires the same float."""
+    def both(f, a, b, **tol):
+        root = brentq(f, a, b, **tol)
+        assert root == scipy_brentq(f, a, b, **tol)
+        brackets.append((a, b))
+        return root
+
+    return both
+
+
+def test_brentq_matches_scipy_on_both_design_objectives(monkeypatch):
+    fast, slow = [], []
+    monkeypatch.setattr(design_fast, "brentq", _scipy_checked_brentq(fast))
+    monkeypatch.setattr(design_slow, "brentq", _scipy_checked_brentq(slow))
+    for k_db in np.arange(-5.0, 40.1, 2.5):
+        stats = ChannelStats.from_k_factor(float(k_db))
+        for pw in (PW, PowerConfig(10.0, 100.0)):
+            solve_alpha1_fast(stats, pw)
+            design_slow.solve_alpha1_slow(stats, pw, 2.0, 0.05)
+    assert len(fast) >= 30 and len(slow) >= 20
+
+
+def test_brentq_matches_scipy_on_smooth_functions():
+    rng = np.random.default_rng(4)
+    checked = 0
+    for _ in range(300):
+        c, z = rng.normal(size=3), rng.uniform(-2.0, 2.0)
+
+        def f(x):
+            return np.tanh(c[0] * (x - z)) + 0.01 * c[1] * np.sin(5.0 * x) + c[2] * (x - z) ** 3
+
+        a, b = z - rng.uniform(0.01, 3.0), z + rng.uniform(0.01, 3.0)
+        if (f(a) < 0.0) == (f(b) < 0.0):
+            continue
+        for xtol, rtol in ((2e-12, 8.881784197001252e-16), (1e-13, 8.9e-16), (1e-6, 1e-10), (1e-3, 1e-8)):
+            assert brentq(f, a, b, xtol=xtol, rtol=rtol) == scipy_brentq(f, a, b, xtol=xtol, rtol=rtol)
+            checked += 1
+    assert checked >= 400
+
+
+def test_brentq_errors_match_scipy():
+    cases = (
+        (ValueError, "different signs", lambda x: x * x + 1.0, -1.0, 1.0, 100),
+        (ValueError, "NaN", lambda x: np.nan if x > 0.9 else -1.0, 0.0, 1.0, 100),
+        (ValueError, "NaN", lambda x: np.nan if 0.4 < x < 0.6 else x - 0.5, 0.0, 1.0, 100),
+        (RuntimeError, "converge", lambda x: x ** 3 - 2.0, 0.0, 2.0, 3),
+    )
+    for err, match, f, a, b, maxiter in cases:
+        for solver in (brentq, scipy_brentq):
+            with pytest.raises(err, match=match):
+                solver(f, a, b, xtol=1e-13, rtol=8.9e-16, maxiter=maxiter)
 
 
 def test_surrogate_underestimates_rate():
