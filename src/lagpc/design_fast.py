@@ -78,6 +78,31 @@ def brentq(f, a, b, xtol, rtol, maxiter=100):
     raise RuntimeError(f"brentq did not converge after {maxiter} iterations, value is {xcur!r}")
 
 
+def alpha1_root(slack, infeasible_msg: str):
+    """(smallest alpha1 in [0, 1] with slack >= 0, slack there), the search both designs share.
+
+    A 200-point prescan of the vectorized slack finds the first grid point that
+    meets the target (robust to non-monotone tails) and Brent's method refines
+    the crossing before it; 0.0 when no relaying is needed.  A NaN on the grid
+    raises quadform.DomainError, a grid that never meets the target
+    InfeasibleDesignError(infeasible_msg).
+    """
+    grid = np.linspace(0.0, 1.0, _PRESCAN_N)
+    vals = slack(grid)
+    if np.isnan(vals).any():
+        raise quadform.DomainError("slack is NaN on the alpha1 grid (a form with near-zero mean)")
+    if vals[0] >= 0.0:
+        return 0.0, vals[0]
+    if np.all(vals < 0.0):
+        raise InfeasibleDesignError(infeasible_msg)
+    i = int(np.argmax(vals >= 0.0))
+    root = brentq(slack, grid[i - 1], grid[i], xtol=1e-13, rtol=8.9e-16)
+    residual = slack(root)
+    if abs(residual) > _RESIDUAL_TOL:
+        raise RuntimeError(f"root residual {residual:g} above tolerance")
+    return float(root), residual
+
+
 def _gauss_legendre(f, windows):
     """Integral of the vectorized f over the (lo, hi) windows by the 192-node
     Gauss-Legendre rule, and its distance from the 96-node rule as the error."""
@@ -162,25 +187,11 @@ def solve_alpha1_fast(
     """Smallest alpha1 whose surrogate primary rate meets the target."""
     if r_target is None:
         r_target = primary_target_ergodic(stats, pw)
-
-    def f(a1):
-        return primary_rate_surrogate(stats, a1, pw) - r_target
-
-    grid = np.linspace(0.0, 1.0, _PRESCAN_N)
-    vals = f(grid)
-    if vals[0] >= 0.0:
-        # already protected without relaying; residual is the slack
-        return FastDesignResult(0.0, alpha2_fast(stats, 0.0, pw), r_target, vals[0])
-    if np.all(vals < 0.0):
-        raise InfeasibleDesignError(
-            f"target {r_target:.4f} bpcu unreachable even at alpha1 = 1"
-        )
-    i = int(np.argmax(vals >= 0.0))  # first sign change; robust to non-monotone tails
-    root = brentq(f, grid[i - 1], grid[i], xtol=1e-13, rtol=8.9e-16)
-    residual = f(root)
-    if abs(residual) > _RESIDUAL_TOL:
-        raise RuntimeError(f"root residual {residual:g} above tolerance")
-    return FastDesignResult(float(root), alpha2_fast(stats, float(root), pw), r_target, residual)
+    root, residual = alpha1_root(
+        lambda a1: primary_rate_surrogate(stats, a1, pw) - r_target,
+        f"target {r_target:.4f} bpcu unreachable even at alpha1 = 1",
+    )
+    return FastDesignResult(root, alpha2_fast(stats, root, pw), r_target, residual)
 
 
 def alpha2_fast(stats: ChannelStats, alpha1: float, pw: PowerConfig) -> complex:
@@ -192,3 +203,20 @@ def alpha2_fast(stats: ChannelStats, alpha1: float, pw: PowerConfig) -> complex:
     sigma2 = (1.0 - alpha1) * pw.Pc
     lead = np.conj(stats.mu22) * stats.mu21 + np.sqrt(alpha1 * pw.Pc / pw.Pp)
     return complex(lead * sigma2 / (sigma2 + pw.noise_s))
+
+
+def alpha2_disc(stats: ChannelStats, alpha1: float, pw: PowerConfig, grid_n: int):
+    """(centre, points, their distances from it, grid step) of the alpha2 search disc.
+
+    The centre is the fast closed form and the radius twice its modulus (1 when
+    it is 0); the points are those of the grid_n x grid_n square grid that lie
+    inside the disc, dre-major.
+    """
+    center = complex(alpha2_fast(stats, alpha1, pw))
+    radius = 2.0 * abs(center) or 1.0
+    offs = np.linspace(-radius, radius, grid_n)
+    dre, dim = np.meshgrid(offs, offs, indexing="ij")
+    dist = np.hypot(dre, dim)
+    inside = dist <= radius + 1e-12
+    step = offs[1] - offs[0] if grid_n > 1 else radius / 2
+    return center, center + dre[inside] + 1j * dim[inside], dist[inside], step

@@ -15,10 +15,8 @@ import numpy as np
 
 from . import quadform
 from .channel import ChannelStats, DesignParams, PowerConfig, build_matrices
-from .design_fast import InfeasibleDesignError, alpha2_fast, brentq, cr_links, primary_links
+from .design_fast import InfeasibleDesignError, alpha1_root, alpha2_disc, cr_links, primary_links
 
-_PRESCAN_N = 200
-_RESIDUAL_TOL = 1e-9
 _SHARP_R = 2.0 / 9.0
 _MIN_DELTA_FOR_SHARP = 2.0 / np.sqrt(3.0)
 
@@ -39,22 +37,9 @@ class SlowDesignResult:
         return DesignParams(self.alpha1, self.alpha2)
 
 
-def select_r(
-    k_db: float,
-    delta_candidate: float,
-    k_threshold_db: float = 10.0,
-    override: float | None = None,
-) -> float:
-    """Tail-bound constant: 2/9 needs both high K and delta >= 2/sqrt(3)."""
-    if override is not None:
-        if override not in (1.0, _SHARP_R):
-            raise ValueError("r must be 1 or 2/9")
-        r = override
-    else:
-        r = _SHARP_R if k_db >= k_threshold_db else 1.0
-    if r == _SHARP_R and delta_candidate < _MIN_DELTA_FOR_SHARP:
-        r = 1.0
-    return r
+def select_r(k_db: float, delta_candidate: float) -> float:
+    """Tail-bound constant: 2/9 needs both K >= 10 dB and delta >= 2/sqrt(3)."""
+    return _SHARP_R if k_db >= 10.0 and delta_candidate >= _MIN_DELTA_FOR_SHARP else 1.0
 
 
 def ratio_stats(stats: ChannelStats, alpha1, pw: PowerConfig) -> quadform.RatioMoments:
@@ -85,27 +70,11 @@ def solve_alpha1_slow(
     if r == _SHARP_R:
         assert delta >= _MIN_DELTA_FOR_SHARP  # guarded by select_r
     rhs = 1.0 / (2.0 ** r_p - 1.0)
-
-    def f(a1):
-        rm = ratio_stats(stats, a1, pw)
-        return quadform.cantelli_threshold(rm, r, p_out) - rhs
-
-    grid = np.linspace(0.0, 1.0, _PRESCAN_N)
-    vals = f(grid)
-    if np.isnan(vals).any():
-        raise quadform.DomainError("denominator form has (near-)zero mean")
-    if vals[0] <= 0.0:
-        return SlowDesignResult(0.0, None, r, delta, None, None)
-    if np.all(vals > 0.0):
-        raise InfeasibleDesignError(
-            f"(R_P={r_p}, P_out={p_out}) unreachable even at alpha1 = 1"
-        )
-    i = int(np.argmax(vals <= 0.0))
-    root = brentq(f, grid[i - 1], grid[i], xtol=1e-13, rtol=8.9e-16)
-    residual = f(root)
-    if abs(residual) > _RESIDUAL_TOL:
-        raise RuntimeError(f"root residual {residual:g} above tolerance")
-    return SlowDesignResult(float(root), None, r, delta, None, None)
+    root, _ = alpha1_root(
+        lambda a1: rhs - quadform.cantelli_threshold(ratio_stats(stats, a1, pw), r, p_out),
+        f"(R_P={r_p}, P_out={p_out}) unreachable even at alpha1 = 1",
+    )
+    return SlowDesignResult(root, None, r, delta, None, None)
 
 
 _OUTAGE = {"gamma": quadform.outage_gamma, "alzer": quadform.outage_alzer}
@@ -158,29 +127,17 @@ def solve_alpha2_slow(
         raise ValueError("alpha1 must lie in [0, 1)")
     if r_cr <= 0:
         raise ValueError("r_cr must be positive")
-    center = complex(alpha2_fast(stats, alpha1, pw))
-    radius = 2.0 * abs(center)
-    if radius == 0.0:
-        radius = 1.0
 
     def obj(a2):
         return outage_surrogate(stats, alpha1, a2, pw, r_cr, method)
 
-    offs = np.linspace(-radius, radius, grid_n)
-    dre, dim = np.meshgrid(offs, offs, indexing="ij")  # dre-major
-    dist = np.hypot(dre, dim)
-    inside = dist <= radius + 1e-12
-    points = center + dre[inside] + 1j * dim[inside]
-    vals = obj(points)
-    best_val = np.inf
-    best = center
-    best_dist = 0.0
+    best, points, dist, step = alpha2_disc(stats, alpha1, pw, grid_n)  # best starts at the centre
+    best_val, best_dist = np.inf, 0.0
     # sequential: which of two tied points wins depends on the visiting order
-    for a2, val, dst in zip(points.tolist(), vals.tolist(), dist[inside].tolist()):
+    for a2, val, dst in zip(points.tolist(), obj(points).tolist(), dist.tolist()):
         if val < best_val - 1e-15 or (abs(val - best_val) <= 1e-15 and dst < best_dist):
             best_val, best, best_dist = val, a2, dst
     # local refinement
-    step = offs[1] - offs[0] if grid_n > 1 else radius / 2
     while step >= 1e-4:
         moved = False
         for d in (1.0, -1.0, 1j, -1j):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
-from . import channel
+from . import channel, design_slow, montecarlo
 from .channel import ChannelRealization, DesignParams, PowerConfig
 
 T_SYMBOLS = 4
@@ -333,8 +333,6 @@ class ErrorRatePoint:
 
 
 def _design_alpha2(scheme, stats, alpha1, pw, rate):
-    from . import design_slow  # local import; cycle with design modules
-
     if scheme == "la_gpc":
         return complex(design_slow.solve_alpha2_slow(stats, alpha1, pw, rate).alpha2)
     if scheme in ("no_interference", "interference_as_noise"):
@@ -355,8 +353,6 @@ def codeword_error_sim(
     of channel.sample_realizations at the scenario's K and seed; callers
     that run several schemes at one K draw it once and pass it in.
     """
-    from . import montecarlo
-
     q = int(round(2.0 ** (scenario.rate_bpcu / 2.0)))
     if 2.0 * np.log2(q) != scenario.rate_bpcu:
         raise ValueError("rate must be 2*log2(q) for integer q")
@@ -410,7 +406,7 @@ def codeword_error_sim(
         p_err = np.count_nonzero(decode(y, filters, dither, pair) != msgs) / n
         ci = 1.96 * np.sqrt(max(p_err * (1.0 - p_err), 1e-12) / n)
         parts = montecarlo._sums(theory_block, stats, params, pw, theory_which, scenario.rate_bpcu)
-        theory = montecarlo._estimate(parts, scenario.theory_n, scenario.seed, scenario.rate_bpcu)
+        theory = montecarlo._estimate(parts, scenario.theory_n, scenario.rate_bpcu)
         rows.append(
             ErrorRatePoint(
                 snr_db=float(snr),

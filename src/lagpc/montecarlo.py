@@ -39,8 +39,6 @@ DEFAULT_K_GRID = (0.0, 5.0, 10.0, 15.0)
 class McEstimate:
     value: float
     std_error: float
-    n_samples: int
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -105,7 +103,7 @@ def _drawn_sums(stats, params, pw, which, r_target, seed, chunks):
     return parts
 
 
-def _estimate(parts, n: int, seed: int, r_target: float | None) -> McEstimate:
+def _estimate(parts, n: int, r_target: float | None) -> McEstimate:
     """Sample-mean rate with its standard error, or with a target the
     empirical P(rate < r_target) with its binomial standard error.
 
@@ -114,14 +112,14 @@ def _estimate(parts, n: int, seed: int, r_target: float | None) -> McEstimate:
     """
     if r_target is not None:
         p = sum(below for _, _, below in parts) / n
-        return McEstimate(p, float(np.sqrt(p * (1.0 - p) / n)), n, seed)
+        return McEstimate(p, float(np.sqrt(p * (1.0 - p) / n)))
     s1 = s2 = 0.0
     for p1, p2, _ in parts:
         s1 += p1
         s2 += p2
     mean = s1 / n
     var = max(s2 / n - mean ** 2, 0.0)
-    return McEstimate(mean, float(np.sqrt(var / n)), n, seed)
+    return McEstimate(mean, float(np.sqrt(var / n)))
 
 
 def _drawn_estimate(stats, params, pw, which, r_target, n, seed, workers) -> McEstimate:
@@ -142,7 +140,7 @@ def _drawn_estimate(stats, params, pw, which, r_target, n, seed, workers) -> McE
         args = [(stats, params, pw, which, r_target, seed, g) for g in groups]
         with ProcessPoolExecutor(max_workers=len(groups)) as ex:
             parts = [part for group in ex.map(_drawn_sums, *zip(*args)) for part in group]
-    return _estimate(parts, n, seed, r_target)
+    return _estimate(parts, n, r_target)
 
 
 def default_workers() -> int:
@@ -268,26 +266,16 @@ def brute_force_alpha2(
     """Grid search of alpha2: max MC ergodic rate or min MC outage over r.
 
     The disc is centred on the fast statistical design with radius twice its
-    modulus, as in the designs, so the two are comparable; the first point
-    (dre-major) with the best score wins.
+    modulus, as in the designs (design_fast.alpha2_disc), so the two are
+    comparable; the first point (dre-major) with the best score wins.
     """
     if objective not in ("ergodic", "outage"):
         raise ValueError("objective must be 'ergodic' or 'outage'")
     if objective == "outage" and r_cr is None:
         raise ValueError("outage objective needs r_cr")
-    center = complex(design_fast.alpha2_fast(stats, alpha1, pw))
-    radius = 2.0 * abs(center) or 1.0
-    offs = np.linspace(-radius, radius, grid_n)
-    dre, dim = np.meshgrid(offs, offs, indexing="ij")
-    inside = np.hypot(dre, dim) <= radius + 1e-12
-    a2 = center + dre[inside] + 1j * dim[inside]
+    a2 = design_fast.alpha2_disc(stats, alpha1, pw, grid_n)[1]
     scores = _disc_scores(r, alpha1, pw, a2, r_cr if objective == "outage" else None)
-    best = None
-    best_score = -np.inf
-    for point, score in zip(a2, scores):
-        if score > best_score:
-            best_score, best = score, point
-    return complex(best)
+    return complex(a2[np.nanargmax(scores)])
 
 
 _METRICS = {2: "primary_ergodic_rate", 3: "cr_ergodic_rate", 4: "primary_outage", 5: "cr_outage"}
@@ -339,7 +327,7 @@ def figure_sweep(
             bf_a1 = brute_force_alpha1_outage(r, pw, r_p, reference)
 
         def record(scheme, which, p, r_target):
-            est = _estimate(_sums(r, stats, p, pw, which, r_target), n, seed, r_target)
+            est = _estimate(_sums(r, stats, p, pw, which, r_target), n, r_target)
             return SweepRecord(
                 k_db, scheme, metric, est.value, est.std_error, p.alpha1, complex(p.alpha2), seed
             )

@@ -107,14 +107,20 @@ def _scipy_checked_brentq(brackets):
 
 
 def test_brentq_matches_scipy_on_both_design_objectives(monkeypatch):
+    # both designs reach brentq through design_fast.alpha1_root, so each
+    # design's solves run in their own phase to keep their brackets apart
+    points = [
+        (ChannelStats.from_k_factor(float(k_db)), pw)
+        for k_db in np.arange(-5.0, 40.1, 2.5)
+        for pw in (PW, PowerConfig(10.0, 100.0))
+    ]
     fast, slow = [], []
     monkeypatch.setattr(design_fast, "brentq", _scipy_checked_brentq(fast))
-    monkeypatch.setattr(design_slow, "brentq", _scipy_checked_brentq(slow))
-    for k_db in np.arange(-5.0, 40.1, 2.5):
-        stats = ChannelStats.from_k_factor(float(k_db))
-        for pw in (PW, PowerConfig(10.0, 100.0)):
-            solve_alpha1_fast(stats, pw)
-            design_slow.solve_alpha1_slow(stats, pw, 2.0, 0.05)
+    for stats, pw in points:
+        solve_alpha1_fast(stats, pw)
+    monkeypatch.setattr(design_fast, "brentq", _scipy_checked_brentq(slow))
+    for stats, pw in points:
+        design_slow.solve_alpha1_slow(stats, pw, 2.0, 0.05)
     assert len(fast) >= 30 and len(slow) >= 20
 
 

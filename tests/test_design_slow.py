@@ -31,11 +31,13 @@ def test_select_r_gates():
     # multiplier below 2/sqrt(3) voids the sharper constant
     assert select_r(20.0, 1.0) == 1.0
     assert select_r(20.0, 2.0 / np.sqrt(3.0)) == SHARP
-    # override skips the K gate but not the multiplier guard
-    assert select_r(0.0, 2.0, override=SHARP) == SHARP
-    assert select_r(0.0, 1.0, override=SHARP) == 1.0
-    with pytest.raises(ValueError):
-        select_r(15.0, 5.0, override=0.5)
+
+
+def test_alpha1_slow_raises_on_an_undefined_prescan():
+    # the denominator form has zero mean at alpha1 = 1, so the prescan reads NaN there
+    stats = ChannelStats(1.0, -1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0)
+    with pytest.raises(quadform.DomainError):
+        solve_alpha1_slow(stats, PW, 2.0, 0.05)
 
 
 def test_alpha1_slow_keeps_primary_outage_under_target():
