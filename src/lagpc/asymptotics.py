@@ -29,9 +29,6 @@ class AsymptoticReport:
     alpha2_slow: tuple = ()
     deviations: dict = field(default_factory=dict)
 
-    def max_deviation(self, key: str) -> float:
-        return float(np.max(self.deviations[key]))
-
 
 def nonfading_alpha1(pw: PowerConfig) -> float:
     """Deterministic-channel relaying ratio restoring the primary's rate.

@@ -228,13 +228,6 @@ def build_matrices(
     return QuadMatrices(P=P, Q=Q, S=S, D=D, E=E, c0=c0, d=d)
 
 
-def full_csit_alpha2(r: ChannelRealization, alpha1: float, pw: PowerConfig):
-    """Per-realization coefficient that recovers the interference-free rate."""
-    sigma2 = (1.0 - alpha1) * pw.Pc
-    hs = effective_interference_gain(r, alpha1, pw)
-    return sigma2 * np.conj(r.h22) * hs / (np.abs(r.h22) ** 2 * sigma2 + pw.noise_s)
-
-
 def naive_alpha2(stats: ChannelStats, alpha1: float, pw: PowerConfig) -> float:
     """Mean-channel precoding coefficient (ignores the fading spread)."""
     sigma2 = (1.0 - alpha1) * pw.Pc

@@ -53,22 +53,6 @@ class ResultTable:
             lines.append(",".join([repr(float(x)), scheme, metric, *nums, str(int(seed))]))
         Path(path).write_text("\n".join(lines) + "\n")
 
-    @classmethod
-    def from_csv(cls, path):
-        lines = Path(path).read_text().splitlines()
-        if not lines:
-            raise ValueError("empty file")
-        head = lines[0].split(",")
-        if tuple(head[1:]) != FIXED_COLUMNS:
-            raise ValueError("unexpected column set")
-        rows = []
-        for line in lines[1:]:
-            x, scheme, metric, value, se, a1, a2r, a2i, seed = line.split(",")
-            rows.append(
-                (float(x), scheme, metric, float(value), float(se), float(a1), float(a2r), float(a2i), int(seed))
-            )
-        return cls(head[0], rows)
-
     def curves(self):
         """Rows grouped by (scheme, metric) in first-appearance order."""
         out: dict = {}
@@ -140,15 +124,13 @@ def _among(options):
     return (lambda x: x in options, f"must be among {sorted(map(str, options))}")
 
 
-_SIM_SCHEMES = ("la_gpc", "full_csit", "naive_dpc", "interference_as_noise")
-_LATTICE_SCHEMES = ("la_gpc", "no_interference", "interference_as_noise")
 _K_GRID = ("num_list", (0.0, 5.0, 10.0, 15.0), None)
 _POWER_FIELDS = {key: ("number", default, _POSITIVE) for key, default in
                  (("p_c", 10.0), ("p_p", 10.0), ("noise_p", 1.0), ("noise_s", 1.0))}
 _SEED = ("int", 0, (lambda x: x >= 0, "must be nonnegative"))
 _COMMON_FIELDS = {"seed": _SEED, **_POWER_FIELDS}
 _SIM_FIELDS = {
-    "schemes": ("str_list", ("la_gpc",), _among(_SIM_SCHEMES)),
+    "schemes": ("str_list", ("la_gpc",), _among(montecarlo.CR_SCHEMES)),
     "user": ("str", "cr", _among(("cr", "primary"))),
     "alpha1": ("number", None, _UNIT),
     "alpha2": ("pair", None, None),
@@ -179,7 +161,7 @@ SCHEMAS = {
         "rate": ("number", 2.0, _among((2.0, 4.0))),
         "snr_db": ("num_list", (22.0, 24.0, 26.0), None),
         "trials": ("int", 3000, _AT_LEAST_1),
-        "schemes": ("str_list", _LATTICE_SCHEMES, _among(_LATTICE_SCHEMES)),
+        "schemes": ("str_list", lattice.SCHEMES, _among(lattice.SCHEMES)),
         "p_p": ("number", 100.0, _POSITIVE),
         "noise": ("number", 1.0, _POSITIVE),
         "alpha1": ("number", 0.0, _UNIT),
@@ -198,7 +180,7 @@ SCHEMAS = {
         "k_db": ("num_list", None, None),
         "n_ergodic": ("int", 10 ** 5, _AT_LEAST_1),
         "n_outage": ("int", 10 ** 6, _AT_LEAST_1),
-        "bf_grid_n": ("int", 61, _AT_LEAST_1),
+        "bf_grid_n": ("int", 61, (lambda x: x >= 3, "must be at least 3")),
         "bf_mc_n": ("int", 3 * 10 ** 4, _AT_LEAST_1),
         "trials": ("int", 3000, _AT_LEAST_1),
         "snr_db": ("num_list", None, None),
@@ -366,7 +348,7 @@ def _cmd_asymptotic_check(cfg) -> ResultTable:
 
 # the figures that read each key besides seed; any other figure rejects it when the user's config sets it
 _FIGURE_KEYS = {**dict.fromkeys(("p_c", "p_p", "noise_p", "noise_s"), (2, 3, 4, 5, 6)), "n_frames": (6,),
-                **dict.fromkeys(("k_db", "bf_grid_n", "bf_mc_n"), (2, 3, 4, 5)), "n_ergodic": (2, 3),
+                "k_db": (2, 3, 4, 5), **dict.fromkeys(("bf_grid_n", "bf_mc_n"), (3, 5)), "n_ergodic": (2, 3),
                 "n_outage": (4, 5, 7, 8), "trials": (7, 8), "snr_db": (7, 8)}
 
 
@@ -412,7 +394,7 @@ def _cmd_reproduce_figure(cfg) -> ResultTable:
     for k in (0.0, 10.0):
         lattice_cfg = dict(
             seed=seed, k_db=k, rate=2.0 if fig == 7 else 4.0, snr_db=snr_db, trials=cfg["trials"],
-            schemes=_LATTICE_SCHEMES, p_p=100.0, noise=1.0, alpha1=0.0, theory_n=cfg["n_outage"] // 5,
+            schemes=lattice.SCHEMES, p_p=100.0, noise=1.0, alpha1=0.0, theory_n=cfg["n_outage"] // 5,
         )
         rows.extend(_lattice_rows(lattice_cfg, label_suffix=f"@K{k:g}"))
     return ResultTable("SNR_dB", rows)
@@ -485,7 +467,7 @@ def main(argv=None) -> int:
                 raise ConfigError(f"cannot read config: {e}")
             if not isinstance(raw, dict):
                 raise ConfigError("config must be a JSON object")
-        given = {k for k, v in raw.items() if v is not None} if args.command == "reproduce-figure" else ()
+        given = {k for k, v in raw.items() if v is not None}
         if getattr(args, "figure", None) is not None:
             raw["figure"] = args.figure
         if args.seed is not None:
@@ -495,10 +477,13 @@ def main(argv=None) -> int:
                 if key in SCHEMAS[args.command]:
                     raw[key] = args.samples
         cfg = validate_config(args.command, raw)
-        for key, figures in _FIGURE_KEYS.items():
-            if key in given and cfg["figure"] not in figures:
+        # a figure rejects, and its manifest omits, the keys it does not read
+        unread = [key for key, figures in _FIGURE_KEYS.items() if cfg.get("figure") not in (None, *figures)]
+        for key in unread:
+            if key in given:
                 raise ConfigError(f"{key}: figure {cfg['figure']} does not read it")
         table = _HANDLERS[args.command](cfg)
+        cfg = {k: v for k, v in cfg.items() if k not in unread}
         csv_path, man_path, plot_paths = _write_outputs(args.command, cfg, table, args.out)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

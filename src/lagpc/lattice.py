@@ -22,6 +22,7 @@ from numpy.random import Generator, Philox, SeedSequence
 from . import channel, design_slow, montecarlo
 from .channel import ChannelRealization, DesignParams, PowerConfig
 
+SCHEMES = ("la_gpc", "no_interference", "interference_as_noise")
 T_SYMBOLS = 4
 N_DIM = 2 * T_SYMBOLS
 E8_SECOND_MOMENT = 929.0 / 12960.0  # per dimension, unit-volume E8
@@ -182,12 +183,6 @@ def _fold_dither(pair: NestedPair, u) -> np.ndarray:
     return mod_lambda(_apply(pair.coarse.gen, u), pair.coarse)
 
 
-def sample_dither(pair: NestedPair, rng: Generator, shape: tuple = ()) -> np.ndarray:
-    """Dithers (*shape, 8) uniform over the coarse cell.  A stack consumes the
-    stream exactly as one call per row."""
-    return _fold_dither(pair, rng.random((*shape, N_DIM)))
-
-
 def _gain(c, frame) -> np.ndarray:
     """Complex gains c (...,) applied to each channel use of interleaved frames (..., 8)."""
     frame = np.ascontiguousarray(frame, dtype=float).view(complex)
@@ -241,13 +236,6 @@ def build_filters(
         np.abs(z * root * h22 - 1.0) ** 2 + s_pow * np.abs(z * hs - pre) ** 2 + pw.noise_s * np.abs(z) ** 2
     )
     return FilterSet(precoder=pre, z=np.squeeze(z), error_var=np.squeeze(err))
-
-
-def achievable_rate(filters: FilterSet) -> float:
-    """Rate supported by the per-dimension error variance, bits per channel use."""
-    if not filters.error_var > 0.0:
-        raise ValueError("error variance not positive")
-    return float(-1.0 - np.log2(filters.error_var))
 
 
 def encode(
@@ -315,7 +303,7 @@ class LatticeScenario:
     p_p: float = 100.0
     noise: float = 1.0
     alpha1: float = 0.0
-    scheme: str = "la_gpc"  # or no_interference / interference_as_noise
+    scheme: str = "la_gpc"  # one of SCHEMES
     theory_n: int = 10 ** 5
 
 
@@ -333,11 +321,11 @@ class ErrorRatePoint:
 
 
 def _design_alpha2(scheme, stats, alpha1, pw, rate):
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
     if scheme == "la_gpc":
         return complex(design_slow.solve_alpha2_slow(stats, alpha1, pw, rate).alpha2)
-    if scheme in ("no_interference", "interference_as_noise"):
-        return 0j
-    raise ValueError(f"unknown scheme {scheme!r}")
+    return 0j
 
 
 def codeword_error_sim(
@@ -362,14 +350,11 @@ def codeword_error_sim(
     if len(theory_block) != scenario.theory_n:
         raise ValueError("theory_block must hold theory_n realizations")
     pair = build_nested(q)
-    # what is actually on the air vs what the receiver filter assumes; they
-    # coincide for every scheme here (the as-noise receiver knows the power,
-    # it just cannot precode against the realization)
+    # no_interference puts no primary signal on the air, so its receiver filter
+    # and its theory outage (full_csit's) see none; the as-noise receiver knows
+    # the interference power, it just cannot precode against the realization
     interference_on = scenario.scheme != "no_interference"
-    filter_s_power = scenario.p_p if interference_on else 0.0
-    # matched-rate outage of the unstructured scheme; the clean-channel
-    # baseline is compared against the interference-free outage
-    theory_which = "full_csit" if scenario.scheme == "no_interference" else "la_gpc"
+    theory_which = scenario.scheme if interference_on else "full_csit"
     mu = np.array([stats.mu11, stats.mu12, stats.mu21, stats.mu22])
     sd = np.sqrt([stats.var11, stats.var12, stats.var21, stats.var22])
     n = scenario.trials
@@ -394,7 +379,7 @@ def codeword_error_sim(
         h = mu + sd * ((g[:, :4] + 1j * g[:, 4:]) / np.sqrt(2.0))
         r = ChannelRealization(*h.T)
         hs = channel.effective_interference_gain(r, scenario.alpha1, pw)
-        filters = build_filters(r, params, pw, s_power=filter_s_power)
+        filters = build_filters(r, params, pw, s_power=None if interference_on else 0.0)
         if interference_on:
             s_c = (w[:, :T_SYMBOLS] + 1j * w[:, T_SYMBOLS:N_DIM]) * np.sqrt(scenario.p_p / 2.0)
             s_frame = s_c.view(float)

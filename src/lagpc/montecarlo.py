@@ -19,7 +19,9 @@ from . import channel, design_fast, design_slow
 from .channel import ChannelStats, DesignParams, PowerConfig
 from .design_fast import InfeasibleDesignError
 
-SCHEME_LABELS = ("la_gpc", "full_csit", "naive_dpc", "interference_as_noise", "full_search")
+# the cognitive-radio schemes, in figure 3's row order
+CR_SCHEMES = ("la_gpc", "full_csit", "naive_dpc", "interference_as_noise")
+SCHEME_LABELS = CR_SCHEMES + ("full_search",)
 
 _CHUNK = 1 << 20
 _DISC_ROWS = 16  # alpha2 points per det block in _disc_scores; bounds its temporaries
@@ -57,6 +59,18 @@ class SweepRecord:
             raise ValueError(f"unknown scheme label {self.scheme!r}")
 
 
+def scheme_params(which: str, stats: ChannelStats, params: DesignParams, pw: PowerConfig) -> DesignParams:
+    """The design point one scheme transmits at, given the statistical design:
+    naive_dpc precodes for the mean channel, interference_as_noise not at all."""
+    if which == "la_gpc":
+        return params
+    if which == "naive_dpc":
+        return DesignParams(params.alpha1, channel.naive_alpha2(stats, params.alpha1, pw))
+    if which in ("interference_as_noise", "full_csit"):
+        return DesignParams(params.alpha1, 0.0)
+    raise ValueError(f"unknown scheme {which!r}")
+
+
 def scheme_rates(
     r: channel.ChannelRealization,
     stats: ChannelStats,
@@ -64,23 +78,15 @@ def scheme_rates(
     pw: PowerConfig,
     which: str,
 ) -> np.ndarray:
-    """Per-realization rate of one scheme (or the primary user's rate)."""
-    if which == "la_gpc":
-        return channel.cr_rate(r, params, pw)
-    if which == "full_csit":
-        sigma2 = (1.0 - params.alpha1) * pw.Pc
-        return np.log2(1.0 + np.abs(r.h22) ** 2 * sigma2 / pw.noise_s)
-    if which == "naive_dpc":
-        naive = DesignParams(params.alpha1, channel.naive_alpha2(stats, params.alpha1, pw))
-        return channel.cr_rate(r, naive, pw)
-    if which == "interference_as_noise":
-        sigma2 = (1.0 - params.alpha1) * pw.Pc
-        hs = channel.effective_interference_gain(r, params.alpha1, pw)
-        g22 = np.abs(r.h22) ** 2 * sigma2
-        return np.log2(1.0 + g22 / (np.abs(hs) ** 2 * pw.Pp + pw.noise_s))
+    """Per-realization rate of one scheme (or the primary user's rate): cr_rate at
+    scheme_params, except full_csit, whose precoder follows each realization."""
     if which == "primary":
         return channel.primary_rate(r, params.alpha1, pw)
-    raise ValueError(f"unknown scheme {which!r}")
+    p = scheme_params(which, stats, params, pw)
+    if which == "full_csit":
+        sigma2 = (1.0 - p.alpha1) * pw.Pc
+        return np.log2(1.0 + np.abs(r.h22) ** 2 * sigma2 / pw.noise_s)
+    return channel.cr_rate(r, p, pw)
 
 
 def _sums(r, stats, params, pw, which, r_target):
@@ -269,6 +275,8 @@ def brute_force_alpha2(
     modulus, as in the designs (design_fast.alpha2_disc), so the two are
     comparable; the first point (dre-major) with the best score wins.
     """
+    if grid_n < 3:
+        raise ValueError("grid_n too coarse: no grid point inside the disc")
     if objective not in ("ergodic", "outage"):
         raise ValueError("objective must be 'ergodic' or 'outage'")
     if objective == "outage" and r_cr is None:
@@ -278,6 +286,7 @@ def brute_force_alpha2(
     return complex(a2[np.nanargmax(scores)])
 
 
+_FIGURE5_ORDER = ("la_gpc", "naive_dpc", "interference_as_noise", "full_csit")
 _METRICS = {2: "primary_ergodic_rate", 3: "cr_ergodic_rate", 4: "primary_outage", 5: "cr_outage"}
 
 
@@ -326,32 +335,21 @@ def figure_sweep(
             des = design_slow.design(stats, pw, r_p, reference, r_cr)
             bf_a1 = brute_force_alpha1_outage(r, pw, r_p, reference)
 
-        def record(scheme, which, p, r_target):
+        def record(scheme, which, p, r_target, shown=None):
             est = _estimate(_sums(r, stats, p, pw, which, r_target), n, r_target)
-            return SweepRecord(
-                k_db, scheme, metric, est.value, est.std_error, p.alpha1, complex(p.alpha2), seed
-            )
+            shown = shown or p
+            a1, a2 = shown.alpha1, complex(shown.alpha2)
+            return SweepRecord(k_db, scheme, metric, est.value, est.std_error, a1, a2, seed)
 
         if primary:
             for scheme, a1 in (("la_gpc", des.alpha1), ("full_search", bf_a1)):
                 rows.append(record(scheme, "primary", DesignParams(a1, 0.0), r_p))
             rows.append(SweepRecord(k_db, "full_csit", metric, reference, 0.0, 0.0, 0j, seed))
             continue
-        if ergodic:
-            labels = ("la_gpc", "full_csit", "naive_dpc", "interference_as_noise")
-            schemes = [(label, label, des.params) for label in labels]
-        else:
-            # the outage baselines are the la_gpc rate at their own alpha2
-            # (alpha2 = 0 is treating the interference as noise)
-            naive = DesignParams(des.alpha1, channel.naive_alpha2(stats, des.alpha1, pw))
-            plain = DesignParams(des.alpha1, 0.0)
-            schemes = [
-                ("la_gpc", "la_gpc", des.params),
-                ("naive_dpc", "la_gpc", naive),
-                ("interference_as_noise", "la_gpc", plain),
-                ("full_csit", "full_csit", plain),
-            ]
-        rows.extend(record(scheme, which, p, r_cr) for scheme, which, p in schemes)
+        # figure 3 prints the design's alpha2 on every row, figure 5 the alpha2 each scheme ran at
+        for scheme in CR_SCHEMES if ergodic else _FIGURE5_ORDER:
+            shown = des.params if ergodic else scheme_params(scheme, stats, des.params, pw)
+            rows.append(record(scheme, scheme, des.params, r_cr, shown))
         objective = "ergodic" if ergodic else "outage"
         bf_a2 = brute_force_alpha2(
             block[:bf_mc_n], stats, bf_a1, pw, objective, r_cr=r_cr, grid_n=bf_grid_n

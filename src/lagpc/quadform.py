@@ -113,11 +113,6 @@ def qf_variance(g: GaussianVectorSpec, A):
     return _value(_variance(g, _check_hermitian(A)))
 
 
-def qf_covariance(g: GaussianVectorSpec, A, B):
-    """cov(H^H A H, H^H B H) for Hermitian A, B (stacks broadcast together)."""
-    return _value(_covariance(g, _check_hermitian(A), _check_hermitian(B)))
-
-
 def _mask_undefined(bad, message: str, *moments):
     """One form raises DomainError(message) where ``bad``; a stack gets NaN there."""
     if np.ndim(bad) == 0:

@@ -9,12 +9,30 @@ import numpy as np
 import pytest
 
 from lagpc.cli import (
+    FIXED_COLUMNS,
     ConfigError,
     ResultTable,
     emit_plotdata,
     main,
     validate_config,
 )
+
+
+def _read_csv(path):
+    """The ResultTable a CSV written by ResultTable.to_csv holds."""
+    lines = Path(path).read_text().splitlines()
+    if not lines:
+        raise ValueError("empty file")
+    head = lines[0].split(",")
+    if tuple(head[1:]) != FIXED_COLUMNS:
+        raise ValueError("unexpected column set")
+    rows = []
+    for line in lines[1:]:
+        x, scheme, metric, value, se, a1, a2r, a2i, seed = line.split(",")
+        rows.append(
+            (float(x), scheme, metric, float(value), float(se), float(a1), float(a2r), float(a2i), int(seed))
+        )
+    return ResultTable(head[0], rows)
 
 
 def _row(x, scheme="la_gpc", metric="m", value=1.0, se=0.1, seed=0):
@@ -60,7 +78,7 @@ def test_result_table_csv_roundtrip(tmp_path):
     t = ResultTable("K_dB", rows)
     p = tmp_path / "t.csv"
     t.to_csv(p)
-    back = ResultTable.from_csv(p)
+    back = _read_csv(p)
     assert back.x_name == "K_dB"
     assert back.rows == rows  # repr() floats survive the trip exactly
 
@@ -205,12 +223,44 @@ def test_lattice_figures_need_five_outage_samples(tmp_path, capsys):
 @pytest.mark.parametrize("fig,key,value", [(6, "k_db", [10]), (7, "k_db", [3]), (8, "k_db", 0),
                                            (2, "snr_db", [22]), (5, "snr_db", [22]), (6, "snr_db", 24),
                                            (7, "p_p", 50), (8, "noise_s", 2), (2, "trials", 10),
-                                           (5, "n_frames", 100), (7, "bf_grid_n", 3), (6, "n_ergodic", 100)])
+                                           (5, "n_frames", 100), (7, "bf_grid_n", 3), (6, "n_ergodic", 100),
+                                           (2, "bf_mc_n", 2000), (4, "bf_grid_n", 5)])
 def test_figures_reject_keys_they_do_not_read(tmp_path, capsys, fig, key, value):
     rc, out = _run(tmp_path, "reproduce-figure", args=[str(fig)], config={key: value})
     assert rc == 2
     assert capsys.readouterr().err == f"config error: {key}: figure {fig} does not read it\n"
     assert not out.exists()
+
+
+def test_alpha2_grid_below_three_is_a_config_error(tmp_path, capsys, monkeypatch):
+    from lagpc import channel
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the config check")
+
+    monkeypatch.setattr(channel, "sample_realizations", no_sampling)
+    for fig in ("3", "5"):
+        for grid_n in (1, 2):
+            cfg = {"bf_grid_n": grid_n, "bf_mc_n": 2000, "k_db": [10]}
+            rc, out = _run(tmp_path / f"{fig}-{grid_n}", "reproduce-figure", args=[fig], config=cfg)
+            assert rc == 2
+            assert capsys.readouterr().err == "config error: bf_grid_n: must be at least 3\n"
+            assert not out.exists()
+
+
+def test_figure_manifest_records_only_the_keys_read(tmp_path):
+    power = ["noise_p", "noise_s", "p_c", "p_p"]
+    cases = {
+        2: ("2000", ["k_db", "n_ergodic"] + power),
+        6: ("2000", ["n_frames"] + power),
+        7: ("5", ["n_outage", "snr_db", "trials"]),
+    }
+    for fig, (samples, keys) in cases.items():
+        rc, out = _run(tmp_path / str(fig), "reproduce-figure", args=[str(fig), "--samples", samples], config={})
+        assert rc == 0
+        config = json.loads((out / "reproduce-figure_manifest.json").read_text())["config"]
+        assert sorted(config) == sorted(keys + ["figure", "seed"])
+        assert config["figure"] == fig and config["seed"] == 0
 
 
 def test_primary_outage_is_scored_at_r_p(tmp_path):
@@ -220,7 +270,7 @@ def test_primary_outage_is_scored_at_r_p(tmp_path):
     cfg = {"k_db": [10], "n": 20000, "r_target": 1.0, "r_p": 2.0, "p_out_p": 0.01, "user": "primary"}
     rc, out = _run(tmp_path, "simulate-outage", config=cfg)
     assert rc == 0
-    [row] = ResultTable.from_csv(out / "simulate-outage.csv").rows
+    [row] = _read_csv(out / "simulate-outage.csv").rows
     stats, pw = ChannelStats.from_k_factor(10.0), PowerConfig(10.0, 10.0)
     params = design_slow.design(stats, pw, 2.0, 0.01, 1.0).params
     est = montecarlo.outage_probability(stats, params, pw, 2.0, "primary", 20000, 0)
@@ -236,7 +286,7 @@ def test_samples_and_seed_overrides(tmp_path):
     manifest = json.loads((out / "simulate-ergodic_manifest.json").read_text())
     assert manifest["config"]["n"] == 2000
     assert manifest["config"]["seed"] == 7
-    table = ResultTable.from_csv(out / "simulate-ergodic.csv")
+    table = _read_csv(out / "simulate-ergodic.csv")
     assert all(row[-1] == 7 for row in table.rows)
 
 
@@ -250,7 +300,7 @@ def test_lattice_sim_command(tmp_path):
     }
     rc, out = _run(tmp_path, "lattice-sim", config=cfg)
     assert rc == 0
-    table = ResultTable.from_csv(out / "lattice-sim.csv")
+    table = _read_csv(out / "lattice-sim.csv")
     assert table.x_name == "SNR_dB"
     metrics = {row[2] for row in table.rows}
     assert metrics == {"codeword_error_rate", "theory_outage"}
@@ -278,7 +328,7 @@ def test_lattice_sim_draws_one_theory_block(tmp_path, monkeypatch):
     rc, out = _run(tmp_path, "lattice-sim", config=cfg)
     assert rc == 0
     assert draws == [3000]  # one block for 2 schemes x 3 SNRs
-    table = ResultTable.from_csv(out / "lattice-sim.csv")
+    table = _read_csv(out / "lattice-sim.csv")
     assert len(table.rows) == 12
 
 
@@ -287,7 +337,7 @@ def test_transmit_statistics_figure(tmp_path):
         tmp_path, "reproduce-figure", args=["6", "--samples", "3000"], config={}
     )
     assert rc == 0
-    table = ResultTable.from_csv(out / "reproduce-figure.csv")
+    table = _read_csv(out / "reproduce-figure.csv")
     assert table.x_name == "amplitude"
     metrics = [row[2] for row in table.rows]
     assert metrics.count("tx_density") == 81
@@ -335,7 +385,7 @@ _GOLDEN_CASES = {
          "schemes": ["la_gpc", "interference_as_noise"]},
     ),
     "asymptotic-check": ("asymptotic-check", [], {"modes": ["fast", "slow"], "k_db": [0, 20]}),
-    "figure-2": ("reproduce-figure", ["2"], {"k_db": [5], "n_ergodic": 2000, "bf_mc_n": 2000}),
+    "figure-2": ("reproduce-figure", ["2"], {"k_db": [5], "n_ergodic": 2000}),
     "figure-5": ("reproduce-figure", ["5"], {"k_db": [10], "n_outage": 3000, "bf_grid_n": 5, "bf_mc_n": 2000}),
     "figure-6": ("reproduce-figure", ["6", "--samples", "2000"], {}),
     "figure-7": ("reproduce-figure", ["7", "--seed", "3"], {"trials": 30, "n_outage": 5000}),
@@ -359,9 +409,11 @@ def test_outputs_match_recorded_digests(tmp_path):
     The digests were recorded before the config schema and the handlers were
     rewritten as tables and shared builders; the six cases downstream of the
     fast-fading target were re-recorded when that target moved to a fixed
-    Gauss-Legendre rule.  A deliberate output change re-records them (write
-    `_output_digests` to that file as JSON) and names the moved rows in
-    CHANGES.md.
+    Gauss-Legendre rule; ergodic-cr when interference-as-noise became
+    channel.cr_rate at alpha2 = 0 (one ulp), and the four figure manifests
+    when they were trimmed to the keys each figure reads.  A deliberate
+    output change re-records them (write `_output_digests` to that file as
+    JSON) and names the moved rows in CHANGES.md.
     """
     recorded = json.loads((Path(__file__).parent / "cli_output_digests.json").read_text())
     assert _output_digests(tmp_path) == recorded

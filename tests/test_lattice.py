@@ -13,11 +13,11 @@ from lagpc.channel import (
     PowerConfig,
     cr_rate,
     effective_interference_gain,
-    full_csit_alpha2,
     sample_realizations,
 )
 from lagpc.design_fast import solve_alpha1_fast
 from lagpc.design_slow import solve_alpha2_slow
+from oracles import achievable_rate, full_csit_alpha2, sample_dither
 
 PW = PowerConfig(10.0, 10.0)
 STATS = ChannelStats.from_k_factor(10.0)
@@ -269,7 +269,7 @@ def test_dithered_transmit_power(pair2):
     sq = 0.0
     n = 1200
     for _ in range(n):
-        d = lat.sample_dither(pair2, rng)
+        d = sample_dither(pair2, rng)
         s = _interference_frame(rng, PW.Pp)
         x = lat.encode(7, s, d, pair2, filters, alpha1, p_c)
         sq += float(np.mean(x ** 2))
@@ -311,9 +311,9 @@ def test_codec_stacks_equal_row_calls(pair2):
     np.testing.assert_array_equal(filters.error_var, [f.error_var for f in rows])
     assert all(f.precoder == filters.precoder and f.regularized is False for f in rows)
 
-    d = lat.sample_dither(pair2, Generator(Philox(key=5)), (n,))
+    d = sample_dither(pair2, Generator(Philox(key=5)), (n,))
     one = Generator(Philox(key=5))
-    np.testing.assert_array_equal(d, [lat.sample_dither(pair2, one) for _ in range(n)])
+    np.testing.assert_array_equal(d, [sample_dither(pair2, one) for _ in range(n)])
 
     rng = Generator(Philox(key=6))
     msgs = rng.integers(pair2.codebook_size, size=n)
@@ -342,7 +342,7 @@ def test_achievable_rate_matches_closed_form():
         params = DesignParams(a1, a2)
         filters = lat.build_filters(r, params, PW)
         want = float(np.ravel(cr_rate(r, params, PW))[0])
-        assert lat.achievable_rate(filters) == pytest.approx(want, abs=1e-9)
+        assert achievable_rate(filters) == pytest.approx(want, abs=1e-9)
 
 
 def test_filters_with_matched_alpha2_reach_clean_rate():
@@ -354,10 +354,10 @@ def test_filters_with_matched_alpha2_reach_clean_rate():
         filters = lat.build_filters(ri, DesignParams(a1, a2), PW)
         sigma2 = (1.0 - a1) * PW.Pc
         clean = float(np.log2(1.0 + np.abs(np.ravel(ri.h22)[0]) ** 2 * sigma2 / PW.noise_s))
-        assert lat.achievable_rate(filters) == pytest.approx(clean, abs=1e-9)
+        assert achievable_rate(filters) == pytest.approx(clean, abs=1e-9)
         # absent interference the precoder choice is immaterial
         off = lat.build_filters(ri, DesignParams(a1, 0.123j), PW, s_power=0.0)
-        assert lat.achievable_rate(off) == pytest.approx(clean, abs=1e-9)
+        assert achievable_rate(off) == pytest.approx(clean, abs=1e-9)
 
 
 def test_filters_match_8x8_reference():
@@ -387,7 +387,7 @@ def test_filters_match_8x8_reference():
             close(_channel_matrix(f.precoder), F_s, np.abs(F_s).max())
             close(_channel_matrix(f.z), F_r, np.abs(F_r).max())
             close(f.error_var * eye, sig_e, f.error_var)
-            assert lat.achievable_rate(f) == pytest.approx(rate, rel=1e-12, abs=1e-12)
+            assert achievable_rate(f) == pytest.approx(rate, rel=1e-12, abs=1e-12)
             checked += 1
     assert checked >= 200
 
@@ -400,7 +400,7 @@ def test_build_filters_rejects_full_relaying():
 def test_achievable_rate_rejects_indefinite_covariance():
     for var in (-1.0, 0.0):
         with pytest.raises(ValueError):
-            lat.achievable_rate(lat.FilterSet(precoder=1.0, z=1.0, error_var=var))
+            achievable_rate(lat.FilterSet(precoder=1.0, z=1.0, error_var=var))
 
 
 # --- decoding ---------------------------------------------------------------
@@ -440,7 +440,7 @@ def test_noiseless_roundtrip(pair2):
     rng = Generator(Philox(key=42))
     for msg in rng.integers(pair2.codebook_size, size=64):
         msg = int(msg)
-        d = lat.sample_dither(pair2, rng)
+        d = sample_dither(pair2, rng)
         s = _interference_frame(rng, PW.Pp)
         x = lat.encode(msg, s, d, pair2, filters, 0.0, PW.Pc)
         y = _received(h22, x, hs, s)
@@ -464,7 +464,7 @@ def test_decode_matches_sphere_decode(pair2):
                 f = lat.build_filters(r, params, pw)
                 _, F_r, _, L, _ = _reference_filters(r, params, pw)
                 msg = int(rng.integers(pair2.codebook_size))
-                d = lat.sample_dither(pair2, rng)
+                d = sample_dither(pair2, rng)
                 s = _interference_frame(rng, pw.Pp)
                 x = lat.encode(msg, s, d, pair2, f, 0.0, pw.Pc)
                 y = _received(r.h22[0], x, r.h21[0], s) + rng.normal(size=lat.N_DIM) * np.sqrt(0.5)
@@ -487,7 +487,7 @@ def _reference_transmit_samples(pair, filters, alpha1, pw, n_frames, seed):
     out = np.empty((n_frames, lat.N_DIM))
     for i in range(n_frames):
         msg = int(rng.integers(pair.codebook_size))
-        dither = lat.sample_dither(pair, rng)
+        dither = sample_dither(pair, rng)
         s_c = (rng.normal(size=lat.T_SYMBOLS) + 1j * rng.normal(size=lat.T_SYMBOLS)) * np.sqrt(
             pw.Pp / 2.0
         )
@@ -548,7 +548,7 @@ def _reference_codeword_error_sim(sc):
             hs = complex(effective_interference_gain(r, sc.alpha1, pw))
             filters = lat.build_filters(r, params, pw, s_power=filter_s_power)
             msg = int(rng.integers(pair.codebook_size))
-            dither = lat.sample_dither(pair, rng)
+            dither = sample_dither(pair, rng)
             if interference_on:
                 s_frame = _interference_frame(rng, sc.p_p)
             else:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lagpc import channel, design_fast, montecarlo
+from lagpc import channel, design_fast, design_slow, montecarlo
 from lagpc.channel import ChannelStats, DesignParams, PowerConfig
 from lagpc.design_fast import InfeasibleDesignError
 from lagpc.montecarlo import (
@@ -208,6 +208,22 @@ def test_brute_force_alpha2_validates():
         brute_force_alpha2(r, STATS, 0.5, PW, objective="best")
     with pytest.raises(ValueError):
         brute_force_alpha2(r, STATS, 0.5, PW, objective="outage")  # r_cr missing
+    # the 1x1 and 2x2 grids hold no point inside the disc
+    for grid_n in (1, 2):
+        for objective, r_cr in (("ergodic", None), ("outage", 1.0)):
+            with pytest.raises(ValueError, match="grid_n"):
+                brute_force_alpha2(r[:2000], STATS, 0.5, PW, objective, r_cr=r_cr, grid_n=grid_n)
+    assert np.isfinite(brute_force_alpha2(r[:2000], STATS, 0.5, PW, grid_n=3))
+
+
+def test_scheme_params_pick_each_design_point():
+    naive = channel.naive_alpha2(STATS, PARAMS.alpha1, PW)
+    want = {"la_gpc": PARAMS.alpha2, "naive_dpc": naive, "interference_as_noise": 0.0, "full_csit": 0.0}
+    assert set(want) == set(montecarlo.CR_SCHEMES)
+    for which, alpha2 in want.items():
+        assert montecarlo.scheme_params(which, STATS, PARAMS, PW) == DesignParams(PARAMS.alpha1, alpha2)
+    with pytest.raises(ValueError):
+        montecarlo.scheme_params("full_search", STATS, PARAMS, PW)
 
 
 def test_batched_searches_match_the_scalar_oracles():
@@ -276,6 +292,25 @@ def test_figure_sweep_outage_structure():
         assert 0.0 <= r.value <= 1.0
     # a mean-channel precoder cannot beat the outage-designed one by much
     assert schemes["la_gpc"].value <= schemes["naive_dpc"].value + 0.02
+
+
+def test_figure_sweeps_match_the_public_estimators():
+    """Every CR_SCHEMES row of figures 3 and 5 is the public estimator of that
+    scheme at the same n, seed and design, to the bit."""
+    for k_db, seed in ((0.0, 3), (10.0, 4)):
+        stats = ChannelStats.from_k_factor(k_db)
+        target = design_fast.primary_target_ergodic(stats, PW)
+        fast = design_fast.solve_alpha1_fast(stats, PW, target).params
+        r_p, p_out, r_cr = montecarlo.SLOW_TARGETS[k_db]
+        slow = design_slow.design(stats, PW, r_p, p_out, r_cr).params
+        rows = figure_sweep(3, PW, (k_db,), n_ergodic=3000, seed=seed, bf_grid_n=5, bf_mc_n=2000)
+        rows += figure_sweep(5, PW, (k_db,), n_outage=4000, seed=seed, bf_grid_n=5, bf_mc_n=2000)
+        got = {(r.metric, r.scheme): (r.value, r.std_error) for r in rows}
+        for scheme in montecarlo.CR_SCHEMES:
+            erg = ergodic_capacity(stats, fast, PW, 3000, seed, which=scheme, workers=1)
+            out = outage_probability(stats, slow, PW, r_cr, scheme, 4000, seed, workers=1)
+            assert got["cr_ergodic_rate", scheme] == (erg.value, erg.std_error)
+            assert got["cr_outage", scheme] == (out.value, out.std_error)
 
 
 def test_figure_sweep_draws_one_block_per_k(monkeypatch):

@@ -8,11 +8,16 @@ from lagpc.quadform import (
     DomainError,
     GaussianVectorSpec,
     chi2_params,
-    qf_covariance,
     qf_mean,
     qf_variance,
     ratio_moments,
 )
+
+
+def qf_covariance(g, A, B):
+    """cov(H^H A H, H^H B H) for Hermitian A, B (stacks broadcast together)."""
+    check = quadform._check_hermitian
+    return quadform._value(quadform._covariance(g, check(A), check(B)))
 
 
 def _random_instance(rng, n=2, psd=False):
