@@ -154,9 +154,9 @@ def sample_realizations(
     # filled in place, piece by piece, so the temporaries stay one piece long
     for lo in range(0, n, _DRAW_PIECE):
         u = gen.random((min(_DRAW_PIECE, n - lo), 8))
-        z = ndtri(np.maximum(u, 2.0 ** -53))  # guard ndtri(0) = -inf
+        ndtri(np.maximum(u, 2.0 ** -53, out=u), out=u)  # normals in place; guard ndtri(0) = -inf
         piece = h[lo : lo + len(u)]
-        np.multiply(sd, z[:, 0::2] + 1j * z[:, 1::2], out=piece)
+        np.multiply(sd, u.view(complex), out=piece)
         piece += mu
     return ChannelRealization(h[:, 0], h[:, 1], h[:, 2], h[:, 3])
 

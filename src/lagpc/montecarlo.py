@@ -190,13 +190,15 @@ def outage_probability(
     return _drawn_estimate(stats, params, pw, which, r_target, n, seed, workers)
 
 
-def _alpha1_scan(r: channel.ChannelRealization, pw: PowerConfig, grid_n: int):
-    """(alpha1, signal, interference plus noise) of the primary link at each
-    grid alpha1, smallest first."""
-    # primary_rate as a function of alpha1 decomposes into three fixed forms
+def _alpha1_forms(r: channel.ChannelRealization, pw: PowerConfig):
+    """(a, b, c): the primary signal power is a + b amp + c amp^2 at amp = sqrt(alpha1 Pc)."""
     a = np.abs(r.h11) ** 2 * pw.Pp
-    b = 2.0 * np.real(np.conj(r.h11) * r.h12) * np.sqrt(pw.Pp)
-    c = np.abs(r.h12) ** 2
+    return a, 2.0 * np.real(np.conj(r.h11) * r.h12) * np.sqrt(pw.Pp), np.abs(r.h12) ** 2
+
+
+def _alpha1_scan(forms, pw: PowerConfig, grid_n: int):
+    """(alpha1, signal, interference plus noise) of the primary link at each grid alpha1, smallest first."""
+    a, b, c = forms
     for a1 in np.linspace(0.0, 1.0, grid_n):
         amp = np.sqrt(a1 * pw.Pc)
         yield float(a1), a + b * amp + c * amp ** 2, c * (1.0 - a1) * pw.Pc + pw.noise_p
@@ -208,20 +210,56 @@ def brute_force_alpha1_fast(
     """Smallest grid alpha1 whose MC primary ergodic rate over r meets the target."""
     if grid_n < 50:
         raise ValueError("grid_n too coarse")
-    for a1, sig, den in _alpha1_scan(r, pw, grid_n):
+    for a1, sig, den in _alpha1_scan(_alpha1_forms(r, pw), pw, grid_n):
         if float(np.mean(np.log2(1.0 + sig / den))) >= r_target:
             return a1
     raise InfeasibleDesignError("no grid alpha1 meets the ergodic target")
+
+
+def _outage_counts(r: channel.ChannelRealization, pw: PowerConfig, r_p: float, grid_n: int):
+    """Primary outages over r at each grid alpha1, exactly as the scan's 1 + sig/den < T counts them.
+
+    A sample is out where q(amp) = cT amp^2 + b amp + a - t(c Pc + noise_p) < 0 (t = T - 1), on an
+    open interval (lo, hi) of amp.  The scan and q round by under 20u S (u = 2^-53, S the term bound
+    in eps), so only |q| <= eps sways the scan.  Off tangency those amps lie within 2 eps / sqrt(disc
+    - e_d) of a root (e_d bounds the disc's rounding), and the computed roots are off by under
+    rho |root|, rho = e_d / (disc - e_d) + 4u.  Samples with a grid amp inside that guard or near
+    tangency (h12 = 0 gives disc = 0) are rescored with the scan's own expression.
+    """
+    a, b, c = forms = _alpha1_forms(r, pw)
+    amps = np.sqrt(np.linspace(0.0, 1.0, grid_n) * pw.Pc)
+    u, big_t, t = 2.0 ** -53, 2.0 ** r_p, 2.0 ** r_p - 1.0
+    qa, qc = c * big_t, a - t * (c * pw.Pc + pw.noise_p)
+    eps = 64.0 * u * (a + np.abs(b) * amps[-1] + (1.0 + abs(t)) * (2.0 * c * pw.Pc + pw.noise_p))
+    e_d = 4.0 * u * (b * b + 4.0 * np.abs(qa * qc))
+    disc = b * b - 4.0 * qa * qc
+    redo = np.abs(disc) <= 8.0 * (e_d + qa * eps)
+    disc[redo | (disc < 0.0)] = np.nan  # no interval to count: nan sorts past every amp
+    w = -0.5 * (b + np.copysign(np.sqrt(disc), b))
+    ends = np.array([np.minimum(w / qa, qc / w), np.maximum(w / qa, qc / w)])  # (lo, hi)
+    del w, qa, qc  # three n-long arrays fewer at the peak below
+    guard = 2.0 * (e_d / (disc - e_d) + 4.0 * u) * np.abs(ends) + 2.0 * eps / np.sqrt(disc - e_d)
+    srt = np.sort(ends, axis=1)
+    counts = np.searchsorted(srt[0], amps) - np.searchsorted(srt[1], amps, side="right")
+    reach = np.nanmax(guard, initial=0.0)  # an end inside its guard of an amp is within reach of it
+    near = [e[np.searchsorted(e, x - reach) : np.searchsorted(e, x + reach, "right")]
+            for e in srt for x in amps]
+    redo |= np.isin(ends, np.concatenate(near)).any(axis=0)
+    counts -= np.sum((ends[0, redo, None] < amps) & (amps < ends[1, redo, None]), axis=0)
+    again = _alpha1_scan(tuple(f[redo] for f in forms), pw, grid_n)
+    return counts + [np.count_nonzero(1.0 + sig / den < big_t) for _, sig, den in again]
 
 
 def brute_force_alpha1_outage(
     r: channel.ChannelRealization, pw: PowerConfig, r_p: float, p_out: float, grid_n: int = 201
 ) -> float:
     """Smallest grid alpha1 whose MC primary outage over r is within the budget."""
-    for a1, sig, den in _alpha1_scan(r, pw, grid_n):
-        if float(np.mean(1.0 + sig / den < 2.0 ** r_p)) <= p_out:
-            return a1
-    raise InfeasibleDesignError("no grid alpha1 meets the outage target")
+    if grid_n < 2:
+        raise ValueError("grid_n too coarse")
+    fits = np.linspace(0.0, 1.0, grid_n)[_outage_counts(r, pw, r_p, grid_n) / len(r) <= p_out]
+    if len(fits) == 0:
+        raise InfeasibleDesignError("no grid alpha1 meets the outage target")
+    return float(fits[0])
 
 
 def _disc_scores(r, alpha1, pw, a2, r_cr=None) -> np.ndarray:

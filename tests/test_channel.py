@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
+from scipy.special import ndtri
 
 from lagpc import channel
 from lagpc.channel import (
@@ -78,6 +80,27 @@ def test_sample_realizations_pieces_tile_the_stream(monkeypatch):
     pieces = channel.sample_realizations(stats, 500, seed=9, start=40)
     for name in ("h11", "h12", "h21", "h22"):
         np.testing.assert_array_equal(getattr(pieces, name), getattr(whole, name))
+
+
+def _oracle_sample(stats, n, seed, start):
+    """The sampler before it ran ndtri and the complex view in place: one piece."""
+    bitgen = Philox(key=seed)
+    bitgen.advance(2 * start)
+    z = ndtri(np.maximum(Generator(bitgen).random((n, 8)), 2.0 ** -53))
+    sd = np.sqrt(np.array([stats.var11, stats.var12, stats.var21, stats.var22]) / 2.0)
+    mu = np.array([stats.mu11, stats.mu12, stats.mu21, stats.mu22])
+    h = sd * (z[:, 0::2] + 1j * z[:, 1::2])
+    h += mu
+    return h
+
+
+def test_sample_realizations_match_the_copying_sampler(monkeypatch):
+    """The in-place draws equal the copying expression to the bit, across pieces."""
+    stats = ChannelStats.from_k_factor(3.0)
+    monkeypatch.setattr(channel, "_DRAW_PIECE", 64)
+    r = channel.sample_realizations(stats, 300, seed=11, start=37)
+    got = np.stack([r.h11, r.h12, r.h21, r.h22], axis=1)
+    assert np.array_equal(got.view(np.uint64), _oracle_sample(stats, 300, 11, 37).view(np.uint64))
 
 
 def test_sample_realizations_deterministic_and_seed_sensitive():

@@ -386,6 +386,7 @@ _GOLDEN_CASES = {
     ),
     "asymptotic-check": ("asymptotic-check", [], {"modes": ["fast", "slow"], "k_db": [0, 20]}),
     "figure-2": ("reproduce-figure", ["2"], {"k_db": [5], "n_ergodic": 2000}),
+    "figure-4": ("reproduce-figure", ["4"], {"k_db": [10], "n_outage": 3000}),
     "figure-5": ("reproduce-figure", ["5"], {"k_db": [10], "n_outage": 3000, "bf_grid_n": 5, "bf_mc_n": 2000}),
     "figure-6": ("reproduce-figure", ["6", "--samples", "2000"], {}),
     "figure-7": ("reproduce-figure", ["7", "--seed", "3"], {"trials": 30, "n_outage": 5000}),

@@ -47,6 +47,19 @@ def _oracle_alpha1_outage(r, pw, r_p, p_out, grid_n):
     raise InfeasibleDesignError("no grid alpha1 meets the outage target")
 
 
+def _oracle_outage_counts(r, pw, r_p, grid_n):
+    """The per-grid-point outage scan the interval counts replaced."""
+    a = np.abs(r.h11) ** 2 * pw.Pp
+    b = 2.0 * np.real(np.conj(r.h11) * r.h12) * np.sqrt(pw.Pp)
+    c = np.abs(r.h12) ** 2
+    counts = []
+    for a1 in np.linspace(0.0, 1.0, grid_n):
+        amp = np.sqrt(a1 * pw.Pc)
+        sig = a + b * amp + c * amp ** 2
+        counts.append(int(np.count_nonzero(1.0 + sig / (c * (1.0 - a1) * pw.Pc + pw.noise_p) < 2.0 ** r_p)))
+    return counts
+
+
 def _oracle_alpha2(r, stats, alpha1, pw, objective, r_cr, grid_n):
     """The point-by-point disc search the batched one replaced: (best, scores)."""
     center = complex(design_fast.alpha2_fast(stats, alpha1, pw))
@@ -214,6 +227,90 @@ def test_brute_force_alpha2_validates():
             with pytest.raises(ValueError, match="grid_n"):
                 brute_force_alpha2(r[:2000], STATS, 0.5, PW, objective, r_cr=r_cr, grid_n=grid_n)
     assert np.isfinite(brute_force_alpha2(r[:2000], STATS, 0.5, PW, grid_n=3))
+
+
+def _outage_counts_match(r, r_p, p_out, grid_n=201):
+    """The interval counts equal the scan oracle's at every grid point, and
+    brute_force_alpha1_outage picks the oracle's smallest alpha1 (or none)."""
+    counts = montecarlo._outage_counts(r, PW, r_p, grid_n)
+    oracle = _oracle_outage_counts(r, PW, r_p, grid_n)
+    assert counts.tolist() == oracle
+    fits = [a1 for a1, count in zip(np.linspace(0.0, 1.0, grid_n), oracle) if count / len(r) <= p_out]
+    if fits:
+        assert brute_force_alpha1_outage(r, PW, r_p, p_out, grid_n) == fits[0]
+    else:
+        with pytest.raises(InfeasibleDesignError):
+            brute_force_alpha1_outage(r, PW, r_p, p_out, grid_n)
+
+
+def test_brute_force_alpha1_outage_validates():
+    r = channel.sample_realizations(STATS, 2000, 0)
+    for grid_n in (0, 1):
+        with pytest.raises(ValueError, match="grid_n"):
+            brute_force_alpha1_outage(r, PW, 2.0, 0.01, grid_n=grid_n)
+    _outage_counts_match(r, 2.0, 0.5, grid_n=2)  # the coarsest grid, alpha1 0 and 1
+    # no power split protects an 8 bit/s/Hz primary link at 10 dB
+    with pytest.raises(InfeasibleDesignError):
+        brute_force_alpha1_outage(r, PW, 8.0, 0.01)
+
+
+def test_outage_counts_match_the_scan_at_every_grid_point():
+    """The interval counts equal the per-grid-point scan's, and pick its alpha1."""
+    for k_db, (r_p, p_out, _) in montecarlo.SLOW_TARGETS.items():
+        stats = ChannelStats.from_k_factor(k_db)
+        for seed in range(6):
+            _outage_counts_match(channel.sample_realizations(stats, 10 ** 5, seed), r_p, p_out)
+    r_p, p_out, _ = montecarlo.SLOW_TARGETS[0.0]
+    _outage_counts_match(channel.sample_realizations(ChannelStats.from_k_factor(0.0), 10 ** 6, 0), r_p, p_out)
+
+
+def _scan_value(h11, h12, a1):
+    """1 + sig/den of the scan for one sample at one grid alpha1."""
+    a = abs(h11) ** 2 * PW.Pp
+    b = 2.0 * (np.conj(h11) * h12).real * np.sqrt(PW.Pp)
+    c = abs(h12) ** 2
+    amp = np.sqrt(a1 * PW.Pc)
+    return 1.0 + (a + b * amp + c * amp ** 2) / (c * (1.0 - a1) * PW.Pc + PW.noise_p)
+
+
+def test_outage_counts_on_constructed_edge_samples(monkeypatch):
+    """Samples whose outage interval ends exactly on a grid amp, samples at and
+    near tangency, and samples with h12 = 0 are counted as the scan counts them."""
+    r_p, grid_n = 2.0, 201
+    big_t, lin = 2.0 ** r_p, np.linspace(0.0, 1.0, grid_n)
+    # an end on grid amp 120: 1 + sig/den == 2^r_p there, in the scan's own arithmetic
+    a1 = lin[120]
+    den = (1.0 - a1) * PW.Pc + PW.noise_p
+    x0 = (np.sqrt((big_t - 1.0) * den) - np.sqrt(a1 * PW.Pc)) / np.sqrt(PW.Pp)
+    on_grid = x0 + np.arange(-40, 41) * np.spacing(x0) + 0j
+    assert sum(_scan_value(h, 1.0, a1) == big_t for h in on_grid) >= 1
+    # double roots at grid amps (disc = 0 with h12 = 1), nudged both ways in both parts
+    nudges = np.concatenate([[0.0], 2.0 ** -np.arange(20.0, 60.0), -(2.0 ** -np.arange(20.0, 60.0))])
+    tangent = []
+    for k in (5, 13, 43):
+        re = -big_t * np.sqrt(lin[k] * PW.Pc / PW.Pp)
+        im = np.sqrt((big_t - 1.0) * (PW.Pc + PW.noise_p) / PW.Pp + re * re * (1.0 / big_t - 1.0))
+        tangent += [re + 1j * im * (1.0 + nudges), re * (1.0 + nudges) + 1j * im]
+        assert any(_scan_value(h, 1.0, lin[k]) < big_t for h in tangent[-2])  # out at the touching amp
+    tangent = np.concatenate(tangent)
+    no_cross = np.array([0.1, 0.5, np.sqrt(0.3), 1.0, 2.0]) + 0j  # h12 = 0: outage iff |h11|^2 Pp < 3
+    edge = np.concatenate([on_grid, tangent, no_cross])
+    h12 = np.concatenate([np.ones(len(on_grid) + len(tangent)), np.zeros(len(no_cross))]) + 0j
+    rand = channel.sample_realizations(STATS, 5000, 1)
+    zeros = np.zeros(len(rand) + len(edge))
+    h11, h12 = np.concatenate([rand.h11, edge]), np.concatenate([rand.h12, h12])
+    r = channel.ChannelRealization(h11, h12, zeros, zeros)
+    rescored = []
+    scan = montecarlo._alpha1_scan
+
+    def spy(forms, pw, grid_n):
+        rescored.append(len(forms[0]))
+        return scan(forms, pw, grid_n)
+
+    monkeypatch.setattr(montecarlo, "_alpha1_scan", spy)
+    for p_out in (0.05, 0.2, 0.5):
+        _outage_counts_match(r, r_p, p_out)
+    assert min(rescored) >= len(no_cross) + 1  # the h12 = 0 samples and the tangent one at least
 
 
 def test_scheme_params_pick_each_design_point():
