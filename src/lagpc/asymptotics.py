@@ -90,16 +90,15 @@ def convergence_sweep(
             a2_fast.append(res.alpha2)
         if "slow" in modes:
             try:
-                st1 = design_slow.solve_alpha1_slow(stats, pw, r_p, slow_p_out)
+                a1, _ = design_slow.solve_alpha1_slow(stats, pw, r_p, slow_p_out)
             except InfeasibleDesignError:
                 # deep fades cannot support the deterministic-channel rate
                 # at this outage level; the limit is approached from the
                 # feasible side of the grid only
                 continue
-            st2 = design_slow.solve_alpha2_slow(stats, st1.alpha1, pw, slow_r_cr)
             slow_ks.append(k_db)
-            a1_slow.append(st1.alpha1)
-            a2_slow.append(st2.alpha2)
+            a1_slow.append(a1)
+            a2_slow.append(design_slow.solve_alpha2_slow(stats, a1, pw, slow_r_cr)[0])
     dev = {}
     if a1_fast:
         dev["alpha1_fast"] = tuple(abs(a - a1_lim) for a in a1_fast)

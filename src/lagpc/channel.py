@@ -86,9 +86,14 @@ class DesignParams:
     alpha2: complex
 
     def __post_init__(self):
-        a1 = np.asarray(self.alpha1)
-        if not np.all((0.0 <= a1) & (a1 <= 1.0)):
-            raise ValueError(f"alpha1 = {self.alpha1} outside [0, 1]")
+        _check_alpha1(self.alpha1)
+
+
+def _check_alpha1(alpha1):
+    """ValueError unless every alpha1 (a float or an array) lies in [0, 1]."""
+    a1 = np.asarray(alpha1)
+    if not ((0.0 <= a1) & (a1 <= 1.0)).all():
+        raise ValueError(f"alpha1 = {alpha1} outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -107,28 +112,6 @@ class ChannelRealization:
         return ChannelRealization(
             self.h11[idx], self.h12[idx], self.h21[idx], self.h22[idx]
         )
-
-
-@dataclass(frozen=True)
-class QuadMatrices:
-    """2x2 forms of both rate formulas in the stacked gain vector.
-
-    For gains g = (g_direct, g_cross) at either receiver, the coherent part
-    of the received power is g^H P g and the self-interference part is
-    g^H Q g.  D is the rank-one form whose value completes the determinant of
-    the (U, Ys) covariance, and E combines them for the outage surrogate at a
-    target rate.  c0 = var(U).  On a grid of design points the forms are
-    stacks [..., 2, 2] (P, Q and S over the alpha1 axes only) and c0, d are
-    arrays.
-    """
-
-    P: np.ndarray
-    Q: np.ndarray
-    S: np.ndarray
-    D: np.ndarray
-    E: np.ndarray | None
-    c0: float
-    d: float | None
 
 
 def sample_realizations(
@@ -204,28 +187,34 @@ def _outer(x, y):
     return v[..., :, None] * v[..., None, :].conj()
 
 
-def build_matrices(
-    p: DesignParams, pw: PowerConfig, r_cr_target: float | None = None
-) -> QuadMatrices:
-    """Assemble the 2x2 forms of both rates for the given design point.
+def build_matrices(alpha1, pw: PowerConfig):
+    """(P, Q): the primary forms both designs read, in the gains g = (direct, cross).
 
-    Array-valued ``p.alpha1`` and/or ``p.alpha2`` broadcast to a grid of design
-    points; the forms are then stacks [..., 2, 2] over the grid.
+    g^H P g is the coherent part of the received power and g^H Q g the
+    self-interference part.  An array of alpha1 gives stacks [..., 2, 2].
     """
-    sigma2 = (1.0 - p.alpha1) * pw.Pc
-    P = _outer(np.sqrt(pw.Pp), np.sqrt(p.alpha1 * pw.Pc))
+    _check_alpha1(alpha1)
+    P = _outer(np.sqrt(pw.Pp), np.sqrt(alpha1 * pw.Pc))
     Q = np.zeros_like(P)
-    Q[..., 1, 1] = sigma2
-    S = P + Q
+    Q[..., 1, 1] = (1.0 - alpha1) * pw.Pc
+    return P, Q
+
+
+def cr_outage_form(p: DesignParams, pw: PowerConfig, r_cr: float):
+    """(E, threshold): cr_rate < r_cr exactly when g^H E g < threshold, g = (h21, h22).
+
+    With c0 = var(U) and d = 2^r_cr / sigma2, E = (1 - c0 d) S + d D, where
+    S = P + Q and the rank-one D completes the determinant of the (U, Ys)
+    covariance.  Array-valued p.alpha1 and/or p.alpha2 broadcast to a grid of
+    design points: E is then a stack [..., 2, 2] and the threshold an array.
+    """
+    P, Q = build_matrices(p.alpha1, pw)
+    sigma2 = (1.0 - p.alpha1) * pw.Pc
     c0 = sigma2 + abs(p.alpha2) ** 2 * pw.Pp
     D = _outer(p.alpha2 * pw.Pp, sigma2 + p.alpha2 * np.sqrt(p.alpha1 * pw.Pc * pw.Pp))
-    E = None
-    d = None
-    if r_cr_target is not None:
-        d = 2.0 ** r_cr_target / sigma2
-        scale = np.asarray(1.0 - c0 * d)[..., None, None]
-        E = scale * S + np.asarray(d)[..., None, None] * D
-    return QuadMatrices(P=P, Q=Q, S=S, D=D, E=E, c0=c0, d=d)
+    d = 2.0 ** r_cr / sigma2
+    E = np.asarray(1.0 - c0 * d)[..., None, None] * (P + Q) + np.asarray(d)[..., None, None] * D
+    return E, (c0 * d - 1.0) * pw.noise_s
 
 
 def naive_alpha2(stats: ChannelStats, alpha1: float, pw: PowerConfig) -> float:

@@ -233,10 +233,7 @@ def _cmd_design_fast(cfg) -> ResultTable:
     pw = _power_config(cfg)
     rows = []
     for k in cfg["k_db"]:
-        stats = ChannelStats.from_k_factor(k)
-        # r_target, when given, is positive
-        target = cfg["r_target"] or design_fast.primary_target_ergodic(stats, pw)
-        res = design_fast.solve_alpha1_fast(stats, pw, target)
+        res = design_fast.solve_alpha1_fast(ChannelStats.from_k_factor(k), pw, cfg["r_target"])
         for metric, value in (("design_residual", res.residual), ("primary_rate_target", res.r_target)):
             rows.append(_row(k, "la_gpc", metric, value, 0.0, res.alpha1, res.alpha2, cfg["seed"]))
     return ResultTable("K_dB", rows)
@@ -292,8 +289,7 @@ def _cmd_simulate(cfg) -> ResultTable:
         elif outage:
             params = design_slow.design(stats, pw, cfg["r_p"], cfg["p_out_p"], cfg["r_target"]).params
         else:
-            target = design_fast.primary_target_ergodic(stats, pw)
-            params = design_fast.solve_alpha1_fast(stats, pw, target).params
+            params = design_fast.solve_alpha1_fast(stats, pw).params
         for which in schemes:
             if outage:
                 threshold = cfg["r_p"] if which == "primary" and cfg["r_p"] is not None else cfg["r_target"]
@@ -367,17 +363,9 @@ def _cmd_reproduce_figure(cfg) -> ResultTable:
         )
         return ResultTable("K_dB", [_row(*astuple(r)) for r in recs])
     if fig == 6:
-        # transmit histogram at the fast design for K = 10 dB; the filters come
-        # from the mean channel, which only fixes the precoding rotation
-        stats = ChannelStats.from_k_factor(10.0)
-        target = design_fast.primary_target_ergodic(stats, pw)
-        res = design_fast.solve_alpha1_fast(stats, pw, target)
-        pair = lattice.build_nested(2)
-        mean_r = channel.ChannelRealization(
-            *(np.array([m]) for m in (stats.mu11, stats.mu12, stats.mu21, stats.mu22))
-        )
-        filters = lattice.build_filters(mean_r, res.params, pw)
-        x = lattice.transmit_samples(pair, filters, res.alpha1, pw, cfg["n_frames"], seed)
+        # transmit histogram at the fast design for K = 10 dB
+        res = design_fast.solve_alpha1_fast(ChannelStats.from_k_factor(10.0), pw)
+        x = lattice.transmit_samples(lattice.build_nested(2), res.params, pw, cfg["n_frames"], seed)
         x = (x - x.mean()) / x.std()
         dens, edges = np.histogram(x, bins=81, range=(-4.05, 4.05), density=True)
         points = [(0.0, "tx_skew", np.mean(x ** 3)), (0.0, "tx_excess_kurtosis", np.mean(x ** 4) - 3.0)]

@@ -173,10 +173,11 @@ def primary_rate_surrogate(stats: ChannelStats, alpha1, pw: PowerConfig):
     gives an array of rates.
     """
     g = primary_links(stats)
-    m = build_matrices(DesignParams(alpha1, 0.0), pw)
-    mu1 = quadform.qf_mean(g, m.S) / pw.noise_p
-    var1 = quadform.qf_variance(g, m.S) / pw.noise_p ** 2
-    mu2 = quadform.qf_mean(g, m.Q) / pw.noise_p
+    P, Q = build_matrices(alpha1, pw)
+    S = P + Q
+    mu1 = quadform.qf_mean(g, S) / pw.noise_p
+    var1 = quadform.qf_variance(g, S) / pw.noise_p ** 2
+    mu2 = quadform.qf_mean(g, Q) / pw.noise_p
     rate = np.log2(1.0 + mu1) - 0.5 * LOG2E * var1 / (1.0 + mu1) ** 2 - np.log2(1.0 + mu2)
     return float(rate) if np.ndim(rate) == 0 else rate
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadform
-from .channel import ChannelStats, DesignParams, PowerConfig, build_matrices
+from .channel import ChannelStats, DesignParams, PowerConfig, build_matrices, cr_outage_form
 from .design_fast import InfeasibleDesignError, alpha1_root, alpha2_disc, cr_links, primary_links
 
 _SHARP_R = 2.0 / 9.0
@@ -24,16 +24,12 @@ _MIN_DELTA_FOR_SHARP = 2.0 / np.sqrt(3.0)
 @dataclass(frozen=True)
 class SlowDesignResult:
     alpha1: float
-    alpha2: complex | None
-    r_used: float | None
-    delta: float | None
-    objective_value: float | None
-    method: str | None
+    alpha2: complex
+    objective_value: float  # the surrogate outage at (alpha1, alpha2)
+    r_used: float  # the tail-bound constant alpha1 was designed with
 
     @property
     def params(self) -> DesignParams:
-        if self.alpha2 is None:
-            raise ValueError("alpha2 not designed yet")
         return DesignParams(self.alpha1, self.alpha2)
 
 
@@ -47,15 +43,14 @@ def ratio_stats(stats: ChannelStats, alpha1, pw: PowerConfig) -> quadform.RatioM
 
     An array of alpha1 gives moments of that shape.
     """
-    g = primary_links(stats)
-    m = build_matrices(DesignParams(alpha1, 0.0), pw)
-    return quadform.ratio_moments(g, m.P, m.Q, offset=pw.noise_p)
+    P, Q = build_matrices(alpha1, pw)
+    return quadform.ratio_moments(primary_links(stats), P, Q, offset=pw.noise_p)
 
 
 def solve_alpha1_slow(
     stats: ChannelStats, pw: PowerConfig, r_p: float, p_out: float
-) -> SlowDesignResult:
-    """Smallest alpha1 whose tail bound keeps primary outage under p_out."""
+) -> tuple[float, float]:
+    """(smallest alpha1 whose tail bound keeps primary outage under p_out, the bound's r)."""
     if not 0.0 < p_out < 1.0:
         raise ValueError("p_out must lie in (0, 1)")
     if r_p <= 0:
@@ -66,15 +61,12 @@ def solve_alpha1_slow(
     r = select_r(k_db, delta_sharp)
     if r / p_out <= 1.0:
         raise InfeasibleDesignError("outage target too loose for the bound (r/P_out <= 1)")
-    delta = float(np.sqrt(r / p_out - 1.0))
-    if r == _SHARP_R:
-        assert delta >= _MIN_DELTA_FOR_SHARP  # guarded by select_r
     rhs = 1.0 / (2.0 ** r_p - 1.0)
     root, _ = alpha1_root(
         lambda a1: rhs - quadform.cantelli_threshold(ratio_stats(stats, a1, pw), r, p_out),
         f"(R_P={r_p}, P_out={p_out}) unreachable even at alpha1 = 1",
     )
-    return SlowDesignResult(root, None, r, delta, None, None)
+    return root, r
 
 
 _OUTAGE = {"gamma": quadform.outage_gamma, "alzer": quadform.outage_alzer}
@@ -97,12 +89,11 @@ def outage_surrogate(
     """
     if method not in _OUTAGE:
         raise ValueError(f"unknown method {method!r}")
-    m = build_matrices(DesignParams(alpha1, alpha2), pw, r_cr_target=r_cr)
-    threshold = (m.c0 * m.d - 1.0) * pw.noise_s
+    E, threshold = cr_outage_form(DesignParams(alpha1, alpha2), pw, r_cr)
     shape = np.shape(threshold)
     threshold = np.reshape(threshold, -1)
     # always a stack, so an undefined match reads NaN instead of raising
-    c2 = quadform.chi2_params(cr_links(stats), m.E.reshape(-1, 2, 2))
+    c2 = quadform.chi2_params(cr_links(stats), E.reshape(-1, 2, 2))
     tail = np.where(np.isnan(c2.w), 1.0, _OUTAGE[method](c2, threshold))
     p = np.where(threshold <= 0, 0.0, tail).reshape(shape)
     return float(p) if p.ndim == 0 else p
@@ -115,8 +106,8 @@ def solve_alpha2_slow(
     r_cr: float,
     method: str = "gamma",
     grid_n: int = 41,
-) -> SlowDesignResult:
-    """Minimize the outage surrogate over complex alpha2.
+) -> tuple[complex, float]:
+    """(alpha2, its surrogate outage): the surrogate minimized over complex alpha2.
 
     Coarse grid over a disc centered on the fast-fading closed form (the
     high-K optimum lands there), evaluated in one call, then coordinate
@@ -148,7 +139,7 @@ def solve_alpha2_slow(
                 moved = True
         if not moved:
             step /= 2.0
-    return SlowDesignResult(alpha1, complex(best), None, None, float(best_val), method)
+    return complex(best), float(best_val)
 
 
 def design(
@@ -160,8 +151,6 @@ def design(
     method: str = "gamma",
 ) -> SlowDesignResult:
     """Both stages: protect the primary, then minimize own outage."""
-    st1 = solve_alpha1_slow(stats, pw, r_p, p_out)
-    st2 = solve_alpha2_slow(stats, st1.alpha1, pw, r_cr, method=method)
-    return SlowDesignResult(
-        st1.alpha1, st2.alpha2, st1.r_used, st1.delta, st2.objective_value, method
-    )
+    alpha1, r = solve_alpha1_slow(stats, pw, r_p, p_out)
+    alpha2, outage = solve_alpha2_slow(stats, alpha1, pw, r_cr, method=method)
+    return SlowDesignResult(alpha1, alpha2, outage, r)

@@ -193,9 +193,10 @@ def _gain(c, frame) -> np.ndarray:
 class FilterSet:
     """Precoder, receiver gain and error variance of one realization or a stack.
 
-    precoder = alpha2 / sqrt(sigma2) scales the interference frame that the
-    encoder subtracts; z is the MMSE gain on the received frame; error_var is
-    the per-dimension variance of the effective error z*y + d - codeword.
+    precoder is the encoder's gain on the interference frame, which depends on
+    the design point alone (_precoder); z is the MMSE gain on the received
+    frame; error_var is the per-dimension variance of the effective error
+    z*y + d - codeword.
     z and error_var have the realization's shape, length-1 axes dropped.
     regularized is always False: error_var is a sum of nonnegative terms, one
     of which is positive (noise_s |z|^2 when z != 0, and 1/2 when z = 0), so
@@ -206,6 +207,13 @@ class FilterSet:
     z: complex | np.ndarray
     error_var: float | np.ndarray
     regularized: bool = False
+
+
+def _precoder(params: DesignParams, pw: PowerConfig) -> complex:
+    """alpha2 / sqrt(sigma2), the gain on the interference frame that the encoder subtracts."""
+    if params.alpha1 >= 1.0:
+        raise ValueError("no lattice signal at alpha1 = 1")
+    return complex(params.alpha2) / np.sqrt((1.0 - params.alpha1) * pw.Pc)
 
 
 def build_filters(
@@ -221,14 +229,12 @@ def build_filters(
     stack.  s_power overrides the interference power seen by the filter
     design (0 builds the interference-free baseline).
     """
-    if params.alpha1 >= 1.0:
-        raise ValueError("no lattice signal at alpha1 = 1")
+    pre = _precoder(params, pw)
     sigma2 = (1.0 - params.alpha1) * pw.Pc
     root = np.sqrt(sigma2)
     h22 = np.asarray(r.h22)
     hs = np.asarray(channel.effective_interference_gain(r, params.alpha1, pw))
     s_pow = pw.Pp if s_power is None else float(s_power)
-    pre = complex(params.alpha2) / root
     z = (root * np.conj(h22) + pre * s_pow * np.conj(hs)) / (
         sigma2 * np.abs(h22) ** 2 + s_pow * np.abs(hs) ** 2 + pw.noise_s
     )
@@ -243,14 +249,13 @@ def encode(
     s_frame: np.ndarray,
     dither: np.ndarray,
     pair: NestedPair,
-    filters: FilterSet,
-    alpha1: float,
-    p_c: float,
+    params: DesignParams,
+    pw: PowerConfig,
 ) -> np.ndarray:
-    """Dithered mod-coarse transmit frames (..., 8) for messages (...,)."""
+    """Dithered mod-coarse transmit frames (..., 8) for messages (...,) at the design point params."""
     c_c = codeword(pair, message_index)
-    v = mod_lambda(c_c - _gain(filters.precoder, s_frame) - dither, pair.coarse)
-    return np.sqrt((1.0 - alpha1) * p_c) * v
+    v = mod_lambda(c_c - _gain(_precoder(params, pw), s_frame) - dither, pair.coarse)
+    return np.sqrt((1.0 - params.alpha1) * pw.Pc) * v
 
 
 def decode(y: np.ndarray, filters: FilterSet, dither: np.ndarray, pair: NestedPair):
@@ -265,13 +270,12 @@ def decode(y: np.ndarray, filters: FilterSet, dither: np.ndarray, pair: NestedPa
 
 def transmit_samples(
     pair: NestedPair,
-    filters: FilterSet,
-    alpha1: float,
+    params: DesignParams,
     pw: PowerConfig,
     n_frames: int = 20000,
     seed: int = 0,
 ) -> np.ndarray:
-    """Per-coordinate samples of the complete on-air transmit signal.
+    """Per-coordinate samples of the complete on-air transmit signal at the design point params.
 
     Each frame is an encoded random message (dithered mod-coarse part) plus
     the relayed share of the primary stream.  The codeword part alone is
@@ -288,8 +292,8 @@ def transmit_samples(
         rng.random(out=u[i])
         rng.standard_normal(out=g[i])
     s_frame = ((g[:, :T_SYMBOLS] + 1j * g[:, T_SYMBOLS:]) * np.sqrt(pw.Pp / 2.0)).view(float)
-    x = encode(msgs, s_frame, _fold_dither(pair, u), pair, filters, alpha1, pw.Pc)
-    relay = np.sqrt(alpha1 * pw.Pc / pw.Pp)
+    x = encode(msgs, s_frame, _fold_dither(pair, u), pair, params, pw)
+    relay = np.sqrt(params.alpha1 * pw.Pc / pw.Pp)
     return (x + relay * s_frame).ravel()
 
 
@@ -324,7 +328,7 @@ def _design_alpha2(scheme, stats, alpha1, pw, rate):
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     if scheme == "la_gpc":
-        return complex(design_slow.solve_alpha2_slow(stats, alpha1, pw, rate).alpha2)
+        return design_slow.solve_alpha2_slow(stats, alpha1, pw, rate)[0]
     return 0j
 
 
@@ -386,7 +390,7 @@ def codeword_error_sim(
         else:
             s_frame = np.zeros((n, N_DIM))
         dither = _fold_dither(pair, u)
-        x = encode(msgs, s_frame, dither, pair, filters, scenario.alpha1, p_c)
+        x = encode(msgs, s_frame, dither, pair, params, pw)
         y = _gain(r.h22, x) + _gain(hs, s_frame) + w[:, -N_DIM:] * np.sqrt(scenario.noise / 2.0)
         p_err = np.count_nonzero(decode(y, filters, dither, pair) != msgs) / n
         ci = 1.96 * np.sqrt(max(p_err * (1.0 - p_err), 1e-12) / n)

@@ -180,13 +180,12 @@ def outage_probability(
     params: DesignParams,
     pw: PowerConfig,
     r_target: float,
-    which_user: str = "cr",
+    which: str = "la_gpc",
     n: int = 10 ** 6,
     seed: int = 0,
     workers: int | None = None,
 ) -> McEstimate:
     """Empirical P(rate < r_target) with binomial standard error."""
-    which = "la_gpc" if which_user == "cr" else which_user
     return _drawn_estimate(stats, params, pw, which, r_target, n, seed, workers)
 
 
@@ -303,11 +302,10 @@ def brute_force_alpha2(
     stats: ChannelStats,
     alpha1: float,
     pw: PowerConfig,
-    objective: str = "ergodic",
     r_cr: float | None = None,
     grid_n: int = 61,
 ) -> complex:
-    """Grid search of alpha2: max MC ergodic rate or min MC outage over r.
+    """Grid search of alpha2: max MC ergodic rate over r, or with r_cr min MC outage.
 
     The disc is centred on the fast statistical design with radius twice its
     modulus, as in the designs (design_fast.alpha2_disc), so the two are
@@ -315,12 +313,8 @@ def brute_force_alpha2(
     """
     if grid_n < 3:
         raise ValueError("grid_n too coarse: no grid point inside the disc")
-    if objective not in ("ergodic", "outage"):
-        raise ValueError("objective must be 'ergodic' or 'outage'")
-    if objective == "outage" and r_cr is None:
-        raise ValueError("outage objective needs r_cr")
     a2 = design_fast.alpha2_disc(stats, alpha1, pw, grid_n)[1]
-    scores = _disc_scores(r, alpha1, pw, a2, r_cr if objective == "outage" else None)
+    scores = _disc_scores(r, alpha1, pw, a2, r_cr)
     return complex(a2[np.nanargmax(scores)])
 
 
@@ -337,7 +331,6 @@ def figure_sweep(
     seed: int = 0,
     bf_grid_n: int = 61,
     bf_mc_n: int = 3 * 10 ** 4,
-    slow_targets=None,
 ) -> list[SweepRecord]:
     """All curves of one comparison figure.
 
@@ -348,8 +341,6 @@ def figure_sweep(
     """
     if pw is None:
         pw = PowerConfig(10.0, 10.0)
-    if slow_targets is None:
-        slow_targets = SLOW_TARGETS
     if figure_id not in _METRICS:
         raise ValueError(f"unknown figure {figure_id}")
     metric = _METRICS[figure_id]
@@ -369,7 +360,7 @@ def figure_sweep(
             bf_a1 = brute_force_alpha1_fast(r, pw, reference)
             r_p = r_cr = None
         else:
-            r_p, reference, r_cr = slow_targets[k_db]
+            r_p, reference, r_cr = SLOW_TARGETS[k_db]
             des = design_slow.design(stats, pw, r_p, reference, r_cr)
             bf_a1 = brute_force_alpha1_outage(r, pw, r_p, reference)
 
@@ -388,9 +379,6 @@ def figure_sweep(
         for scheme in CR_SCHEMES if ergodic else _FIGURE5_ORDER:
             shown = des.params if ergodic else scheme_params(scheme, stats, des.params, pw)
             rows.append(record(scheme, scheme, des.params, r_cr, shown))
-        objective = "ergodic" if ergodic else "outage"
-        bf_a2 = brute_force_alpha2(
-            block[:bf_mc_n], stats, bf_a1, pw, objective, r_cr=r_cr, grid_n=bf_grid_n
-        )
+        bf_a2 = brute_force_alpha2(block[:bf_mc_n], stats, bf_a1, pw, r_cr, grid_n=bf_grid_n)
         rows.append(record("full_search", "la_gpc", DesignParams(bf_a1, bf_a2), r_cr))
     return rows

@@ -16,7 +16,7 @@ from lagpc.channel import (
     ChannelStats,
     DesignParams,
     PowerConfig,
-    build_matrices,
+    cr_outage_form,
     cr_rate,
     sample_realizations,
 )
@@ -87,7 +87,7 @@ def test_criterion_3_near_optimality_vs_grid_search():
         stats = ChannelStats.from_k_factor(k_db)
         fast = solve_alpha1_fast(stats, PW)
         best2 = montecarlo.brute_force_alpha2(
-            sample_realizations(stats, 3 * 10 ** 4, 5), stats, fast.alpha1, PW, objective="ergodic", grid_n=41
+            sample_realizations(stats, 3 * 10 ** 4, 5), stats, fast.alpha1, PW, grid_n=41
         )
         r = sample_realizations(stats, 10 ** 5, 17)
         r_design = float(np.mean(cr_rate(r, fast.params, PW)))
@@ -102,15 +102,14 @@ def test_criterion_3_near_optimality_vs_grid_search():
         r_p, p_out, r_cr = SLOW_PAIRS[k_db]
         res = slow_design(stats, PW, r_p, p_out, r_cr)
         best2 = montecarlo.brute_force_alpha2(
-            sample_realizations(stats, 3 * 10 ** 4, 5), stats, res.alpha1, PW, objective="outage",
-            r_cr=r_cr, grid_n=41,
+            sample_realizations(stats, 3 * 10 ** 4, 5), stats, res.alpha1, PW, r_cr, grid_n=41
         )
         kw = dict(n=2 * 10 ** 5, seed=11, workers=1)
         p_design = montecarlo.outage_probability(
-            stats, res.params, PW, r_cr, "cr", **kw
+            stats, res.params, PW, r_cr, "la_gpc", **kw
         ).value
         p_best = montecarlo.outage_probability(
-            stats, DesignParams(res.alpha1, best2), PW, r_cr, "cr", **kw
+            stats, DesignParams(res.alpha1, best2), PW, r_cr, "la_gpc", **kw
         ).value
         ok = abs(p_design - p_best) <= 0.02
         lines.append(
@@ -190,12 +189,11 @@ def test_criterion_5_quadform_oracles():
         stats = ChannelStats.from_k_factor(k_db)
         r_p, p_out, r_cr = SLOW_PAIRS[k_db]
         res = slow_design(stats, PW, r_p, p_out, r_cr)
-        m = build_matrices(res.params, PW, r_cr_target=r_cr)
-        thr = (m.c0 * m.d - 1.0) * PW.noise_s
-        c2 = quadform.chi2_params(cr_links(stats), m.E)
+        E, thr = cr_outage_form(res.params, PW, r_cr)
+        c2 = quadform.chi2_params(cr_links(stats), E)
         approx = quadform.outage_gamma(c2, thr)
         h = _draw(cr_links(stats), 10 ** 6, rng)
-        emp = float(np.mean(_form(h, m.E) < thr))
+        emp = float(np.mean(_form(h, E) < thr))
         gap = abs(approx - emp)
         lines.append(
             (gap <= 0.03, f"criterion 5 [chi2 CDF K={k_db:g}]: approx {approx:.4f} vs "
@@ -252,7 +250,8 @@ def test_criterion_8_lattice_codec():
     from numpy.random import Generator, Philox
 
     a2 = complex(np.ravel(full_csit_alpha2(mean_r, 0.0, PW))[0])
-    filters = lattice.build_filters(mean_r, DesignParams(0.0, a2), PW)
+    params = DesignParams(0.0, a2)
+    filters = lattice.build_filters(mean_r, params, PW)
     h22 = complex(np.ravel(mean_r.h22)[0])
     hs = complex(np.ravel(mean_r.h21)[0])
     rng = Generator(Philox(key=1))
@@ -262,7 +261,7 @@ def test_criterion_8_lattice_codec():
         s_c = (rng.normal(size=4) + 1j * rng.normal(size=4)) * np.sqrt(PW.Pp / 2.0)
         s = np.empty(8)
         s[0::2], s[1::2] = s_c.real, s_c.imag
-        x = lattice.encode(msg, s, d, pair, filters, 0.0, PW.Pc)
+        x = lattice.encode(msg, s, d, pair, params, PW)
         y = (h22 * x.view(complex) + hs * s.view(complex)).view(float)
         good += lattice.decode(y, filters, d, pair) == msg
     lines.append((good == 256, f"criterion 8 [noiseless]: {good}/256 messages recovered"))
@@ -270,8 +269,7 @@ def test_criterion_8_lattice_codec():
     # leg 2: the on-air signal is indistinguishable from Gaussian by third
     # and fourth moments at the designed operating point
     res = solve_alpha1_fast(stats, PW)
-    des_f = lattice.build_filters(mean_r, res.params, PW)
-    x = lattice.transmit_samples(pair, des_f, res.alpha1, PW, n_frames=20000, seed=6)
+    x = lattice.transmit_samples(pair, res.params, PW, n_frames=20000, seed=6)
     x = (x - x.mean()) / x.std()
     skew = float(np.mean(x ** 3))
     kurt = float(np.mean(x ** 4) - 3.0)

@@ -118,14 +118,19 @@ def _single(stats, seed):
 
 
 def _cr_rate_matrix_form(r, p, pw):
-    """Oracle: the rate from the quadratic forms in (h21, h22)."""
-    m = channel.build_matrices(p, pw)
-    h = np.stack([np.atleast_1d(r.h21), np.atleast_1d(r.h22)])
-    eps_s = np.real(np.einsum("ik,ij,jk->k", h.conj(), m.S, h))
-    eps_d = np.real(np.einsum("ik,ij,jk->k", h.conj(), m.D, h))
+    """Oracle: the rate from the quadratic forms in (h21, h22).  S = P + Q is
+    the received-power form; D = v v^H with v = (a2 Pp, sigma2 + a2 sqrt(a1 Pc Pp))
+    completes the (U, Ys) determinant, and c0 = var(U)."""
+    P, Q = channel.build_matrices(p.alpha1, pw)
     sigma2 = (1.0 - p.alpha1) * pw.Pc
+    v = np.array([p.alpha2 * pw.Pp, sigma2 + p.alpha2 * np.sqrt(p.alpha1 * pw.Pc * pw.Pp)])
+    D = np.outer(v, v.conj())
+    c0 = sigma2 + abs(p.alpha2) ** 2 * pw.Pp
+    h = np.stack([np.atleast_1d(r.h21), np.atleast_1d(r.h22)])
+    eps_s = np.real(np.einsum("ik,ij,jk->k", h.conj(), P + Q, h))
+    eps_d = np.real(np.einsum("ik,ij,jk->k", h.conj(), D, h))
     val = np.log2(
-        sigma2 * (eps_s + pw.noise_s) / (m.c0 * (eps_s + pw.noise_s) - eps_d)
+        sigma2 * (eps_s + pw.noise_s) / (c0 * (eps_s + pw.noise_s) - eps_d)
     )
     return val if np.ndim(r.h21) else float(val[0])
 
@@ -222,28 +227,42 @@ def test_effective_interference_gain():
 
 def test_outage_event_matches_quadratic_form():
     """R < target exactly when the E-form of the gains dips below the
-    matching threshold; this identity is what the slow design relies on."""
+    matching threshold; this identity is what the slow design relies on.
+    It holds at one design point and at every point of an alpha1 x alpha2 grid."""
     stats = ChannelStats.from_k_factor(6.0)
     r = channel.sample_realizations(stats, 4096, seed=11)
-    p = DesignParams(0.35, 0.8 + 0.2j)
-    target = 1.4
-    m = channel.build_matrices(p, PW, r_cr_target=target)
     h = np.stack([r.h21, r.h22])
-    quad = np.real(np.einsum("in,ij,jn->n", h.conj(), m.E, h))
-    thresh = (m.c0 * m.d - 1.0) * PW.noise_s
-    rates = channel.cr_rate(r, p, PW)
-    np.testing.assert_array_equal(rates < target, quad < thresh)
+    target = 1.4
+    p = DesignParams(0.35, 0.8 + 0.2j)
+    E, thresh = channel.cr_outage_form(p, PW, target)
+    quad = np.real(np.einsum("in,ij,jn->n", h.conj(), E, h))
+    np.testing.assert_array_equal(channel.cr_rate(r, p, PW) < target, quad < thresh)
+
+    a1 = np.array([[0.0], [0.35], [0.8]])
+    a2 = np.array([[0.0, 0.5, 0.8 + 0.2j, 1.2 - 0.4j, 2.0j]])
+    E, thresh = channel.cr_outage_form(DesignParams(a1, a2), PW, target)
+    assert E.shape == (3, 5, 2, 2) and thresh.shape == (3, 5)
+    for i, j in np.ndindex(thresh.shape):
+        rates = channel.cr_rate(r, DesignParams(a1[i, 0], a2[0, j]), PW)
+        quad = np.real(np.einsum("in,ij,jn->n", h.conj(), E[i, j], h))
+        np.testing.assert_array_equal(rates < target, quad < thresh[i, j])
 
 
 def test_build_matrices_shapes_and_rank():
-    p = DesignParams(0.5, 0.7 + 0.1j)
-    m = channel.build_matrices(p, PW, r_cr_target=1.0)
-    for mat in (m.P, m.Q, m.S, m.D, m.E):
+    P, Q = channel.build_matrices(0.5, PW)
+    E, thresh = channel.cr_outage_form(DesignParams(0.5, 0.7 + 0.1j), PW, 1.0)
+    for mat in (P, Q, E):
         assert mat.shape == (2, 2)
         np.testing.assert_allclose(mat, mat.conj().T, atol=1e-12)
-    assert np.linalg.matrix_rank(m.P) == 1
-    assert np.linalg.matrix_rank(m.D) == 1
-    assert m.c0 == pytest.approx((1 - 0.5) * PW.Pc + abs(p.alpha2) ** 2 * PW.Pp)
+    assert np.linalg.matrix_rank(P) == 1
+    assert np.linalg.matrix_rank(Q) == 1
+    assert np.ndim(thresh) == 0
+    grid = np.linspace(0.0, 1.0, 4)
+    P4, Q4 = channel.build_matrices(grid, PW)
+    assert P4.shape == Q4.shape == (4, 2, 2)
+    np.testing.assert_array_equal(P4[1], channel.build_matrices(grid[1], PW)[0])
+    with pytest.raises(ValueError):
+        channel.build_matrices(np.array([0.5, 1.01]), PW)
 
 
 def test_realization_indexing():

@@ -199,7 +199,7 @@ def test_alpha2_matches_grid_search():
     stats = ChannelStats.from_k_factor(10.0)
     res = solve_alpha1_fast(stats, PW)
     best = montecarlo.brute_force_alpha2(
-        sample_realizations(stats, 30000, 5), stats, res.alpha1, PW, objective="ergodic", grid_n=41
+        sample_realizations(stats, 30000, 5), stats, res.alpha1, PW, grid_n=41
     )
     r = sample_realizations(stats, 100000, 17)
     rate_design = float(np.mean(cr_rate(r, DesignParams(res.alpha1, res.alpha2), PW)))
@@ -242,3 +242,6 @@ def test_array_surrogate_matches_point_calls():
     assert rates.shape == grid.shape
     for a1, rate in zip(grid, rates):
         assert rate == pytest.approx(primary_rate_surrogate(stats, float(a1), PW), rel=1e-12)
+    for bad in (-0.1, 1.1, np.array([0.5, 1.1])):
+        with pytest.raises(ValueError, match="outside"):
+            primary_rate_surrogate(stats, bad, PW)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lagpc import montecarlo, quadform
-from lagpc.channel import ChannelStats, DesignParams, PowerConfig, build_matrices, sample_realizations
+from lagpc.channel import ChannelStats, DesignParams, PowerConfig, cr_outage_form, sample_realizations
 from lagpc.design_fast import InfeasibleDesignError, cr_links
 from lagpc.design_slow import (
     design,
@@ -43,13 +43,13 @@ def test_alpha1_slow_raises_on_an_undefined_prescan():
 def test_alpha1_slow_keeps_primary_outage_under_target():
     for k_db, r_p, p_out, _ in POINTS:
         stats = ChannelStats.from_k_factor(k_db)
-        st1 = solve_alpha1_slow(stats, PW, r_p, p_out)
+        alpha1, _ = solve_alpha1_slow(stats, PW, r_p, p_out)
         est = montecarlo.outage_probability(
             stats,
-            DesignParams(st1.alpha1, 0.0),
+            DesignParams(alpha1, 0.0),
             PW,
             r_p,
-            which_user="primary",
+            which="primary",
             n=200000,
             seed=2,
             workers=1,
@@ -59,21 +59,17 @@ def test_alpha1_slow_keeps_primary_outage_under_target():
 
 def test_alpha1_slow_is_tight_root():
     stats = ChannelStats.from_k_factor(10.0)
-    st1 = solve_alpha1_slow(stats, PW, 2.0, 0.01)
-    assert st1.r_used == pytest.approx(SHARP)
-    assert st1.delta == pytest.approx(np.sqrt(SHARP / 0.01 - 1.0))
-    rm = ratio_stats(stats, st1.alpha1, PW)
-    thr = quadform.cantelli_threshold(rm, st1.r_used, 0.01)
+    alpha1, r = solve_alpha1_slow(stats, PW, 2.0, 0.01)
+    assert r == pytest.approx(SHARP)
+    rm = ratio_stats(stats, alpha1, PW)
+    thr = quadform.cantelli_threshold(rm, r, 0.01)
     assert thr == pytest.approx(1.0 / (2.0 ** 2.0 - 1.0), abs=1e-8)
 
 
 def test_loose_target_needs_no_relaying():
-    st = solve_alpha1_slow(ChannelStats.from_k_factor(10.0), PW, 0.5, 0.4)
-    assert st.alpha1 == 0.0
-    assert st.alpha2 is None
-    assert st.r_used == 1.0  # p_out = 0.4 voids the 2/9 multiplier
-    with pytest.raises(ValueError):
-        st.params
+    alpha1, r = solve_alpha1_slow(ChannelStats.from_k_factor(10.0), PW, 0.5, 0.4)
+    assert alpha1 == 0.0
+    assert r == 1.0  # p_out = 0.4 voids the 2/9 multiplier
 
 
 def test_infeasible_pair_raises():
@@ -90,7 +86,7 @@ def _designed_outage(k_db, r_p, p_out, r_cr, n=200000, seed=1):
     stats = ChannelStats.from_k_factor(k_db)
     res = design(stats, PW, r_p, p_out, r_cr)
     est = montecarlo.outage_probability(
-        stats, res.params, PW, r_cr, which_user="cr", n=n, seed=seed, workers=1
+        stats, res.params, PW, r_cr, n=n, seed=seed, workers=1
     )
     return res, est.value
 
@@ -113,23 +109,22 @@ def test_surrogate_tracks_simulated_outage_rayleigh_like():
 def test_alpha2_slow_near_grid_search():
     k_db, r_p, p_out, r_cr = POINTS[2]
     stats = ChannelStats.from_k_factor(k_db)
-    st1 = solve_alpha1_slow(stats, PW, r_p, p_out)
-    st2 = solve_alpha2_slow(stats, st1.alpha1, PW, r_cr)
+    alpha1, _ = solve_alpha1_slow(stats, PW, r_p, p_out)
+    alpha2, _ = solve_alpha2_slow(stats, alpha1, PW, r_cr)
     best = montecarlo.brute_force_alpha2(
         sample_realizations(stats, 30000, 5),
         stats,
-        st1.alpha1,
+        alpha1,
         PW,
-        objective="outage",
         r_cr=r_cr,
         grid_n=41,
     )
     kw = dict(n=200000, seed=11, workers=1)
     p_design = montecarlo.outage_probability(
-        stats, DesignParams(st1.alpha1, st2.alpha2), PW, r_cr, which_user="cr", **kw
+        stats, DesignParams(alpha1, alpha2), PW, r_cr, **kw
     ).value
     p_best = montecarlo.outage_probability(
-        stats, DesignParams(st1.alpha1, best), PW, r_cr, which_user="cr", **kw
+        stats, DesignParams(alpha1, best), PW, r_cr, **kw
     ).value
     assert p_design <= p_best + 0.02
 
@@ -143,7 +138,6 @@ def test_known_design_points():
     r10 = design(ChannelStats.from_k_factor(10.0), PW, 2.0, 0.01, 1.0)
     assert r10.alpha1 == pytest.approx(0.6493958261002905, rel=1e-9)
     assert r10.alpha2 == pytest.approx(1.1401956518603162 + 0j, rel=1e-6)
-    assert r10.method == "gamma"
 
 
 def test_surrogate_edge_branches():
@@ -157,11 +151,11 @@ def test_surrogate_edge_branches():
 
 def test_alzer_method_lands_near_gamma():
     stats = ChannelStats.from_k_factor(10.0)
-    st1 = solve_alpha1_slow(stats, PW, 2.0, 0.01)
-    g = solve_alpha2_slow(stats, st1.alpha1, PW, 1.0)
-    a = solve_alpha2_slow(stats, st1.alpha1, PW, 1.0, method="alzer", grid_n=21)
-    assert a.method == "alzer"
-    assert abs(a.alpha2 - g.alpha2) < 0.1
+    alpha1, _ = solve_alpha1_slow(stats, PW, 2.0, 0.01)
+    g, _ = solve_alpha2_slow(stats, alpha1, PW, 1.0)
+    a, outage = solve_alpha2_slow(stats, alpha1, PW, 1.0, method="alzer", grid_n=21)
+    assert outage == pytest.approx(outage_surrogate(stats, alpha1, a, PW, 1.0, "alzer"), rel=1e-12)
+    assert abs(a - g) < 0.1
 
 
 def test_solve_alpha2_validates():
@@ -183,9 +177,9 @@ def test_array_surrogates_match_point_calls():
     a2 = np.array([0.0, 0.9, 1.2, 5.0, 1.5 + 0.5j, 0.3, 2.0, 50.0, 3.0])
     undefined = [3, 7]
     for i in undefined:  # these points take the fallback, not the tail
-        m = build_matrices(DesignParams(alpha1, a2[i]), PW, r_cr_target=r_cr)
+        E, _ = cr_outage_form(DesignParams(alpha1, a2[i]), PW, r_cr)
         with pytest.raises(quadform.DomainError):
-            quadform.chi2_params(cr_links(stats), m.E)
+            quadform.chi2_params(cr_links(stats), E)
     for method in ("gamma", "alzer"):
         got = outage_surrogate(stats, alpha1, a2, PW, r_cr, method)
         want = [outage_surrogate(stats, alpha1, complex(a), PW, r_cr, method) for a in a2]
@@ -208,3 +202,6 @@ def test_array_prescan_matches_point_calls():
         single = ratio_stats(stats, float(a1), PW)
         assert rm.mean[i] == pytest.approx(single.mean, rel=1e-12)
         assert rm.std[i] == pytest.approx(single.std, rel=1e-12)
+    for bad in (-0.1, 1.1, np.array([0.5, 1.1])):
+        with pytest.raises(ValueError, match="outside"):
+            ratio_stats(stats, bad, PW)

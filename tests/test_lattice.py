@@ -264,14 +264,13 @@ def test_dithered_transmit_power(pair2):
     """mod-coarse output holds the calibrated power for any fixed message."""
     rng = Generator(Philox(key=9))
     alpha1, p_c = 0.3, 10.0
-    r = _mean_realization()
-    filters = lat.build_filters(r, DesignParams(alpha1, 0.8 + 0.2j), PW)
+    params = DesignParams(alpha1, 0.8 + 0.2j)
     sq = 0.0
     n = 1200
     for _ in range(n):
         d = sample_dither(pair2, rng)
         s = _interference_frame(rng, PW.Pp)
-        x = lat.encode(7, s, d, pair2, filters, alpha1, p_c)
+        x = lat.encode(7, s, d, pair2, params, PowerConfig(p_c, PW.Pp))
         sq += float(np.mean(x ** 2))
     per_dim = sq / n
     assert per_dim == pytest.approx(0.5 * (1.0 - alpha1) * p_c, rel=0.05)
@@ -318,10 +317,8 @@ def test_codec_stacks_equal_row_calls(pair2):
     rng = Generator(Philox(key=6))
     msgs = rng.integers(pair2.codebook_size, size=n)
     s = np.array([_interference_frame(rng, pw.Pp) for _ in range(n)])
-    x = lat.encode(msgs, s, d, pair2, filters, a1, pw.Pc)
-    np.testing.assert_array_equal(
-        x, [lat.encode(int(msgs[i]), s[i], d[i], pair2, rows[i], a1, pw.Pc) for i in range(n)]
-    )
+    x = lat.encode(msgs, s, d, pair2, params, pw)
+    np.testing.assert_array_equal(x, [lat.encode(int(msgs[i]), s[i], d[i], pair2, params, pw) for i in range(n)])
     hs = effective_interference_gain(r, a1, pw)
     y = _received(r.h22[:, None], x, hs[:, None], s) + rng.normal(size=x.shape) * np.sqrt(0.5)
     got = lat.decode(y, filters, d, pair2)
@@ -434,7 +431,8 @@ def test_sphere_decode_is_exact():
 def test_noiseless_roundtrip(pair2):
     r = _mean_realization()
     a2 = complex(np.ravel(full_csit_alpha2(r, 0.0, PW))[0])
-    filters = lat.build_filters(r, DesignParams(0.0, a2), PW)
+    params = DesignParams(0.0, a2)
+    filters = lat.build_filters(r, params, PW)
     h22 = complex(np.ravel(r.h22)[0])
     hs = complex(np.ravel(r.h21)[0])  # alpha1 = 0: no relayed share
     rng = Generator(Philox(key=42))
@@ -442,7 +440,7 @@ def test_noiseless_roundtrip(pair2):
         msg = int(msg)
         d = sample_dither(pair2, rng)
         s = _interference_frame(rng, PW.Pp)
-        x = lat.encode(msg, s, d, pair2, filters, 0.0, PW.Pc)
+        x = lat.encode(msg, s, d, pair2, params, PW)
         y = _received(h22, x, hs, s)
         assert lat.decode(y, filters, d, pair2) == msg
 
@@ -456,8 +454,8 @@ def test_decode_matches_sphere_decode(pair2):
     for scheme in ("la_gpc", "interference_as_noise"):
         for j, snr in enumerate((22.0, 24.0, 26.0)):
             pw = PowerConfig(10.0 ** (snr / 10.0), 100.0)
-            a2 = solve_alpha2_slow(stats, 0.0, pw, 2.0).alpha2 if scheme == "la_gpc" else 0j
-            params = DesignParams(0.0, complex(a2))
+            a2 = solve_alpha2_slow(stats, 0.0, pw, 2.0)[0] if scheme == "la_gpc" else 0j
+            params = DesignParams(0.0, a2)
             r_all = sample_realizations(stats, 340, 40 + j)
             for i in range(340):
                 r = r_all[i : i + 1]
@@ -466,7 +464,7 @@ def test_decode_matches_sphere_decode(pair2):
                 msg = int(rng.integers(pair2.codebook_size))
                 d = sample_dither(pair2, rng)
                 s = _interference_frame(rng, pw.Pp)
-                x = lat.encode(msg, s, d, pair2, f, 0.0, pw.Pc)
+                x = lat.encode(msg, s, d, pair2, params, pw)
                 y = _received(r.h22[0], x, r.h21[0], s) + rng.normal(size=lat.N_DIM) * np.sqrt(0.5)
                 got = lat.decode(y, f, d, pair2)
                 b = sphere_decode(L @ pair2.fine.gen, L @ (F_r @ y + d))
@@ -480,10 +478,10 @@ def test_decode_matches_sphere_decode(pair2):
 # --- whole-link simulation ---------------------------------------------------
 
 
-def _reference_transmit_samples(pair, filters, alpha1, pw, n_frames, seed):
+def _reference_transmit_samples(pair, params, pw, n_frames, seed):
     """The sampler one frame at a time, as it ran before the batched one."""
     rng = Generator(Philox(key=seed))
-    relay = np.sqrt(alpha1 * pw.Pc / pw.Pp)
+    relay = np.sqrt(params.alpha1 * pw.Pc / pw.Pp)
     out = np.empty((n_frames, lat.N_DIM))
     for i in range(n_frames):
         msg = int(rng.integers(pair.codebook_size))
@@ -492,32 +490,27 @@ def _reference_transmit_samples(pair, filters, alpha1, pw, n_frames, seed):
             pw.Pp / 2.0
         )
         s_frame = s_c.view(float)
-        x = lat.encode(msg, s_frame, dither, pair, filters, alpha1, pw.Pc)
+        x = lat.encode(msg, s_frame, dither, pair, params, pw)
         out[i] = x + relay * s_frame
     return out.ravel()
 
 
 def test_transmit_samples_match_per_frame_reference(pair2):
-    r = _mean_realization()
     res = solve_alpha1_fast(STATS, PW)
-    filters = lat.build_filters(r, res.params, PW)
     for seed in (1, 6):
-        got = lat.transmit_samples(pair2, filters, res.alpha1, PW, n_frames=2000, seed=seed)
-        want = _reference_transmit_samples(pair2, filters, res.alpha1, PW, 2000, seed)
+        got = lat.transmit_samples(pair2, res.params, PW, n_frames=2000, seed=seed)
+        want = _reference_transmit_samples(pair2, res.params, PW, 2000, seed)
         np.testing.assert_array_equal(got, want)
 
 
 def test_transmit_samples_gaussianization(pair2):
     """Relaying washes out the sub-Gaussian cell shape of the bare codeword."""
-    r = _mean_realization()
-    bare_f = lat.build_filters(r, DesignParams(0.0, 0j), PW)
-    bare = lat.transmit_samples(pair2, bare_f, 0.0, PW, n_frames=8000, seed=1)
+    bare = lat.transmit_samples(pair2, DesignParams(0.0, 0j), PW, n_frames=8000, seed=1)
     kurt = float(np.mean(bare ** 4) / np.mean(bare ** 2) ** 2 - 3.0)
     assert -0.56 < kurt < -0.38  # close to the uniform-cell value
 
     res = solve_alpha1_fast(STATS, PW)
-    des_f = lat.build_filters(r, res.params, PW)
-    des = lat.transmit_samples(pair2, des_f, res.alpha1, PW, n_frames=12000, seed=2)
+    des = lat.transmit_samples(pair2, res.params, PW, n_frames=12000, seed=2)
     kurt_d = float(np.mean(des ** 4) / np.mean(des ** 2) ** 2 - 3.0)
     skew_d = float(np.mean(des ** 3) / np.mean(des ** 2) ** 1.5)
     assert abs(kurt_d) < 0.08
@@ -553,13 +546,13 @@ def _reference_codeword_error_sim(sc):
                 s_frame = _interference_frame(rng, sc.p_p)
             else:
                 s_frame = np.zeros(lat.N_DIM)
-            x = lat.encode(msg, s_frame, dither, pair, filters, sc.alpha1, p_c)
+            x = lat.encode(msg, s_frame, dither, pair, params, pw)
             z = rng.normal(size=lat.N_DIM) * np.sqrt(sc.noise / 2.0)
             y = _received(complex(r.h22), x, hs, s_frame) + z
             errors += lat.decode(y, filters, dither, pair) != msg
         p_err = errors / sc.trials
         ci = 1.96 * np.sqrt(max(p_err * (1.0 - p_err), 1e-12) / sc.trials)
-        which = "full_csit" if sc.scheme == "no_interference" else "cr"
+        which = "full_csit" if sc.scheme == "no_interference" else "la_gpc"
         theory = montecarlo.outage_probability(
             stats, params, pw, sc.rate_bpcu, which, n=sc.theory_n, seed=sc.seed
         ).value

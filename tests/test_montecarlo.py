@@ -60,8 +60,9 @@ def _oracle_outage_counts(r, pw, r_p, grid_n):
     return counts
 
 
-def _oracle_alpha2(r, stats, alpha1, pw, objective, r_cr, grid_n):
-    """The point-by-point disc search the batched one replaced: (best, scores)."""
+def _oracle_alpha2(r, stats, alpha1, pw, r_cr, grid_n):
+    """The point-by-point disc search the batched one replaced: (best, scores).
+    The ergodic search without r_cr, the outage search with it."""
     center = complex(design_fast.alpha2_fast(stats, alpha1, pw))
     radius = 2.0 * abs(center) or 1.0
     sigma2 = (1.0 - alpha1) * pw.Pc
@@ -80,7 +81,7 @@ def _oracle_alpha2(r, stats, alpha1, pw, objective, r_cr, grid_n):
             a2 = center + dre + 1j * dim
             det = (sigma2 + abs(a2) ** 2 * pw.Pp) * ys_pow - np.abs(w1 + a2 * w2) ** 2
             rates = np.log2(sigma2 * ys_pow / det)
-            if objective == "ergodic":
+            if r_cr is None:
                 score = float(np.mean(rates))
             else:
                 score = -float(np.mean(rates < r_cr))
@@ -166,13 +167,17 @@ def test_scheme_rates_against_direct_formulas():
 
 
 def test_outage_label_routing():
-    """"cr" means the proposed scheme; other labels pass through."""
+    """which names the scheme (or the primary user) whose rates are counted, la_gpc by default."""
     n, thr = 2000, 1.0
     r = channel.sample_realizations(STATS, n, 4)
-    for label, which in (("cr", "la_gpc"), ("full_csit", "full_csit"), ("primary", "primary")):
-        got = outage_probability(STATS, PARAMS, PW, thr, label, n, seed=4, workers=1).value
+    for which in ("la_gpc", "full_csit", "primary"):
+        got = outage_probability(STATS, PARAMS, PW, thr, which, n, seed=4, workers=1).value
         want = int(np.sum(scheme_rates(r, STATS, PARAMS, PW, which) < thr))
         assert got * n == want
+    default = outage_probability(STATS, PARAMS, PW, thr, n=n, seed=4, workers=1).value
+    assert default == outage_probability(STATS, PARAMS, PW, thr, "la_gpc", n, seed=4, workers=1).value
+    with pytest.raises(ValueError, match="unknown scheme"):
+        outage_probability(STATS, PARAMS, PW, thr, "cr", n, seed=4, workers=1)
 
 
 def test_binomial_std_error():
@@ -217,15 +222,11 @@ def test_brute_force_alpha1_outage():
 
 def test_brute_force_alpha2_validates():
     r = channel.sample_realizations(STATS, 10 ** 5, 0)
-    with pytest.raises(ValueError):
-        brute_force_alpha2(r, STATS, 0.5, PW, objective="best")
-    with pytest.raises(ValueError):
-        brute_force_alpha2(r, STATS, 0.5, PW, objective="outage")  # r_cr missing
     # the 1x1 and 2x2 grids hold no point inside the disc
     for grid_n in (1, 2):
-        for objective, r_cr in (("ergodic", None), ("outage", 1.0)):
+        for r_cr in (None, 1.0):
             with pytest.raises(ValueError, match="grid_n"):
-                brute_force_alpha2(r[:2000], STATS, 0.5, PW, objective, r_cr=r_cr, grid_n=grid_n)
+                brute_force_alpha2(r[:2000], STATS, 0.5, PW, r_cr, grid_n=grid_n)
     assert np.isfinite(brute_force_alpha2(r[:2000], STATS, 0.5, PW, grid_n=3))
 
 
@@ -340,9 +341,9 @@ def test_batched_searches_match_the_scalar_oracles():
             )
             for alpha1 in (0.3, 0.6, 0.8):
                 oracle = {}
-                for objective in ("ergodic", "outage"):
-                    best, oracle[objective] = _oracle_alpha2(r, stats, alpha1, PW, objective, r_cr, 21)
-                    assert brute_force_alpha2(r, stats, alpha1, PW, objective, r_cr=r_cr, grid_n=21) == best
+                for objective, target in (("ergodic", None), ("outage", r_cr)):
+                    best, oracle[objective] = _oracle_alpha2(r, stats, alpha1, PW, target, 21)
+                    assert brute_force_alpha2(r, stats, alpha1, PW, target, grid_n=21) == best
                     cases += 1
                 a2 = np.array([p for p, _ in oracle["outage"]])
                 outage = montecarlo._disc_scores(r, alpha1, PW, a2, r_cr)
