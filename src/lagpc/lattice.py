@@ -191,19 +191,16 @@ def _gain(c, frame) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FilterSet:
-    """Precoder, receiver gain and error variance of one realization or a stack.
+    """Receiver gain and error variance of one realization or a stack.
 
-    precoder is the encoder's gain on the interference frame, which depends on
-    the design point alone (_precoder); z is the MMSE gain on the received
-    frame; error_var is the per-dimension variance of the effective error
-    z*y + d - codeword.
+    z is the MMSE gain on the received frame; error_var is the per-dimension
+    variance of the effective error z*y + d - codeword.
     z and error_var have the realization's shape, length-1 axes dropped.
     regularized is always False: error_var is a sum of nonnegative terms, one
     of which is positive (noise_s |z|^2 when z != 0, and 1/2 when z = 0), so
     it never needs a ridge.
     """
 
-    precoder: complex
     z: complex | np.ndarray
     error_var: float | np.ndarray
     regularized: bool = False
@@ -222,7 +219,7 @@ def build_filters(
     pw: PowerConfig,
     s_power: float | None = None,
 ) -> FilterSet:
-    """Side-information precoder, MMSE gain and error variance per realization.
+    """MMSE gain and error variance per realization under the side-information precoder (_precoder).
 
     A stack r of n realizations gives z and error_var of shape (n,); the
     one-realization slice r[i : i + 1] gives 0-d ones, equal to row i of the
@@ -241,7 +238,7 @@ def build_filters(
     err = 0.5 * (
         np.abs(z * root * h22 - 1.0) ** 2 + s_pow * np.abs(z * hs - pre) ** 2 + pw.noise_s * np.abs(z) ** 2
     )
-    return FilterSet(precoder=pre, z=np.squeeze(z), error_var=np.squeeze(err))
+    return FilterSet(z=np.squeeze(z), error_var=np.squeeze(err))
 
 
 def encode(

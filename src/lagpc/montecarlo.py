@@ -24,7 +24,9 @@ CR_SCHEMES = ("la_gpc", "full_csit", "naive_dpc", "interference_as_noise")
 SCHEME_LABELS = CR_SCHEMES + ("full_search",)
 
 _CHUNK = 1 << 20
-_DISC_ROWS = 16  # alpha2 points per det block in _disc_scores; bounds its temporaries
+_DISC_ROWS = 16  # alpha2 points per det product; a product's bits depend on its shape
+_BOUND_ROWS = 8 * _DISC_ROWS  # alpha2 points per score bound: whole det products
+_SCAN_BLOCK = 16  # grid alpha1 per rate bound in brute_force_alpha1_fast
 
 # Slow-fading operating points: K_dB -> (R_P, P_out_P, R_CR)
 SLOW_TARGETS = {
@@ -195,10 +197,10 @@ def _alpha1_forms(r: channel.ChannelRealization, pw: PowerConfig):
     return a, 2.0 * np.real(np.conj(r.h11) * r.h12) * np.sqrt(pw.Pp), np.abs(r.h12) ** 2
 
 
-def _alpha1_scan(forms, pw: PowerConfig, grid_n: int):
-    """(alpha1, signal, interference plus noise) of the primary link at each grid alpha1, smallest first."""
+def _alpha1_scan(forms, pw: PowerConfig, alpha1s):
+    """(alpha1, signal, interference plus noise) of the primary link at each of alpha1s in turn."""
     a, b, c = forms
-    for a1 in np.linspace(0.0, 1.0, grid_n):
+    for a1 in alpha1s:
         amp = np.sqrt(a1 * pw.Pc)
         yield float(a1), a + b * amp + c * amp ** 2, c * (1.0 - a1) * pw.Pc + pw.noise_p
 
@@ -206,12 +208,27 @@ def _alpha1_scan(forms, pw: PowerConfig, grid_n: int):
 def brute_force_alpha1_fast(
     r: channel.ChannelRealization, pw: PowerConfig, r_target: float, grid_n: int = 201
 ) -> float:
-    """Smallest grid alpha1 whose MC primary ergodic rate over r meets the target."""
+    """Smallest grid alpha1 whose MC primary ergodic rate over r meets the target.
+
+    Blocks of _SCAN_BLOCK grid points are skipped where a bound rules them out: sig = |h11 sqrt(Pp) +
+    h12 amp|^2 is convex in amp and den falls as alpha1 grows, so no rate in a block exceeds log2(1 +
+    max(sig at its ends) / its last den).  Guard: each 1 + sig/den >= 1 is within 13u (1 + S/noise_p)
+    of its value (u = 2^-53, S = a + |b| sqrt(Pc) + c Pc), so with 4 ulp of log2 a rate or bound errs
+    by under 32u (1 + S/noise_p), and two means of n rates below 1.5 S/noise_p and a sum add (3n + 2)
+    u mean(1 + S/noise_p): guard = (3n + 70) u mean(1 + S/noise_p), rounded up.
+    """
     if grid_n < 50:
         raise ValueError("grid_n too coarse")
-    for a1, sig, den in _alpha1_scan(_alpha1_forms(r, pw), pw, grid_n):
-        if float(np.mean(np.log2(1.0 + sig / den))) >= r_target:
-            return a1
+    forms = a, b, c = _alpha1_forms(r, pw)
+    terms = 1.0 + (a + np.abs(b) * np.sqrt(pw.Pc) + c * pw.Pc) / pw.noise_p
+    guard = (3.0 * len(r) + 70.0) * 2.0 ** -53 * float(np.mean(terms))
+    for block in np.split(np.linspace(0.0, 1.0, grid_n), range(_SCAN_BLOCK, grid_n, _SCAN_BLOCK)):
+        (_, sig_lo, _), (_, sig_hi, den) = _alpha1_scan(forms, pw, block[[0, -1]])
+        if float(np.mean(np.log2(1.0 + np.maximum(sig_lo, sig_hi) / den))) + guard < r_target:
+            continue
+        for a1, sig, den in _alpha1_scan(forms, pw, block):
+            if float(np.mean(np.log2(1.0 + sig / den))) >= r_target:
+                return a1
     raise InfeasibleDesignError("no grid alpha1 meets the ergodic target")
 
 
@@ -245,7 +262,7 @@ def _outage_counts(r: channel.ChannelRealization, pw: PowerConfig, r_p: float, g
             for e in srt for x in amps]
     redo |= np.isin(ends, np.concatenate(near)).any(axis=0)
     counts -= np.sum((ends[0, redo, None] < amps) & (amps < ends[1, redo, None]), axis=0)
-    again = _alpha1_scan(tuple(f[redo] for f in forms), pw, grid_n)
+    again = _alpha1_scan(tuple(f[redo] for f in forms), pw, np.linspace(0.0, 1.0, grid_n))
     return counts + [np.count_nonzero(1.0 + sig / den < big_t) for _, sig, den in again]
 
 
@@ -261,12 +278,14 @@ def brute_force_alpha1_outage(
     return float(fits[0])
 
 
-def _disc_scores(r, alpha1, pw, a2, r_cr=None) -> np.ndarray:
-    """MC ergodic CR rate at each alpha2 in a2, or with r_cr minus the MC CR outage.
+def _disc_scorer(r, alpha1, pw, a2, r_cr=None):
+    """(forms, base, score) of the alpha2 points a2 over r.
 
-    With sigma2 = (1 - alpha1) Pc, the determinant in channel.cr_rate is
-    det = A + |a2|^2 B - 2 Re(a2) Re(C) + 2 Im(a2) Im(C) per sample, so the
-    dets of a block of points are one (points x 4) @ (4 x samples) product.
+    score(lo) is the MC ergodic CR rate, or with r_cr minus the MC CR outage, at
+    each point of a2[lo : lo + _DISC_ROWS].  The rate is log2(signal / det) per
+    sample (channel.cr_rate), base the mean of log2(signal) (None with r_cr), and
+    det = A + |a2|^2 B - 2 Re(a2) Re(C) + 2 Im(a2) Im(C), so the dets of a block
+    are one (points x 4) @ (4 x samples) product, forms = (A, B, -2 Re C, 2 Im C).
     """
     sigma2 = (1.0 - alpha1) * pw.Pc
     hs = channel.effective_interference_gain(r, alpha1, pw)
@@ -283,18 +302,11 @@ def _disc_scores(r, alpha1, pw, a2, r_cr=None) -> np.ndarray:
         ]
     )
     rows = np.stack([np.ones(len(a2)), np.abs(a2) ** 2, a2.real, a2.imag], axis=1)
-    if r_cr is None:
-        base = float(np.mean(np.log2(signal)))
-    else:
+    if r_cr is not None:
         limit = signal * 2.0 ** -r_cr  # rate < r_cr  <=>  det > limit
-    scores = np.empty(len(a2))
-    for lo in range(0, len(a2), _DISC_ROWS):
-        det = rows[lo : lo + _DISC_ROWS] @ forms
-        if r_cr is None:
-            scores[lo : lo + _DISC_ROWS] = base - np.mean(np.log2(det), axis=1)
-        else:
-            scores[lo : lo + _DISC_ROWS] = -np.mean(det > limit, axis=1)
-    return scores
+        return forms, None, lambda lo: -np.mean(rows[lo : lo + _DISC_ROWS] @ forms > limit, axis=1)
+    base = float(np.mean(np.log2(signal)))
+    return forms, base, lambda lo: base - np.mean(np.log2(rows[lo : lo + _DISC_ROWS] @ forms), axis=1)
 
 
 def brute_force_alpha2(
@@ -310,11 +322,39 @@ def brute_force_alpha2(
     The disc is centred on the fast statistical design with radius twice its
     modulus, as in the designs (design_fast.alpha2_disc), so the two are
     comparable; the first point (dre-major) with the best score wins.
+
+    The ergodic search scores only blocks of _BOUND_ROWS points that can win: det is a paraboloid in
+    a2 (B > 0), at least d, its minimum on the block's bounding rectangle, so no score there exceeds
+    base - mean log2 d.  Blocks go in descending order of that bound until the next bound plus guard
+    is below the best score.  Guard: det >= m = noise_s sigma2 (Cauchy-Schwarz); the product and d err
+    by under 17u T (u = 2^-53; T = A + B (max re^2 + max im^2) + |f2| max |re| + |f3| max |im| on the
+    disc, with forms = (A, B, f2, f3)), so log2 det by 100u T/m if 68u T <= m, plus 4 ulp; with |log2
+    det| <= |log2 m| + T/m + 1, two means of n terms and three roundings, guard = (2n + 128) u (|log2
+    m| + mean T/m + 1 + |base|), rounded up.  Else, and for the outage objective, every block is scored.
     """
     if grid_n < 3:
         raise ValueError("grid_n too coarse: no grid point inside the disc")
     a2 = design_fast.alpha2_disc(stats, alpha1, pw, grid_n)[1]
-    scores = _disc_scores(r, alpha1, pw, a2, r_cr)
+    (a, b, f2, f3), base, score = _disc_scorer(r, alpha1, pw, a2, r_cr)
+    u, m = 2.0 ** -53, pw.noise_s * (1.0 - alpha1) * pw.Pc
+    re, im = np.abs(a2.real).max(), np.abs(a2.imag).max()
+    terms = a + b * (re * re + im * im) + np.abs(f2) * re + np.abs(f3) * im
+    starts = range(0, len(a2), _BOUND_ROWS)
+    keys = np.full(len(starts), np.inf)  # per block: its score bound plus the guard
+    if r_cr is None and 68.0 * u * terms.max() <= m:
+        guard = (2.0 * len(r) + 128.0) * u * (abs(np.log2(m)) + float(np.mean(terms)) / m + 1.0 + abs(base))
+        vx, vy = -0.5 * f2 / b, -0.5 * f3 / b  # the paraboloid's vertex
+        for k, lo in enumerate(starts):
+            pts = a2[lo : lo + _BOUND_ROWS]
+            x = np.clip(vx, pts.real.min(), pts.real.max())
+            y = np.clip(vy, pts.imag.min(), pts.imag.max())
+            keys[k] = base - float(np.mean(np.log2(a + x * (b * x + f2) + y * (b * y + f3)))) + guard
+    scores = np.full(len(a2), -np.inf)  # -inf at every point left unscored
+    for k in np.argsort(-keys, kind="stable"):
+        if keys[k] < np.fmax.reduce(scores):  # the best score so far; fmax passes over NaN
+            break
+        for lo in range(starts[k], min(starts[k] + _BOUND_ROWS, len(a2)), _DISC_ROWS):
+            scores[lo : lo + _DISC_ROWS] = score(lo)
     return complex(a2[np.nanargmax(scores)])
 
 

@@ -20,17 +20,22 @@ STATS = ChannelStats.from_k_factor(10.0)
 PARAMS = DesignParams(0.75, 1.26 + 0j)
 
 
-def _oracle_alpha1_fast(r, pw, r_target, grid_n):
-    """The scalar-loop alpha1 search the batched one replaced."""
+def _oracle_alpha1_means(r, pw, grid_n):
+    """(alpha1, MC primary ergodic rate) at each grid alpha1, in the scalar loop's arithmetic."""
     a = np.abs(r.h11) ** 2 * pw.Pp
     b = 2.0 * np.real(np.conj(r.h11) * r.h12) * np.sqrt(pw.Pp)
     c = np.abs(r.h12) ** 2
     for a1 in np.linspace(0.0, 1.0, grid_n):
         amp = np.sqrt(a1 * pw.Pc)
         sig = a + b * amp + c * amp ** 2
-        mean = float(np.mean(np.log2(1.0 + sig / (c * (1.0 - a1) * pw.Pc + pw.noise_p))))
+        yield float(a1), float(np.mean(np.log2(1.0 + sig / (c * (1.0 - a1) * pw.Pc + pw.noise_p))))
+
+
+def _oracle_alpha1_fast(r, pw, r_target, grid_n):
+    """The scalar-loop alpha1 search the bounded one replaced: every grid point in turn."""
+    for a1, mean in _oracle_alpha1_means(r, pw, grid_n):
         if mean >= r_target:
-            return float(a1)
+            return a1
     raise InfeasibleDesignError("no grid alpha1 meets the ergodic target")
 
 
@@ -89,6 +94,18 @@ def _oracle_alpha2(r, stats, alpha1, pw, r_cr, grid_n):
             if score > best_score:
                 best_score, best = score, a2
     return complex(best), scores
+
+
+def _disc_scores(r, alpha1, pw, a2, r_cr=None):
+    """The full scan of the disc: every aligned _DISC_ROWS block of a2 scored in turn."""
+    score = montecarlo._disc_scorer(r, alpha1, pw, a2, r_cr)[2]
+    return np.concatenate([score(lo) for lo in range(0, len(a2), montecarlo._DISC_ROWS)])
+
+
+def _oracle_disc_pick(r, stats, alpha1, pw, grid_n):
+    """The full-disc ergodic search the bounded one replaced: the first best point of the full scan."""
+    a2 = design_fast.alpha2_disc(stats, alpha1, pw, grid_n)[1]
+    return complex(a2[np.nanargmax(_disc_scores(r, alpha1, pw, a2))])
 
 
 def _log_scale(r, alpha1):
@@ -346,15 +363,96 @@ def test_batched_searches_match_the_scalar_oracles():
                     assert brute_force_alpha2(r, stats, alpha1, PW, target, grid_n=21) == best
                     cases += 1
                 a2 = np.array([p for p, _ in oracle["outage"]])
-                outage = montecarlo._disc_scores(r, alpha1, PW, a2, r_cr)
+                outage = _disc_scores(r, alpha1, PW, a2, r_cr)
                 assert outage.tolist() == [score for _, score in oracle["outage"]]
-                ergodic = montecarlo._disc_scores(r, alpha1, PW, a2)
+                ergodic = _disc_scores(r, alpha1, PW, a2)
                 exact = [float(np.mean(channel.cr_rate(r, DesignParams(alpha1, p), PW))) for p in a2]
                 # a score is a difference of two means of log2 terms of a few
                 # bits each, and it crosses zero inside the disc: floor the
                 # tolerance at the rounding level of those terms
                 np.testing.assert_allclose(ergodic, exact, rtol=1e-12, atol=1e-12 * _log_scale(r, alpha1))
     assert cases >= 40
+
+
+def test_bounded_searches_pick_the_full_scans_point():
+    """The bounded alpha1 scan and ergodic disc search pick the full scans' grid
+    points, on grids the block sizes do not divide and at the grid alpha1."""
+    cases = 0
+    for k_db in (0.0, 5.0, 10.0, 15.0):
+        stats = ChannelStats.from_k_factor(k_db)
+        target = design_fast.primary_target_ergodic(stats, PW)
+        for seed in range(6):
+            r = channel.sample_realizations(stats, 5 * 10 ** 4, seed)
+            for grid_n in (50, 101, 201):
+                grid_a1 = brute_force_alpha1_fast(r, PW, target, grid_n)
+                assert grid_a1 == _oracle_alpha1_fast(r, PW, target, grid_n)
+            for alpha1 in (0.3, 0.6, 0.8, grid_a1):
+                for grid_n in (3, 21, 31, 61):
+                    pick = brute_force_alpha2(r[: 10 ** 4], stats, alpha1, PW, grid_n=grid_n)
+                    assert pick == _oracle_disc_pick(r[: 10 ** 4], stats, alpha1, PW, grid_n)
+                    cases += 1
+    assert cases == 384
+
+
+def test_bounded_alpha1_scan_on_constructed_targets():
+    """Targets equal to a grid point's computed mean (a tie on >=), targets met at
+    alpha1 = 0 and targets just out of reach give the full scan's answer."""
+    r = channel.sample_realizations(STATS, 5 * 10 ** 4, 4)
+    for grid_n in (50, 201):
+        grid, means = zip(*_oracle_alpha1_means(r, PW, grid_n))
+        ties = 0
+        for i in (0, 1, 15, 16, 17, 31, 33, grid_n // 2, grid_n - 1):  # block ends and middles
+            a1 = brute_force_alpha1_fast(r, PW, means[i], grid_n)
+            assert a1 == _oracle_alpha1_fast(r, PW, means[i], grid_n)
+            ties += a1 == grid[i]  # met with equality at its own grid point
+        assert ties >= 5
+        for target in (means[0], 0.0):  # met at alpha1 = 0
+            assert brute_force_alpha1_fast(r, PW, target, grid_n) == 0.0
+        for target in (np.nextafter(max(means), np.inf), 8.0):
+            for search in (brute_force_alpha1_fast, _oracle_alpha1_fast):
+                with pytest.raises(InfeasibleDesignError):
+                    search(r, PW, target, grid_n)
+
+
+def test_bounded_disc_search_at_alpha1_one():
+    """At alpha1 = 1 every ergodic score is -inf or NaN: no block is skipped, and
+    the pick is the full scan's."""
+    for k_db in (0.0, 10.0):
+        stats = ChannelStats.from_k_factor(k_db)
+        r = channel.sample_realizations(stats, 2000, 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for grid_n in (3, 21):
+                pick = brute_force_alpha2(r, stats, 1.0, PW, grid_n=grid_n)
+                assert pick == _oracle_disc_pick(r, stats, 1.0, PW, grid_n)
+
+
+def test_scored_blocks_equal_the_full_scan_bit_for_bit(monkeypatch):
+    """Each aligned _DISC_ROWS slice scored alone equals that slice of the full
+    scan, and so does every block the bounded search scores."""
+    rows, seen = montecarlo._DISC_ROWS, {}
+    scorer = montecarlo._disc_scorer
+
+    def spy(*args):
+        forms, base, score = scorer(*args)
+        return forms, base, lambda lo: seen.setdefault(lo, score(lo))
+
+    for k_db, alpha1 in ((0.0, 0.75), (10.0, 0.3)):
+        stats = ChannelStats.from_k_factor(k_db)
+        r = channel.sample_realizations(stats, 10 ** 4, 3)
+        a2 = design_fast.alpha2_disc(stats, alpha1, PW, 61)[1]
+        for r_cr in (None, 1.0):
+            full = _disc_scores(r, alpha1, PW, a2, r_cr)
+            # the GEMM kernel's bits depend on the product's shape: one-row products move some scores
+            for lo in range(0, len(a2), rows):
+                alone = _disc_scores(r, alpha1, PW, a2[lo : lo + rows], r_cr)
+                assert alone.tobytes() == full[lo : lo + rows].tobytes()
+        with monkeypatch.context() as m:
+            m.setattr(montecarlo, "_disc_scorer", spy)
+            seen.clear()
+            brute_force_alpha2(r, stats, alpha1, PW, grid_n=61)
+        assert 0 < len(seen) < len(range(0, len(a2), rows))  # some blocks skipped
+        full = _disc_scores(r, alpha1, PW, a2)
+        assert all(scores.tobytes() == full[lo : lo + rows].tobytes() for lo, scores in seen.items())
 
 
 def test_figure_sweep_rate_structure():
