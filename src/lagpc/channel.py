@@ -210,8 +210,9 @@ def cr_outage_form(p: DesignParams, pw: PowerConfig, r_cr: float):
     """
     P, Q = build_matrices(p.alpha1, pw)
     sigma2 = (1.0 - p.alpha1) * pw.Pc
-    c0 = sigma2 + abs(p.alpha2) ** 2 * pw.Pp
-    D = _outer(p.alpha2 * pw.Pp, sigma2 + p.alpha2 * np.sqrt(p.alpha1 * pw.Pc * pw.Pp))
+    alpha2 = np.asarray(p.alpha2, dtype=complex)  # one ufunc route for a point and a grid
+    c0 = sigma2 + np.square(abs(alpha2)) * pw.Pp
+    D = _outer(alpha2 * pw.Pp, sigma2 + alpha2 * np.sqrt(p.alpha1 * pw.Pc * pw.Pp))
     d = 2.0 ** r_cr / sigma2
     E = np.asarray(1.0 - c0 * d)[..., None, None] * (P + Q) + np.asarray(d)[..., None, None] * D
     return E, (c0 * d - 1.0) * pw.noise_s

@@ -178,7 +178,7 @@ def primary_rate_surrogate(stats: ChannelStats, alpha1, pw: PowerConfig):
     mu1 = quadform.qf_mean(g, S) / pw.noise_p
     var1 = quadform.qf_variance(g, S) / pw.noise_p ** 2
     mu2 = quadform.qf_mean(g, Q) / pw.noise_p
-    rate = np.log2(1.0 + mu1) - 0.5 * LOG2E * var1 / (1.0 + mu1) ** 2 - np.log2(1.0 + mu2)
+    rate = np.log2(1.0 + mu1) - 0.5 * LOG2E * var1 / np.square(1.0 + mu1) - np.log2(1.0 + mu2)
     return float(rate) if np.ndim(rate) == 0 else rate
 
 

@@ -111,8 +111,8 @@ def solve_alpha2_slow(
 
     Coarse grid over a disc centered on the fast-fading closed form (the
     high-K optimum lands there), evaluated in one call, then coordinate
-    descent with shrinking steps.  Plateau ties resolve toward the disc
-    center.
+    descent with shrinking steps, one call per batch of steps.  Plateau ties
+    resolve toward the disc center.
     """
     if not 0.0 <= alpha1 < 1.0:
         raise ValueError("alpha1 must lie in [0, 1)")
@@ -128,15 +128,19 @@ def solve_alpha2_slow(
     for a2, val, dst in zip(points.tolist(), obj(points).tolist(), dist.tolist()):
         if val < best_val - 1e-15 or (abs(val - best_val) <= 1e-15 and dst < best_dist):
             best_val, best, best_dist = val, a2, dst
-    # local refinement
+    # local refinement: a round steps +1, -1, +i, -i in turn from the best so
+    # far.  One call scores the steps still to take; after the first improving
+    # one the rest are scored again from the new best, so every move is the
+    # one-point-at-a-time loop's.  A round without a move halves the step.
     while step >= 1e-4:
-        moved = False
-        for d in (1.0, -1.0, 1j, -1j):
-            cand = best + d * step
-            val = obj(cand)
-            if val < best_val - 1e-15:
-                best_val, best = val, cand
-                moved = True
+        todo, moved = (1.0, -1.0, 1j, -1j), False
+        while todo:
+            cands = [best + d * step for d in todo]
+            vals = obj(np.array(cands)).tolist()
+            i = next((k for k, val in enumerate(vals) if val < best_val - 1e-15), None)
+            if i is None:
+                break
+            best_val, best, todo, moved = vals[i], cands[i], todo[i + 1 :], True
         if not moved:
             step /= 2.0
     return complex(best), float(best_val)

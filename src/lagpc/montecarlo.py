@@ -321,7 +321,8 @@ def brute_force_alpha2(
 
     The disc is centred on the fast statistical design with radius twice its
     modulus, as in the designs (design_fast.alpha2_disc), so the two are
-    comparable; the first point (dre-major) with the best score wins.
+    comparable; the first point (dre-major) with the best score wins.  At
+    alpha1 = 1 no own signal is left to precode: 0j, unscored (as alpha2_fast).
 
     The ergodic search scores only blocks of _BOUND_ROWS points that can win: det is a paraboloid in
     a2 (B > 0), at least d, its minimum on the block's bounding rectangle, so no score there exceeds
@@ -334,6 +335,8 @@ def brute_force_alpha2(
     """
     if grid_n < 3:
         raise ValueError("grid_n too coarse: no grid point inside the disc")
+    if alpha1 == 1.0:
+        return 0j
     a2 = design_fast.alpha2_disc(stats, alpha1, pw, grid_n)[1]
     (a, b, f2, f3), base, score = _disc_scorer(r, alpha1, pw, a2, r_cr)
     u, m = 2.0 ** -53, pw.noise_s * (1.0 - alpha1) * pw.Pc

@@ -92,13 +92,16 @@ def _flat(A):
     return A.reshape(A.shape[:-2] + (-1,))
 
 
-# The unchecked moments; the public functions check each form once.
+# The unchecked moments; the public functions check each form once.  Products
+# summed over the last axes, not BLAS's `@`, whose bits depend on the stack's
+# shape: each form in a stack gets the bits of its point call.  For the same
+# reason squares below are np.square (a numpy scalar's `** 2` calls pow).
 def _mean(g: GaussianVectorSpec, A):
-    return np.real(_flat(A) @ g._mean_weights)
+    return np.real(np.sum(_flat(A) * g._mean_weights, axis=-1))
 
 
 def _covariance(g: GaussianVectorSpec, A, B):
-    return np.real(np.sum((_flat(A) @ g._cov_kernel) * _flat(B), axis=-1))
+    return np.real(np.sum(_flat(A)[..., :, None] * g._cov_kernel * _flat(B)[..., None, :], axis=(-2, -1)))
 
 
 def _variance(g: GaussianVectorSpec, A):
@@ -137,8 +140,8 @@ def ratio_moments(g: GaussianVectorSpec, P, Q, offset: float = 1.0) -> RatioMome
     vq = _variance(g, Q)
     cov = _covariance(g, Q, P)
     b = _mean(g, Q) + offset
-    mean = (b / a) * (1.0 - cov / (a * b) + vp / a ** 2)
-    var = (b / a) ** 2 * (vq / b ** 2 - 2.0 * cov / (a * b) + vp / a ** 2)
+    mean = (b / a) * (1.0 - cov / (a * b) + vp / np.square(a))
+    var = np.square(b / a) * (vq / np.square(b) - 2.0 * cov / (a * b) + vp / np.square(a))
     return RatioMoments(mean=_value(mean), std=_value(np.sqrt(np.maximum(var, 0.0))))
 
 
@@ -156,7 +159,7 @@ def chi2_params(g: GaussianVectorSpec, E) -> Chi2Approx:
     m1, m2 = _mask_undefined(
         (m1 <= 0) | (m2 <= 0), "quadratic form needs positive mean and variance", m1, m2
     )
-    return Chi2Approx(v=_value(m2 / (2.0 * m1)), w=_value(2.0 * m1 ** 2 / m2))
+    return Chi2Approx(v=_value(m2 / (2.0 * m1)), w=_value(2.0 * np.square(m1) / m2))
 
 
 def outage_gamma(c2: Chi2Approx, threshold):

@@ -411,8 +411,11 @@ def test_outputs_match_recorded_digests(tmp_path):
     rewritten as tables and shared builders; the six cases downstream of the
     fast-fading target were re-recorded when that target moved to a fixed
     Gauss-Legendre rule; ergodic-cr when interference-as-noise became
-    channel.cr_rate at alpha2 = 0 (one ulp), and the four figure manifests
-    when they were trimmed to the keys each figure reads.  A deliberate
+    channel.cr_rate at alpha2 = 0 (one ulp), the four figure manifests
+    when they were trimmed to the keys each figure reads, and the design,
+    asymptotic and figure-2 rows when the quadratic-form moments moved from
+    BLAS products to summed elementwise products (a few ulps, so a stack's
+    elements equal point calls bit for bit).  A deliberate
     output change re-records them (write `_output_digests` to that file as
     JSON) and names the moved rows in CHANGES.md.
     """

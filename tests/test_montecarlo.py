@@ -415,15 +415,17 @@ def test_bounded_alpha1_scan_on_constructed_targets():
 
 
 def test_bounded_disc_search_at_alpha1_one():
-    """At alpha1 = 1 every ergodic score is -inf or NaN: no block is skipped, and
-    the pick is the full scan's."""
+    """At alpha1 = 1 no own signal is left to precode: both objectives pick 0j
+    without scoring, as alpha2_fast does, and la_gpc's rates there are zeros."""
     for k_db in (0.0, 10.0):
         stats = ChannelStats.from_k_factor(k_db)
         r = channel.sample_realizations(stats, 2000, 0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for grid_n in (3, 21):
-                pick = brute_force_alpha2(r, stats, 1.0, PW, grid_n=grid_n)
-                assert pick == _oracle_disc_pick(r, stats, 1.0, PW, grid_n)
+        for grid_n in (3, 21):
+            for r_cr in (None, 1.0):
+                pick = brute_force_alpha2(r, stats, 1.0, PW, r_cr=r_cr, grid_n=grid_n)
+                assert pick == 0j
+                rates = montecarlo.scheme_rates(r, stats, DesignParams(1.0, pick), PW, "la_gpc")
+                np.testing.assert_array_equal(rates, np.zeros(len(r)))
 
 
 def test_scored_blocks_equal_the_full_scan_bit_for_bit(monkeypatch):
