@@ -149,34 +149,54 @@ def effective_interference_gain(r: ChannelRealization, alpha1: float, pw: PowerC
     return r.h21 + np.sqrt(alpha1 * pw.Pc / pw.Pp) * r.h22
 
 
-def cr_rate(r: ChannelRealization, p: DesignParams, pw: PowerConfig):
-    """Rate of the cognitive user for given gains and design (vectorized).
+def cr_forms(r: ChannelRealization, alpha1: float, pw: PowerConfig):
+    """(signal, A, B, C) of the cognitive link: at alpha2 its rate is log2(signal / det) per sample,
+    det = A + |alpha2|^2 B - 2 Re(alpha2) Re(C) + 2 Im(alpha2) Im(C) the (U, Ys) covariance's determinant."""
+    sigma2 = (1.0 - alpha1) * pw.Pc
+    hs = np.asarray(effective_interference_gain(r, alpha1, pw))  # an array even for one sample
+    h22_pow, hs_pow = np.abs(r.h22) ** 2, np.abs(hs) ** 2
+    signal = sigma2 * (h22_pow * sigma2 + hs_pow * pw.Pp + pw.noise_s)  # sigma2 * ys_pow
+    c = np.multiply(np.conj(hs, out=hs), r.h22, out=hs)  # C in hs's place; the operand order sets its bits
+    c *= sigma2 * pw.Pp
+    return signal, sigma2 * (hs_pow * pw.Pp + pw.noise_s), pw.Pp * (h22_pow * sigma2 + pw.noise_s), c
 
-    Computed from the 2x2 covariance of (U, Ys) with U = X + alpha2*S; equals
-    I(U; Ys) - I(U; S), which can be negative for a poor alpha2.
-    """
-    sigma2 = (1.0 - p.alpha1) * pw.Pc
-    if sigma2 == 0.0:
+
+def cr_rate(r: ChannelRealization, p: DesignParams, pw: PowerConfig):
+    """Rate I(U; Ys) - I(U; S) of the cognitive user, U = X + alpha2*S, for given gains and design
+    (vectorized), from cr_forms; it can be negative for a poor alpha2."""
+    if p.alpha1 == 1.0:
         if p.alpha2 != 0:
             raise ValueError("alpha1 = 1 with nonzero alpha2: degenerate covariance")
         return np.zeros(np.shape(r.h22)) if np.ndim(r.h22) else 0.0
-    hs = effective_interference_gain(r, p.alpha1, pw)
-    c0 = sigma2 + abs(p.alpha2) ** 2 * pw.Pp
-    cross = np.conj(r.h22) * sigma2 + p.alpha2 * np.conj(hs) * pw.Pp
-    ys_pow = (
-        np.abs(r.h22) ** 2 * sigma2 + np.abs(hs) ** 2 * pw.Pp + pw.noise_s
-    )
-    det = c0 * ys_pow - np.abs(cross) ** 2
-    return np.log2(sigma2 * ys_pow / det)
+    signal, det, b, c = cr_forms(r, p.alpha1, pw)
+    det += abs(p.alpha2) ** 2 * b  # accumulated in place of A: one n-long array at a time
+    det -= 2.0 * p.alpha2.real * c.real
+    det += 2.0 * p.alpha2.imag * c.imag
+    return np.log2(signal / det)
+
+
+def full_csit_rate(r: ChannelRealization, alpha1: float, pw: PowerConfig):
+    """Rate of the cognitive user when its precoder follows each realization: no interference left."""
+    return np.log2(1.0 + np.abs(r.h22) ** 2 * ((1.0 - alpha1) * pw.Pc) / pw.noise_s)
+
+
+def primary_forms(r: ChannelRealization, pw: PowerConfig):
+    """(a, b, c): the primary signal power is a + b amp + c amp^2 at amp = sqrt(alpha1 Pc)."""
+    return np.abs(r.h11) ** 2 * pw.Pp, 2.0 * np.real(np.conj(r.h11) * r.h12) * np.sqrt(pw.Pp), np.abs(r.h12) ** 2
+
+
+def primary_sinr(forms, alpha1: float, pw: PowerConfig):
+    """(signal, interference plus noise) of the primary link at alpha1, from primary_forms."""
+    a, b, c = forms
+    amp = np.sqrt(alpha1 * pw.Pc)
+    return a + b * amp + c * amp ** 2, c * (1.0 - alpha1) * pw.Pc + pw.noise_p
 
 
 def primary_rate(r: ChannelRealization, alpha1: float, pw: PowerConfig):
     """Rate of the primary user under partial relaying (vectorized)."""
-    if not 0.0 <= alpha1 <= 1.0:
-        raise ValueError("alpha1 outside [0, 1]")
-    sig = np.abs(r.h11 * np.sqrt(pw.Pp) + r.h12 * np.sqrt(alpha1 * pw.Pc)) ** 2
-    intf = np.abs(r.h12) ** 2 * (1.0 - alpha1) * pw.Pc
-    return np.log2(1.0 + sig / (intf + pw.noise_p))
+    _check_alpha1(alpha1)
+    sig, den = primary_sinr(primary_forms(r, pw), alpha1, pw)
+    return np.log2(1.0 + sig / den)
 
 
 def _outer(x, y):

@@ -209,6 +209,8 @@ def validate_config(command: str, config: dict) -> dict:
             problems.append(f"{key}: {expected}")
         elif check and not all(map(check[0], value if isinstance(value, tuple) else (value,))):
             problems.append(f"{key}: {check[1]}")
+        elif isinstance(value, tuple) and len(set(value)) < len(value):  # each is one x of a curve
+            problems.append(f"{key}: repeats a value")
         else:
             out[key] = value
     if problems:
@@ -322,6 +324,8 @@ def _lattice_rows(cfg, label_suffix=""):
 
 
 def _cmd_asymptotic_check(cfg) -> ResultTable:
+    if list(cfg["k_db"]) != sorted(cfg["k_db"]):
+        raise ConfigError("k_db: must ascend")
     seed = cfg["seed"]
     rep = asymptotics.convergence_sweep(
         _power_config(cfg), cfg["modes"], cfg["k_db"], cfg["slow_p_out"], cfg["slow_r_cr"]

@@ -84,21 +84,19 @@ def scheme_rates(
     scheme_params, except full_csit, whose precoder follows each realization."""
     if which == "primary":
         return channel.primary_rate(r, params.alpha1, pw)
-    p = scheme_params(which, stats, params, pw)
     if which == "full_csit":
-        sigma2 = (1.0 - p.alpha1) * pw.Pc
-        return np.log2(1.0 + np.abs(r.h22) ** 2 * sigma2 / pw.noise_s)
-    return channel.cr_rate(r, p, pw)
+        return channel.full_csit_rate(r, params.alpha1, pw)
+    return channel.cr_rate(r, scheme_params(which, stats, params, pw), pw)
 
 
 def _sums(r, stats, params, pw, which, r_target):
-    """(sum, sum of squares, count below r_target) of one scheme's rates over
-    the block r, one entry per _CHUNK of it; the count is 0 without a target."""
+    """(sum, sum of squares, count below r_target) of one scheme's rates over the block r, one
+    entry per _CHUNK of it; with a target only the count is taken (the sums read 0), else only the sums."""
     parts = []
     for lo in range(0, len(r), _CHUNK):
         rates = scheme_rates(r[lo : lo + _CHUNK], stats, params, pw, which)
-        below = 0 if r_target is None else int(np.count_nonzero(rates < r_target))
-        parts.append((float(np.sum(rates)), float(np.sum(rates ** 2)), below))
+        parts.append((float(np.sum(rates)), float(np.sum(rates ** 2)), 0) if r_target is None
+                     else (0.0, 0.0, int(np.count_nonzero(rates < r_target))))
     return parts
 
 
@@ -191,18 +189,9 @@ def outage_probability(
     return _drawn_estimate(stats, params, pw, which, r_target, n, seed, workers)
 
 
-def _alpha1_forms(r: channel.ChannelRealization, pw: PowerConfig):
-    """(a, b, c): the primary signal power is a + b amp + c amp^2 at amp = sqrt(alpha1 Pc)."""
-    a = np.abs(r.h11) ** 2 * pw.Pp
-    return a, 2.0 * np.real(np.conj(r.h11) * r.h12) * np.sqrt(pw.Pp), np.abs(r.h12) ** 2
-
-
 def _alpha1_scan(forms, pw: PowerConfig, alpha1s):
     """(alpha1, signal, interference plus noise) of the primary link at each of alpha1s in turn."""
-    a, b, c = forms
-    for a1 in alpha1s:
-        amp = np.sqrt(a1 * pw.Pc)
-        yield float(a1), a + b * amp + c * amp ** 2, c * (1.0 - a1) * pw.Pc + pw.noise_p
+    return ((float(a1), *channel.primary_sinr(forms, a1, pw)) for a1 in alpha1s)
 
 
 def brute_force_alpha1_fast(
@@ -219,7 +208,7 @@ def brute_force_alpha1_fast(
     """
     if grid_n < 50:
         raise ValueError("grid_n too coarse")
-    forms = a, b, c = _alpha1_forms(r, pw)
+    forms = a, b, c = channel.primary_forms(r, pw)
     terms = 1.0 + (a + np.abs(b) * np.sqrt(pw.Pc) + c * pw.Pc) / pw.noise_p
     guard = (3.0 * len(r) + 70.0) * 2.0 ** -53 * float(np.mean(terms))
     for block in np.split(np.linspace(0.0, 1.0, grid_n), range(_SCAN_BLOCK, grid_n, _SCAN_BLOCK)):
@@ -242,7 +231,7 @@ def _outage_counts(r: channel.ChannelRealization, pw: PowerConfig, r_p: float, g
     rho |root|, rho = e_d / (disc - e_d) + 4u.  Samples with a grid amp inside that guard or near
     tangency (h12 = 0 gives disc = 0) are rescored with the scan's own expression.
     """
-    a, b, c = forms = _alpha1_forms(r, pw)
+    a, b, c = forms = channel.primary_forms(r, pw)
     amps = np.sqrt(np.linspace(0.0, 1.0, grid_n) * pw.Pc)
     u, big_t, t = 2.0 ** -53, 2.0 ** r_p, 2.0 ** r_p - 1.0
     qa, qc = c * big_t, a - t * (c * pw.Pc + pw.noise_p)
@@ -282,25 +271,12 @@ def _disc_scorer(r, alpha1, pw, a2, r_cr=None):
     """(forms, base, score) of the alpha2 points a2 over r.
 
     score(lo) is the MC ergodic CR rate, or with r_cr minus the MC CR outage, at
-    each point of a2[lo : lo + _DISC_ROWS].  The rate is log2(signal / det) per
-    sample (channel.cr_rate), base the mean of log2(signal) (None with r_cr), and
-    det = A + |a2|^2 B - 2 Re(a2) Re(C) + 2 Im(a2) Im(C), so the dets of a block
-    are one (points x 4) @ (4 x samples) product, forms = (A, B, -2 Re C, 2 Im C).
+    each point of a2[lo : lo + _DISC_ROWS].  The rate is log2(signal / det) per sample
+    (channel.cr_forms), base the mean of log2(signal) (None with r_cr), and the dets of
+    a block are one (points x 4) @ (4 x samples) product, forms = (A, B, -2 Re C, 2 Im C).
     """
-    sigma2 = (1.0 - alpha1) * pw.Pc
-    hs = channel.effective_interference_gain(r, alpha1, pw)
-    h22_pow = np.abs(r.h22) ** 2
-    hs_pow = np.abs(hs) ** 2
-    signal = sigma2 * (h22_pow * sigma2 + hs_pow * pw.Pp + pw.noise_s)  # sigma2 * ys_pow
-    cross = r.h22 * np.conj(hs) * (sigma2 * pw.Pp)  # C
-    forms = np.stack(
-        [
-            sigma2 * (hs_pow * pw.Pp + pw.noise_s),  # A
-            pw.Pp * (h22_pow * sigma2 + pw.noise_s),  # B
-            -2.0 * cross.real,
-            2.0 * cross.imag,
-        ]
-    )
+    signal, a, b, c = channel.cr_forms(r, alpha1, pw)
+    forms = np.stack([a, b, -2.0 * c.real, 2.0 * c.imag])
     rows = np.stack([np.ones(len(a2)), np.abs(a2) ** 2, a2.real, a2.imag], axis=1)
     if r_cr is not None:
         limit = signal * 2.0 ** -r_cr  # rate < r_cr  <=>  det > limit

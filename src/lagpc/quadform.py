@@ -93,15 +93,15 @@ def _flat(A):
 
 
 # The unchecked moments; the public functions check each form once.  Products
-# summed over the last axes, not BLAS's `@`, whose bits depend on the stack's
-# shape: each form in a stack gets the bits of its point call.  For the same
-# reason squares below are np.square (a numpy scalar's `** 2` calls pow).
+# summed over the last axes (np.add.reduce, np.sum less its wrapper), not BLAS's
+# `@`, whose bits depend on the stack's shape: a stack's forms get the bits of
+# their point calls.  Likewise squares are np.square (a numpy scalar's ** 2 is pow).
 def _mean(g: GaussianVectorSpec, A):
-    return np.real(np.sum(_flat(A) * g._mean_weights, axis=-1))
+    return np.real(np.add.reduce(_flat(A) * g._mean_weights, axis=-1))
 
 
 def _covariance(g: GaussianVectorSpec, A, B):
-    return np.real(np.sum(_flat(A)[..., :, None] * g._cov_kernel * _flat(B)[..., None, :], axis=(-2, -1)))
+    return np.real(np.add.reduce(_flat(A)[..., :, None] * g._cov_kernel * _flat(B)[..., None, :], axis=(-2, -1)))
 
 
 def _variance(g: GaussianVectorSpec, A):

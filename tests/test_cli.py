@@ -349,6 +349,29 @@ def test_transmit_statistics_figure(tmp_path):
     assert sum(dens) * 0.1 == pytest.approx(1.0, abs=0.01)
 
 
+@pytest.mark.parametrize("name,key,value,error", [
+    ("design-fast", "k_db", [5, 5], "repeats a value"),
+    ("lattice-sim", "snr_db", [22, 22], "repeats a value"),
+    ("simulate-ergodic", "schemes", ["la_gpc", "la_gpc"], "repeats a value"),
+    ("asymptotic-check", "modes", ["fast", "fast"], "repeats a value"),
+    ("asymptotic-check", "k_db", [20, 0], "must ascend"),
+])
+def test_repeated_or_unordered_x_values_are_config_errors(tmp_path, capsys, monkeypatch, name, key, value, error):
+    """Each value is one x of a curve: a repeat would fail the plot files only after the whole job ran."""
+    from lagpc import asymptotics, channel, design_fast
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked before the config check")
+
+    for module, attr in ((design_fast, "solve_alpha1_fast"), (channel, "sample_realizations"),
+                         (asymptotics, "convergence_sweep")):
+        monkeypatch.setattr(module, attr, no_work)
+    rc, out = _run(tmp_path, name, config={key: value})
+    assert rc == 2
+    assert capsys.readouterr().err == f"config error: {key}: {error}\n"
+    assert not out.exists()
+
+
 def test_cli_import_loads_only_scipy_special():
     code = "import sys, lagpc.cli; print(' '.join(sorted(sys.modules)))"
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -415,7 +438,10 @@ def test_outputs_match_recorded_digests(tmp_path):
     when they were trimmed to the keys each figure reads, and the design,
     asymptotic and figure-2 rows when the quadratic-form moments moved from
     BLAS products to summed elementwise products (a few ulps, so a stack's
-    elements equal point calls bit for bit).  A deliberate
+    elements equal point calls bit for bit); ergodic-cr, ergodic-primary and
+    ergodic-explicit-alpha when channel.cr_rate and channel.primary_rate came
+    to read the per-sample forms the grid searches score (at most 1.5e-15
+    relative in a rate, 1.6e-14 in a std error).  A deliberate
     output change re-records them (write `_output_digests` to that file as
     JSON) and names the moved rows in CHANGES.md.
     """

@@ -117,11 +117,12 @@ def _log_scale(r, alpha1):
 
 
 def test_sums_partition_independence():
-    whole = montecarlo._drawn_sums(STATS, PARAMS, PW, "la_gpc", 1.0, 3, [(0, 500)])[0]
-    head, tail = montecarlo._drawn_sums(STATS, PARAMS, PW, "la_gpc", 1.0, 3, [(0, 180), (180, 320)])
-    assert whole[0] == pytest.approx(head[0] + tail[0], rel=1e-12)
-    assert whole[1] == pytest.approx(head[1] + tail[1], rel=1e-12)
-    assert whole[2] == head[2] + tail[2]
+    for r_target in (1.0, None):  # the outage counts, then the rate sums
+        whole = montecarlo._drawn_sums(STATS, PARAMS, PW, "la_gpc", r_target, 3, [(0, 500)])[0]
+        head, tail = montecarlo._drawn_sums(STATS, PARAMS, PW, "la_gpc", r_target, 3, [(0, 180), (180, 320)])
+        assert whole[0] == pytest.approx(head[0] + tail[0], rel=1e-12)
+        assert whole[1] == pytest.approx(head[1] + tail[1], rel=1e-12)
+        assert whole[2] == head[2] + tail[2]
 
 
 def test_workers_do_not_change_estimates():
@@ -228,6 +229,18 @@ def test_brute_force_alpha1_fast():
         brute_force_alpha1_fast(channel.sample_realizations(STATS, 2000, 0), PW, 8.0, grid_n=60)
     with pytest.raises(ValueError):
         brute_force_alpha1_fast(channel.sample_realizations(STATS, 10 ** 5, 0), PW, target, grid_n=10)
+
+
+def test_primary_rate_is_the_scans_rate_bit_for_bit():
+    """channel.primary_rate equals the alpha1 scan's log2(1 + sig/den) at every grid alpha1, so
+    figure 2's full_search row, the mean rate at the searched alpha1, meets the target it was searched for."""
+    for k_db in (0.0, 5.0, 10.0, 15.0):
+        r = channel.sample_realizations(ChannelStats.from_k_factor(k_db), 2 * 10 ** 4, 5)
+        for a1, sig, den in montecarlo._alpha1_scan(channel.primary_forms(r, PW), PW, np.linspace(0.0, 1.0, 201)):
+            assert (channel.primary_rate(r, a1, PW) == np.log2(1.0 + sig / den)).all()
+    rows = {(row.k_db, row.scheme): row.value for row in figure_sweep(2, PW, n_ergodic=2 * 10 ** 4, seed=5)}
+    for k_db in montecarlo.DEFAULT_K_GRID:
+        assert rows[k_db, "full_search"] >= rows[k_db, "full_csit"]
 
 
 def test_brute_force_alpha1_outage():
