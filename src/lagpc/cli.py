@@ -11,7 +11,7 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +21,14 @@ from .channel import ChannelStats, DesignParams, PowerConfig
 from .design_fast import InfeasibleDesignError
 
 FIXED_COLUMNS = ("scheme", "metric", "value", "std_error", "alpha1", "alpha2_re", "alpha2_im", "seed")
+
+# the paper's slow-fading operating points, K_dB -> (R_P, P_out_P, R_CR); their K are the default K grid
+SLOW_TARGETS = {
+    0.0: (1.0, 0.1, 0.2),
+    5.0: (2.0, 0.1, 0.5),
+    10.0: (2.0, 0.01, 1.0),
+    15.0: (2.0, 0.01, 1.5),
+}
 
 
 class ConfigError(Exception):
@@ -124,7 +132,7 @@ def _among(options):
     return (lambda x: x in options, f"must be among {sorted(map(str, options))}")
 
 
-_K_GRID = ("num_list", (0.0, 5.0, 10.0, 15.0), None)
+_K_GRID = ("num_list", tuple(SLOW_TARGETS), None)
 _POWER_FIELDS = {key: ("number", default, _POSITIVE) for key, default in
                  (("p_c", 10.0), ("p_p", 10.0), ("noise_p", 1.0), ("noise_s", 1.0))}
 _SEED = ("int", 0, (lambda x: x >= 0, "must be nonnegative"))
@@ -164,7 +172,7 @@ SCHEMAS = {
         "schemes": ("str_list", lattice.SCHEMES, _among(lattice.SCHEMES)),
         "p_p": ("number", 100.0, _POSITIVE),
         "noise": ("number", 1.0, _POSITIVE),
-        "alpha1": ("number", 0.0, _UNIT),
+        "alpha1": ("number", 0.0, (lambda x: 0.0 <= x < 1.0, "must be within [0, 1)")),
         "theory_n": ("int", 2 * 10 ** 5, _AT_LEAST_1),
     },
     "asymptotic-check": {
@@ -249,10 +257,10 @@ def _slow_targets(k, cfg):
         if None in explicit:
             raise ConfigError("r_p, p_out_p, r_cr: all three required together")
         return tuple(explicit)
-    if k not in montecarlo.SLOW_TARGETS:
+    if k not in SLOW_TARGETS:
         hint = "; set r_p, p_out_p, r_cr" if "r_p" in cfg else ""
         raise ConfigError(f"k_db: no default targets for K = {k:g}{hint}")
-    return montecarlo.SLOW_TARGETS[k]
+    return SLOW_TARGETS[k]
 
 
 def _cmd_design_slow(cfg) -> ResultTable:
@@ -277,6 +285,8 @@ def _cmd_simulate(cfg) -> ResultTable:
     given = (cfg["alpha1"], cfg["alpha2"])
     if given.count(None) == 1:
         raise ConfigError("alpha1, alpha2: give both or neither")
+    if given[0] == 1.0 and given[1] and cfg["user"] == "cr" and "la_gpc" in cfg["schemes"]:
+        raise ConfigError("alpha2: must be 0 for la_gpc at alpha1 = 1, which leaves no signal to precode")
     if outage and None in given and (cfg["r_p"] is None or cfg["p_out_p"] is None):
         raise ConfigError("r_p, p_out_p: required when alpha1/alpha2 absent")
     if cfg["user"] == "primary":
@@ -346,6 +356,57 @@ def _cmd_asymptotic_check(cfg) -> ResultTable:
     return ResultTable("K_dB", rows)
 
 
+_FIGURE5_ORDER = ("la_gpc", "naive_dpc", "interference_as_noise", "full_csit")
+_METRICS = {2: "primary_ergodic_rate", 3: "cr_ergodic_rate", 4: "primary_outage", 5: "cr_outage"}
+
+
+def _sweep_rows(cfg) -> list:
+    """All curves of comparison figure 2, 3, 4 or 5 over the K grid.
+
+    2: primary ergodic rate, designed vs searched alpha1 vs no-interference
+       reference; 3: CR ergodic rate across the five schemes; 4: primary
+       outage versions of 2; 5: CR outage versions of 3.  In rate/outage
+       tables the no-interference reference carries the full_csit label.
+    """
+    pw, seed, fig = _power_config(cfg), cfg["seed"], cfg["figure"]
+    metric, ergodic, primary = _METRICS[fig], fig in (2, 3), fig in (2, 4)
+    n, bf_mc_n = cfg["n_ergodic"] if ergodic else cfg["n_outage"], cfg["bf_mc_n"]
+    # every K's targets are looked up before the first draw
+    targets = {k: (None,) * 3 if ergodic else _slow_targets(k, cfg) for k in cfg["k_db"] or SLOW_TARGETS}
+    rows = []
+    for k, (r_p, reference, r_cr) in targets.items():
+        stats = ChannelStats.from_k_factor(k)
+        # one block per K: the estimates and the alpha1 search read its first
+        # n realizations, the alpha2 search its first bf_mc_n
+        block = channel.sample_realizations(stats, n if primary else max(n, bf_mc_n), seed)
+        r = block[:n]
+        if ergodic:
+            reference = design_fast.primary_target_ergodic(stats, pw)
+            des = design_fast.solve_alpha1_fast(stats, pw, reference)
+            bf_a1 = montecarlo.brute_force_alpha1_fast(r, pw, reference)
+        else:
+            des = design_slow.design(stats, pw, r_p, reference, r_cr)
+            bf_a1 = montecarlo.brute_force_alpha1_outage(r, pw, r_p, reference)
+
+        def row(scheme, which, p, r_target, shown=None):
+            est = montecarlo.estimate(r, stats, p, pw, which, r_target)
+            shown = shown or p
+            return _row(k, scheme, metric, est.value, est.std_error, shown.alpha1, shown.alpha2, seed)
+
+        if primary:
+            for scheme, a1 in (("la_gpc", des.alpha1), ("full_search", bf_a1)):
+                rows.append(row(scheme, "primary", DesignParams(a1, 0.0), r_p))
+            rows.append(_row(k, "full_csit", metric, reference, 0.0, 0.0, 0j, seed))
+            continue
+        # figure 3 prints the design's alpha2 on every row, figure 5 the alpha2 each scheme ran at
+        for scheme in montecarlo.CR_SCHEMES if ergodic else _FIGURE5_ORDER:
+            shown = des.params if ergodic else montecarlo.scheme_params(scheme, stats, des.params, pw)
+            rows.append(row(scheme, scheme, des.params, r_cr, shown))
+        bf_a2 = montecarlo.brute_force_alpha2(block[:bf_mc_n], stats, bf_a1, pw, r_cr, grid_n=cfg["bf_grid_n"])
+        rows.append(row("full_search", "la_gpc", DesignParams(bf_a1, bf_a2), r_cr))
+    return rows
+
+
 # the figures that read each key besides seed; any other figure rejects it when the user's config sets it
 _FIGURE_KEYS = {**dict.fromkeys(("p_c", "p_p", "noise_p", "noise_s"), (2, 3, 4, 5, 6)), "n_frames": (6,),
                 "k_db": (2, 3, 4, 5), **dict.fromkeys(("bf_grid_n", "bf_mc_n"), (3, 5)), "n_ergodic": (2, 3),
@@ -357,15 +418,7 @@ def _cmd_reproduce_figure(cfg) -> ResultTable:
     seed = cfg["seed"]
     fig = cfg["figure"]
     if fig in (2, 3, 4, 5):
-        k_grid = cfg["k_db"] or montecarlo.DEFAULT_K_GRID
-        if fig in (4, 5):
-            for k in k_grid:
-                _slow_targets(k, cfg)
-        recs = montecarlo.figure_sweep(
-            fig, pw, k_grid=k_grid, n_ergodic=cfg["n_ergodic"], n_outage=cfg["n_outage"], seed=seed,
-            bf_grid_n=cfg["bf_grid_n"], bf_mc_n=cfg["bf_mc_n"],
-        )
-        return ResultTable("K_dB", [_row(*astuple(r)) for r in recs])
+        return ResultTable("K_dB", _sweep_rows(cfg))
     if fig == 6:
         # transmit histogram at the fast design for K = 10 dB
         res = design_fast.solve_alpha1_fast(ChannelStats.from_k_factor(10.0), pw)

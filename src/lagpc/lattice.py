@@ -391,8 +391,7 @@ def codeword_error_sim(
         y = _gain(r.h22, x) + _gain(hs, s_frame) + w[:, -N_DIM:] * np.sqrt(scenario.noise / 2.0)
         p_err = np.count_nonzero(decode(y, filters, dither, pair) != msgs) / n
         ci = 1.96 * np.sqrt(max(p_err * (1.0 - p_err), 1e-12) / n)
-        parts = montecarlo._sums(theory_block, stats, params, pw, theory_which, scenario.rate_bpcu)
-        theory = montecarlo._estimate(parts, scenario.theory_n, scenario.rate_bpcu)
+        theory = montecarlo.estimate(theory_block, stats, params, pw, theory_which, scenario.rate_bpcu)
         rows.append(
             ErrorRatePoint(
                 snr_db=float(snr),

@@ -1,11 +1,10 @@
-"""Ground-truth Monte Carlo estimators, brute-force searches, and the
-comparison sweeps behind the rate/outage figures.
+"""Ground-truth Monte Carlo estimators and the brute-force grid searches that
+the statistical designs are compared against.
 
 Sampling is counter-based (see channel.sample_realizations), so estimates are
 identical however the index range is chunked; every scheme at a given
-operating point reuses the same realizations (common random numbers).  The
-figure sweeps draw one block per operating point, and every curve and grid
-search reads a prefix of it.
+operating point reuses the same realizations (common random numbers).
+`estimate` scores a block the caller holds, as the figures score one block per K.
 """
 from __future__ import annotations
 
@@ -15,50 +14,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import channel, design_fast, design_slow
+from . import channel, design_fast
 from .channel import ChannelStats, DesignParams, PowerConfig
 from .design_fast import InfeasibleDesignError
 
 # the cognitive-radio schemes, in figure 3's row order
 CR_SCHEMES = ("la_gpc", "full_csit", "naive_dpc", "interference_as_noise")
-SCHEME_LABELS = CR_SCHEMES + ("full_search",)
 
 _CHUNK = 1 << 20
 _DISC_ROWS = 16  # alpha2 points per det product; a product's bits depend on its shape
 _BOUND_ROWS = 8 * _DISC_ROWS  # alpha2 points per score bound: whole det products
 _SCAN_BLOCK = 16  # grid alpha1 per rate bound in brute_force_alpha1_fast
 
-# Slow-fading operating points: K_dB -> (R_P, P_out_P, R_CR)
-SLOW_TARGETS = {
-    0.0: (1.0, 0.1, 0.2),
-    5.0: (2.0, 0.1, 0.5),
-    10.0: (2.0, 0.01, 1.0),
-    15.0: (2.0, 0.01, 1.5),
-}
-
-DEFAULT_K_GRID = (0.0, 5.0, 10.0, 15.0)
-
 
 @dataclass(frozen=True)
 class McEstimate:
     value: float
     std_error: float
-
-
-@dataclass(frozen=True)
-class SweepRecord:
-    k_db: float
-    scheme: str
-    metric: str
-    value: float
-    std_error: float
-    alpha1: float
-    alpha2: complex
-    seed: int
-
-    def __post_init__(self):
-        if self.scheme not in SCHEME_LABELS:
-            raise ValueError(f"unknown scheme label {self.scheme!r}")
 
 
 def scheme_params(which: str, stats: ChannelStats, params: DesignParams, pw: PowerConfig) -> DesignParams:
@@ -187,6 +159,12 @@ def outage_probability(
 ) -> McEstimate:
     """Empirical P(rate < r_target) with binomial standard error."""
     return _drawn_estimate(stats, params, pw, which, r_target, n, seed, workers)
+
+
+def estimate(r: channel.ChannelRealization, stats, params, pw, which: str, r_target=None) -> McEstimate:
+    """ergodic_capacity, or with r_target outage_probability, over the held block r: the same bits
+    when r is the first len(r) realizations of the stream."""
+    return _estimate(_sums(r, stats, params, pw, which, r_target), len(r), r_target)
 
 
 def _alpha1_scan(forms, pw: PowerConfig, alpha1s):
@@ -335,69 +313,3 @@ def brute_force_alpha2(
         for lo in range(starts[k], min(starts[k] + _BOUND_ROWS, len(a2)), _DISC_ROWS):
             scores[lo : lo + _DISC_ROWS] = score(lo)
     return complex(a2[np.nanargmax(scores)])
-
-
-_FIGURE5_ORDER = ("la_gpc", "naive_dpc", "interference_as_noise", "full_csit")
-_METRICS = {2: "primary_ergodic_rate", 3: "cr_ergodic_rate", 4: "primary_outage", 5: "cr_outage"}
-
-
-def figure_sweep(
-    figure_id: int,
-    pw: PowerConfig | None = None,
-    k_grid=DEFAULT_K_GRID,
-    n_ergodic: int = 10 ** 5,
-    n_outage: int = 10 ** 6,
-    seed: int = 0,
-    bf_grid_n: int = 61,
-    bf_mc_n: int = 3 * 10 ** 4,
-) -> list[SweepRecord]:
-    """All curves of one comparison figure.
-
-    2: primary ergodic rate, designed vs searched alpha1 vs no-interference
-       reference; 3: CR ergodic rate across the five schemes; 4: primary
-       outage versions of 2; 5: CR outage versions of 3.  In rate/outage
-       tables the no-interference reference carries the full_csit label.
-    """
-    if pw is None:
-        pw = PowerConfig(10.0, 10.0)
-    if figure_id not in _METRICS:
-        raise ValueError(f"unknown figure {figure_id}")
-    metric = _METRICS[figure_id]
-    ergodic = figure_id in (2, 3)
-    primary = figure_id in (2, 4)
-    n = n_ergodic if ergodic else n_outage
-    rows: list[SweepRecord] = []
-    for k_db in k_grid:
-        stats = ChannelStats.from_k_factor(k_db)
-        # one block per K: the estimates and the alpha1 search read its first
-        # n realizations, the alpha2 search its first bf_mc_n
-        block = channel.sample_realizations(stats, n if primary else max(n, bf_mc_n), seed)
-        r = block[:n]
-        if ergodic:
-            reference = design_fast.primary_target_ergodic(stats, pw)
-            des = design_fast.solve_alpha1_fast(stats, pw, reference)
-            bf_a1 = brute_force_alpha1_fast(r, pw, reference)
-            r_p = r_cr = None
-        else:
-            r_p, reference, r_cr = SLOW_TARGETS[k_db]
-            des = design_slow.design(stats, pw, r_p, reference, r_cr)
-            bf_a1 = brute_force_alpha1_outage(r, pw, r_p, reference)
-
-        def record(scheme, which, p, r_target, shown=None):
-            est = _estimate(_sums(r, stats, p, pw, which, r_target), n, r_target)
-            shown = shown or p
-            a1, a2 = shown.alpha1, complex(shown.alpha2)
-            return SweepRecord(k_db, scheme, metric, est.value, est.std_error, a1, a2, seed)
-
-        if primary:
-            for scheme, a1 in (("la_gpc", des.alpha1), ("full_search", bf_a1)):
-                rows.append(record(scheme, "primary", DesignParams(a1, 0.0), r_p))
-            rows.append(SweepRecord(k_db, "full_csit", metric, reference, 0.0, 0.0, 0j, seed))
-            continue
-        # figure 3 prints the design's alpha2 on every row, figure 5 the alpha2 each scheme ran at
-        for scheme in CR_SCHEMES if ergodic else _FIGURE5_ORDER:
-            shown = des.params if ergodic else scheme_params(scheme, stats, des.params, pw)
-            rows.append(record(scheme, scheme, des.params, r_cr, shown))
-        bf_a2 = brute_force_alpha2(block[:bf_mc_n], stats, bf_a1, pw, r_cr, grid_n=bf_grid_n)
-        rows.append(record("full_search", "la_gpc", DesignParams(bf_a1, bf_a2), r_cr))
-    return rows

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammainc, gammaln
 
-_HERM_TOL = 1e-10
+_HERM_TOL = 1e-10  # on |A - A^H| per entry, relative to the entry where |A_ij| > 1
 
 
 class DomainError(ValueError):
@@ -77,7 +77,7 @@ class Chi2Approx:
 
 def _check_hermitian(A) -> np.ndarray:
     A = np.asarray(A, dtype=complex)
-    if np.abs(A - A.swapaxes(-1, -2).conj()).max(initial=0.0) > _HERM_TOL:
+    if (np.abs(A - A.swapaxes(-1, -2).conj()) > _HERM_TOL * np.maximum(1.0, np.abs(A))).any():
         raise ValueError("matrix not Hermitian")
     return A
 

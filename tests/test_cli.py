@@ -210,6 +210,49 @@ def test_unknown_slow_k_is_a_config_error_before_sampling(tmp_path, capsys, monk
     assert capsys.readouterr().err == f"config error: k_db: no default targets for K = 2.5{hint}\n"
 
 
+def test_design_slow_at_high_power(tmp_path):
+    """Forms with entries near 1e6 are Hermitian only up to rounding; the design still runs."""
+    for i, config in enumerate(({"k_db": [10], "r_p": 2, "p_out_p": 0.1, "r_cr": 2, "p_p": 1e4, "p_c": 1e4},
+                                {"k_db": [5], "p_c": 1e6, "p_p": 1e6})):
+        rc, out = _run(tmp_path / str(i), "design-slow", config=config)
+        assert rc == 0
+        assert len((out / "design-slow.csv").read_text().splitlines()) == 3
+
+
+_NO_SIGNAL = "alpha2: must be 0 for la_gpc at alpha1 = 1, which leaves no signal to precode"
+
+
+@pytest.mark.parametrize("name,config,error", [
+    ("simulate-ergodic", {"schemes": ["naive_dpc", "la_gpc"]}, _NO_SIGNAL),
+    ("simulate-outage", {"r_target": 1.0}, _NO_SIGNAL),
+    ("lattice-sim", {"trials": 10, "theory_n": 100}, "alpha1: must be within [0, 1)"),
+], ids=["simulate-ergodic", "simulate-outage", "lattice-sim"])
+def test_alpha1_one_without_a_signal_is_a_config_error(tmp_path, capsys, monkeypatch, name, config, error):
+    from lagpc import channel
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the config check")
+
+    monkeypatch.setattr(channel, "sample_realizations", no_sampling)
+    alpha = {} if name == "lattice-sim" else {"k_db": [10], "n": 1000, "alpha2": [0.5, 0.0]}
+    rc, out = _run(tmp_path, name, config={"alpha1": 1.0, **alpha, **config})
+    assert rc == 2
+    assert capsys.readouterr().err == f"config error: {error}\n"
+    assert not out.exists()
+
+
+def test_alpha1_one_still_runs_where_nothing_is_precoded(tmp_path):
+    """At alpha1 = 1 the primary's rate, the other CR schemes and la_gpc at alpha2 = 0 are all defined."""
+    base = {"k_db": [10], "n": 1000, "alpha1": 1.0, "alpha2": [0.5, 0.0]}
+    others = ["naive_dpc", "full_csit", "interference_as_noise"]
+    cases = [("simulate-ergodic", {"user": "primary", "schemes": ["la_gpc"]}),
+             ("simulate-outage", {"r_target": 1.0, "schemes": others}),
+             ("simulate-ergodic", {"alpha2": [0.0, 0.0]})]
+    for i, (name, config) in enumerate(cases):
+        rc, _ = _run(tmp_path / str(i), name, config={**base, **config})
+        assert rc == 0, (name, config)
+
+
 def test_lattice_figures_need_five_outage_samples(tmp_path, capsys):
     rc, out = _run(tmp_path / "7", "reproduce-figure", args=["7", "--samples", "4"])
     assert rc == 2
@@ -409,6 +452,7 @@ _GOLDEN_CASES = {
     ),
     "asymptotic-check": ("asymptotic-check", [], {"modes": ["fast", "slow"], "k_db": [0, 20]}),
     "figure-2": ("reproduce-figure", ["2"], {"k_db": [5], "n_ergodic": 2000}),
+    "figure-3": ("reproduce-figure", ["3"], {"n_ergodic": 2000, "bf_grid_n": 7, "bf_mc_n": 1000}),
     "figure-4": ("reproduce-figure", ["4"], {"k_db": [10], "n_outage": 3000}),
     "figure-5": ("reproduce-figure", ["5"], {"k_db": [10], "n_outage": 3000, "bf_grid_n": 5, "bf_mc_n": 2000}),
     "figure-6": ("reproduce-figure", ["6", "--samples", "2000"], {}),

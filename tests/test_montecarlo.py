@@ -1,16 +1,17 @@
+from collections import namedtuple
+
 import numpy as np
 import pytest
 
-from lagpc import channel, design_fast, design_slow, montecarlo
+from lagpc import channel, cli, design_fast, design_slow, montecarlo
 from lagpc.channel import ChannelStats, DesignParams, PowerConfig
+from lagpc.cli import SLOW_TARGETS
 from lagpc.design_fast import InfeasibleDesignError
 from lagpc.montecarlo import (
-    SweepRecord,
     brute_force_alpha1_fast,
     brute_force_alpha1_outage,
     brute_force_alpha2,
     ergodic_capacity,
-    figure_sweep,
     outage_probability,
     scheme_rates,
 )
@@ -18,6 +19,15 @@ from lagpc.montecarlo import (
 PW = PowerConfig(10.0, 10.0)
 STATS = ChannelStats.from_k_factor(10.0)
 PARAMS = DesignParams(0.75, 1.26 + 0j)
+
+FigureRow = namedtuple("FigureRow", ("k_db",) + cli.FIXED_COLUMNS)
+
+
+def figure_rows(figure, pw=PW, k_grid=None, **sizes):
+    """The rows of `reproduce-figure` 2-5 at these powers, K grid and sizes, as named tuples."""
+    powers = {"p_c": pw.Pc, "p_p": pw.Pp, "noise_p": pw.noise_p, "noise_s": pw.noise_s}
+    config = {"figure": figure, **powers, "k_db": k_grid and list(k_grid), **sizes}
+    return [FigureRow(*row) for row in cli._sweep_rows(cli.validate_config("reproduce-figure", config))]
 
 
 def _oracle_alpha1_means(r, pw, grid_n):
@@ -211,12 +221,6 @@ def test_std_error_shrinks_with_n():
     assert big.std_error == pytest.approx(small.std_error / 2.0, rel=0.2)
 
 
-def test_sweep_record_rejects_unknown_scheme():
-    with pytest.raises(ValueError):
-        SweepRecord(0.0, "bogus", "m", 1.0, 0.0, 0.5, 0j, 0)
-    SweepRecord(0.0, "full_search", "m", 1.0, 0.0, 0.5, 0j, 0)
-
-
 def test_brute_force_alpha1_fast():
     target = 3.35
     r = channel.sample_realizations(STATS, 30000, 2)
@@ -238,8 +242,8 @@ def test_primary_rate_is_the_scans_rate_bit_for_bit():
         r = channel.sample_realizations(ChannelStats.from_k_factor(k_db), 2 * 10 ** 4, 5)
         for a1, sig, den in montecarlo._alpha1_scan(channel.primary_forms(r, PW), PW, np.linspace(0.0, 1.0, 201)):
             assert (channel.primary_rate(r, a1, PW) == np.log2(1.0 + sig / den)).all()
-    rows = {(row.k_db, row.scheme): row.value for row in figure_sweep(2, PW, n_ergodic=2 * 10 ** 4, seed=5)}
-    for k_db in montecarlo.DEFAULT_K_GRID:
+    rows = {(row.k_db, row.scheme): row.value for row in figure_rows(2, PW, n_ergodic=2 * 10 ** 4, seed=5)}
+    for k_db in SLOW_TARGETS:  # the default K grid
         assert rows[k_db, "full_search"] >= rows[k_db, "full_csit"]
 
 
@@ -287,11 +291,11 @@ def test_brute_force_alpha1_outage_validates():
 
 def test_outage_counts_match_the_scan_at_every_grid_point():
     """The interval counts equal the per-grid-point scan's, and pick its alpha1."""
-    for k_db, (r_p, p_out, _) in montecarlo.SLOW_TARGETS.items():
+    for k_db, (r_p, p_out, _) in SLOW_TARGETS.items():
         stats = ChannelStats.from_k_factor(k_db)
         for seed in range(6):
             _outage_counts_match(channel.sample_realizations(stats, 10 ** 5, seed), r_p, p_out)
-    r_p, p_out, _ = montecarlo.SLOW_TARGETS[0.0]
+    r_p, p_out, _ = SLOW_TARGETS[0.0]
     _outage_counts_match(channel.sample_realizations(ChannelStats.from_k_factor(0.0), 10 ** 6, 0), r_p, p_out)
 
 
@@ -359,7 +363,7 @@ def test_batched_searches_match_the_scalar_oracles():
     cases = 0
     for k_db in (0.0, 5.0, 10.0, 15.0):
         stats = ChannelStats.from_k_factor(k_db)
-        r_p, p_out, r_cr = montecarlo.SLOW_TARGETS[k_db]
+        r_p, p_out, r_cr = SLOW_TARGETS[k_db]
         target = design_fast.primary_target_ergodic(stats, PW)
         for seed in (1, 2):
             r = channel.sample_realizations(stats, 3000, seed)
@@ -471,7 +475,7 @@ def test_scored_blocks_equal_the_full_scan_bit_for_bit(monkeypatch):
 
 
 def test_figure_sweep_rate_structure():
-    rows = figure_sweep(2, k_grid=(0.0, 15.0), n_ergodic=8000, seed=0, bf_mc_n=8000)
+    rows = figure_rows(2, k_grid=(0.0, 15.0), n_ergodic=8000, seed=0, bf_mc_n=8000)
     assert len(rows) == 6
     by_k = {}
     for r in rows:
@@ -487,7 +491,7 @@ def test_figure_sweep_rate_structure():
 
 
 def test_figure_sweep_outage_structure():
-    rows = figure_sweep(
+    rows = figure_rows(
         5, k_grid=(10.0,), n_outage=20000, seed=0, bf_grid_n=21, bf_mc_n=5000
     )
     schemes = {r.scheme: r for r in rows}
@@ -512,10 +516,10 @@ def test_figure_sweeps_match_the_public_estimators():
         stats = ChannelStats.from_k_factor(k_db)
         target = design_fast.primary_target_ergodic(stats, PW)
         fast = design_fast.solve_alpha1_fast(stats, PW, target).params
-        r_p, p_out, r_cr = montecarlo.SLOW_TARGETS[k_db]
+        r_p, p_out, r_cr = SLOW_TARGETS[k_db]
         slow = design_slow.design(stats, PW, r_p, p_out, r_cr).params
-        rows = figure_sweep(3, PW, (k_db,), n_ergodic=3000, seed=seed, bf_grid_n=5, bf_mc_n=2000)
-        rows += figure_sweep(5, PW, (k_db,), n_outage=4000, seed=seed, bf_grid_n=5, bf_mc_n=2000)
+        rows = figure_rows(3, PW, (k_db,), n_ergodic=3000, seed=seed, bf_grid_n=5, bf_mc_n=2000)
+        rows += figure_rows(5, PW, (k_db,), n_outage=4000, seed=seed, bf_grid_n=5, bf_mc_n=2000)
         got = {(r.metric, r.scheme): (r.value, r.std_error) for r in rows}
         for scheme in montecarlo.CR_SCHEMES:
             erg = ergodic_capacity(stats, fast, PW, 3000, seed, which=scheme, workers=1)
@@ -533,13 +537,8 @@ def test_figure_sweep_draws_one_block_per_k(monkeypatch):
         return sample(stats, n, seed, start)
 
     monkeypatch.setattr(channel, "sample_realizations", counting)
-    figure_sweep(3, k_grid=(5.0, 10.0), n_ergodic=4000, bf_grid_n=11, bf_mc_n=2000)
+    figure_rows(3, k_grid=(5.0, 10.0), n_ergodic=4000, bf_grid_n=11, bf_mc_n=2000)
     assert draws == [4000, 4000]
     draws.clear()
-    figure_sweep(5, k_grid=(5.0, 10.0), n_outage=20000, bf_grid_n=11, bf_mc_n=2000)
+    figure_rows(5, k_grid=(5.0, 10.0), n_outage=20000, bf_grid_n=11, bf_mc_n=2000)
     assert draws == [20000, 20000]
-
-
-def test_figure_sweep_rejects_unknown_figure():
-    with pytest.raises(ValueError):
-        figure_sweep(9)

@@ -81,6 +81,18 @@ def test_qf_rejects_non_hermitian():
         qf_mean(g, np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_hermitian_check_scales_with_the_entries():
+    """Complex products with entries near 1e6 are Hermitian only up to rounding, which can leave
+    them asymmetric by more than 1e-10; a relative asymmetry of 1e-8 is still rejected."""
+    g = GaussianVectorSpec.from_diag([0.5, 0.0], [1.0, 2.0])
+    off = 3e5 + 2e5j
+    exact = np.array([[6.9e5, off], [off.conjugate(), 4e5]])
+    rounded = exact + np.array([[0.0, 0.0], [5e-10, 0.0]])
+    assert qf_mean(g, rounded) == pytest.approx(qf_mean(g, exact), rel=1e-15)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        qf_mean(g, exact + np.array([[0.0, 0.0], [1e-8 * abs(off), 0.0]]))
+
+
 def _ratio_instance(rng):
     """LOS-dominated spec with a well-conditioned denominator form: the
     regime the second-order expansion is built for (and the one the slow
