@@ -114,34 +114,50 @@ class ChannelRealization:
         )
 
 
-def sample_realizations(
-    stats: ChannelStats, n: int, seed: int, start: int = 0
-) -> ChannelRealization:
-    """Draw ``n`` iid channel realizations, reproducibly.
+def standard_normals(n: int, seed: int, start: int = 0) -> np.ndarray:
+    """The (n, 8) standard normals behind realizations start .. start + n - 1 of the stream.
 
     Counter-based: realization index ``start + i`` always consumes the same
     8 uniforms regardless of how the index range is chunked, so partitioned
-    calls tile into the unchunked stream exactly.
+    calls tile into the unchunked stream exactly.  They do not depend on the
+    link statistics, so one draw serves every K (see realizations).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     bitgen = Philox(key=seed)
     # 8 doubles per realization = 2 Philox counter increments.
     bitgen.advance(2 * start)
-    gen = Generator(bitgen)
-    sd = np.sqrt(
-        np.array([stats.var11, stats.var12, stats.var21, stats.var22]) / 2.0
-    )
-    mu = np.array([stats.mu11, stats.mu12, stats.mu21, stats.mu22])
+    z = Generator(bitgen).random((n, 8))
+    return ndtri(np.maximum(z, 2.0 ** -53, out=z), out=z)  # normals in place; guard ndtri(0) = -inf
+
+
+def _scale(stats: ChannelStats, z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = sd * z + mu per link, with z's 8 normals per row read as 4 complex numbers."""
+    sd = np.sqrt(np.array([stats.var11, stats.var12, stats.var21, stats.var22]) / 2.0)
+    np.multiply(sd, z.view(complex), out=out)
+    out += np.array([stats.mu11, stats.mu12, stats.mu21, stats.mu22])
+    return out
+
+
+def realizations(stats: ChannelStats, z: np.ndarray) -> ChannelRealization:
+    """The realizations of standard_normals z at these link statistics: the same bits as
+    sample_realizations over the same range."""
+    return ChannelRealization(*_scale(stats, z, np.empty((len(z), 4), dtype=complex)).T)
+
+
+def sample_realizations(
+    stats: ChannelStats, n: int, seed: int, start: int = 0
+) -> ChannelRealization:
+    """Draw ``n`` iid channel realizations, reproducibly: realizations of
+    standard_normals(n, seed, start)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     h = np.empty((n, 4), dtype=complex)
-    # filled in place, piece by piece, so the temporaries stay one piece long
+    # filled piece by piece, so the temporaries stay one piece long
     for lo in range(0, n, _DRAW_PIECE):
-        u = gen.random((min(_DRAW_PIECE, n - lo), 8))
-        ndtri(np.maximum(u, 2.0 ** -53, out=u), out=u)  # normals in place; guard ndtri(0) = -inf
-        piece = h[lo : lo + len(u)]
-        np.multiply(sd, u.view(complex), out=piece)
-        piece += mu
-    return ChannelRealization(h[:, 0], h[:, 1], h[:, 2], h[:, 3])
+        piece = h[lo : lo + _DRAW_PIECE]
+        _scale(stats, standard_normals(len(piece), seed, start + lo), piece)
+    return ChannelRealization(*h.T)
 
 
 def effective_interference_gain(r: ChannelRealization, alpha1: float, pw: PowerConfig):

@@ -373,12 +373,14 @@ def _sweep_rows(cfg) -> list:
     n, bf_mc_n = cfg["n_ergodic"] if ergodic else cfg["n_outage"], cfg["bf_mc_n"]
     # every K's targets are looked up before the first draw
     targets = {k: (None,) * 3 if ergodic else _slow_targets(k, cfg) for k in cfg["k_db"] or SLOW_TARGETS}
+    # one draw of normals, rescaled to a block at each K: the estimates and the alpha1
+    # search read the block's first n realizations, the alpha2 search its first bf_mc_n
+    z = channel.standard_normals(n if primary else max(n, bf_mc_n), seed)
     rows = []
     for k, (r_p, reference, r_cr) in targets.items():
         stats = ChannelStats.from_k_factor(k)
-        # one block per K: the estimates and the alpha1 search read its first
-        # n realizations, the alpha2 search its first bf_mc_n
-        block = channel.sample_realizations(stats, n if primary else max(n, bf_mc_n), seed)
+        block = r = None  # the last K's block goes before the next is built
+        block = channel.realizations(stats, z)
         r = block[:n]
         if ergodic:
             reference = design_fast.primary_target_ergodic(stats, pw)

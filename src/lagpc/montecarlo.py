@@ -209,27 +209,45 @@ def _outage_counts(r: channel.ChannelRealization, pw: PowerConfig, r_p: float, g
     rho |root|, rho = e_d / (disc - e_d) + 4u.  Samples with a grid amp inside that guard or near
     tangency (h12 = 0 gives disc = 0) are rescored with the scan's own expression.
     """
-    a, b, c = forms = channel.primary_forms(r, pw)
+    a, b, c = channel.primary_forms(r, pw)
     amps = np.sqrt(np.linspace(0.0, 1.0, grid_n) * pw.Pc)
     u, big_t, t = 2.0 ** -53, 2.0 ** r_p, 2.0 ** r_p - 1.0
     qa, qc = c * big_t, a - t * (c * pw.Pc + pw.noise_p)
     eps = 64.0 * u * (a + np.abs(b) * amps[-1] + (1.0 + abs(t)) * (2.0 * c * pw.Pc + pw.noise_p))
+    del a, c  # the n-long arrays are dropped as they are used, to keep this stage's peak low
     e_d = 4.0 * u * (b * b + 4.0 * np.abs(qa * qc))
     disc = b * b - 4.0 * qa * qc
     redo = np.abs(disc) <= 8.0 * (e_d + qa * eps)
     disc[redo | (disc < 0.0)] = np.nan  # no interval to count: nan sorts past every amp
-    w = -0.5 * (b + np.copysign(np.sqrt(disc), b))
-    ends = np.array([np.minimum(w / qa, qc / w), np.maximum(w / qa, qc / w)])  # (lo, hi)
-    del w, qa, qc  # three n-long arrays fewer at the peak below
-    guard = 2.0 * (e_d / (disc - e_d) + 4.0 * u) * np.abs(ends) + 2.0 * eps / np.sqrt(disc - e_d)
+    w = np.sqrt(disc)
+    np.copysign(w, b, out=w)
+    w += b
+    w *= -0.5
+    del b
+    ends = np.empty((2, len(r)))  # (lo, hi)
+    np.divide(w, qa, out=ends[1])
+    np.divide(qc, w, out=w)
+    np.minimum(ends[1], w, out=ends[0])
+    np.maximum(ends[1], w, out=ends[1])
+    del w, qa, qc
+    # the guard grows with |end|, so each sample's largest is at its end farther from 0
+    disc -= e_d
+    guard = np.divide(e_d, disc, out=e_d)
+    guard += 4.0 * u
+    guard *= 2.0
+    guard *= np.fmax(np.abs(ends[0]), np.abs(ends[1]))
+    eps *= 2.0
+    eps /= np.sqrt(disc, out=disc)
+    guard += eps
+    reach = np.nanmax(guard, initial=0.0)  # an end inside its guard of an amp is within reach of it
+    del guard, eps, disc
     srt = np.sort(ends, axis=1)
     counts = np.searchsorted(srt[0], amps) - np.searchsorted(srt[1], amps, side="right")
-    reach = np.nanmax(guard, initial=0.0)  # an end inside its guard of an amp is within reach of it
     near = [e[np.searchsorted(e, x - reach) : np.searchsorted(e, x + reach, "right")]
             for e in srt for x in amps]
     redo |= np.isin(ends, np.concatenate(near)).any(axis=0)
     counts -= np.sum((ends[0, redo, None] < amps) & (amps < ends[1, redo, None]), axis=0)
-    again = _alpha1_scan(tuple(f[redo] for f in forms), pw, np.linspace(0.0, 1.0, grid_n))
+    again = _alpha1_scan(channel.primary_forms(r[redo], pw), pw, np.linspace(0.0, 1.0, grid_n))
     return counts + [np.count_nonzero(1.0 + sig / den < big_t) for _, sig, den in again]
 
 
@@ -256,11 +274,17 @@ def _disc_scorer(r, alpha1, pw, a2, r_cr=None):
     signal, a, b, c = channel.cr_forms(r, alpha1, pw)
     forms = np.stack([a, b, -2.0 * c.real, 2.0 * c.imag])
     rows = np.stack([np.ones(len(a2)), np.abs(a2) ** 2, a2.real, a2.imag], axis=1)
+    buf = np.empty((_DISC_ROWS, len(r)))  # every block's dets, so no block maps fresh pages
+
+    def dets(lo):
+        block = rows[lo : lo + _DISC_ROWS]
+        return np.matmul(block, forms, out=buf[: len(block)])
+
     if r_cr is not None:
         limit = signal * 2.0 ** -r_cr  # rate < r_cr  <=>  det > limit
-        return forms, None, lambda lo: -np.mean(rows[lo : lo + _DISC_ROWS] @ forms > limit, axis=1)
+        return forms, None, lambda lo: -np.mean(dets(lo) > limit, axis=1)
     base = float(np.mean(np.log2(signal)))
-    return forms, base, lambda lo: base - np.mean(np.log2(rows[lo : lo + _DISC_ROWS] @ forms), axis=1)
+    return forms, base, lambda lo: base - np.mean(np.log2(d := dets(lo), out=d), axis=1)
 
 
 def brute_force_alpha2(

@@ -103,6 +103,18 @@ def test_sample_realizations_match_the_copying_sampler(monkeypatch):
     assert np.array_equal(got.view(np.uint64), _oracle_sample(stats, 300, 11, 37).view(np.uint64))
 
 
+@pytest.mark.parametrize("k_db", [0.0, 15.0])
+def test_realizations_of_standard_normals_are_the_sampled_stream(k_db):
+    """Rescaling one draw of normals gives sample_realizations' bits, across a piece boundary."""
+    stats = ChannelStats.from_k_factor(k_db)
+    n = channel._DRAW_PIECE + 3
+    held = channel.realizations(stats, channel.standard_normals(n, seed=13, start=7))
+    drawn = channel.sample_realizations(stats, n, seed=13, start=7)
+    for name in ("h11", "h12", "h21", "h22"):
+        got, want = np.ascontiguousarray(getattr(held, name)), np.ascontiguousarray(getattr(drawn, name))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_sample_realizations_deterministic_and_seed_sensitive():
     stats = ChannelStats.from_k_factor(0.0)
     a = channel.sample_realizations(stats, 64, seed=4)

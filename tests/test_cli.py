@@ -198,7 +198,7 @@ def test_unknown_slow_k_is_a_config_error_before_sampling(tmp_path, capsys, monk
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled before the K check")
 
-    monkeypatch.setattr(channel, "sample_realizations", no_sampling)
+    monkeypatch.setattr(channel, "standard_normals", no_sampling)
     for fig in ("4", "5"):
         rc, out = _run(tmp_path / fig, "reproduce-figure", args=[fig], config={"k_db": [10, 2.5]})
         assert rc == 2
@@ -233,7 +233,7 @@ def test_alpha1_one_without_a_signal_is_a_config_error(tmp_path, capsys, monkeyp
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled before the config check")
 
-    monkeypatch.setattr(channel, "sample_realizations", no_sampling)
+    monkeypatch.setattr(channel, "standard_normals", no_sampling)
     alpha = {} if name == "lattice-sim" else {"k_db": [10], "n": 1000, "alpha2": [0.5, 0.0]}
     rc, out = _run(tmp_path, name, config={"alpha1": 1.0, **alpha, **config})
     assert rc == 2
@@ -281,7 +281,7 @@ def test_alpha2_grid_below_three_is_a_config_error(tmp_path, capsys, monkeypatch
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled before the config check")
 
-    monkeypatch.setattr(channel, "sample_realizations", no_sampling)
+    monkeypatch.setattr(channel, "standard_normals", no_sampling)
     for fig in ("3", "5"):
         for grid_n in (1, 2):
             cfg = {"bf_grid_n": grid_n, "bf_mc_n": 2000, "k_db": [10]}
@@ -406,7 +406,7 @@ def test_repeated_or_unordered_x_values_are_config_errors(tmp_path, capsys, monk
     def no_work(*args, **kwargs):
         raise AssertionError("worked before the config check")
 
-    for module, attr in ((design_fast, "solve_alpha1_fast"), (channel, "sample_realizations"),
+    for module, attr in ((design_fast, "solve_alpha1_fast"), (channel, "standard_normals"),
                          (asymptotics, "convergence_sweep")):
         monkeypatch.setattr(module, attr, no_work)
     rc, out = _run(tmp_path, name, config={key: value})
@@ -452,9 +452,14 @@ _GOLDEN_CASES = {
     ),
     "asymptotic-check": ("asymptotic-check", [], {"modes": ["fast", "slow"], "k_db": [0, 20]}),
     "figure-2": ("reproduce-figure", ["2"], {"k_db": [5], "n_ergodic": 2000}),
+    "figure-2-two-k": ("reproduce-figure", ["2"], {"k_db": [0, 10], "n_ergodic": 2000}),
     "figure-3": ("reproduce-figure", ["3"], {"n_ergodic": 2000, "bf_grid_n": 7, "bf_mc_n": 1000}),
     "figure-4": ("reproduce-figure", ["4"], {"k_db": [10], "n_outage": 3000}),
+    "figure-4-two-k": ("reproduce-figure", ["4"], {"k_db": [0, 10], "n_outage": 3000}),
     "figure-5": ("reproduce-figure", ["5"], {"k_db": [10], "n_outage": 3000, "bf_grid_n": 5, "bf_mc_n": 2000}),
+    "figure-5-two-k": (
+        "reproduce-figure", ["5"], {"k_db": [0, 10], "n_outage": 3000, "bf_grid_n": 5, "bf_mc_n": 2000},
+    ),
     "figure-6": ("reproduce-figure", ["6", "--samples", "2000"], {}),
     "figure-7": ("reproduce-figure", ["7", "--seed", "3"], {"trials": 30, "n_outage": 5000}),
 }

@@ -528,17 +528,18 @@ def test_figure_sweeps_match_the_public_estimators():
             assert got["cr_outage", scheme] == (out.value, out.std_error)
 
 
-def test_figure_sweep_draws_one_block_per_k(monkeypatch):
+def test_figure_sweep_draws_its_normals_once(monkeypatch):
+    """Every K's block is rescaled from one draw of normals, which every sampler call passes through."""
     draws = []
-    sample = channel.sample_realizations
+    normals = channel.standard_normals
 
-    def counting(stats, n, seed, start=0):
+    def counting(n, seed, start=0):
         draws.append(n)
-        return sample(stats, n, seed, start)
+        return normals(n, seed, start)
 
-    monkeypatch.setattr(channel, "sample_realizations", counting)
+    monkeypatch.setattr(channel, "standard_normals", counting)
     figure_rows(3, k_grid=(5.0, 10.0), n_ergodic=4000, bf_grid_n=11, bf_mc_n=2000)
-    assert draws == [4000, 4000]
+    assert draws == [4000]
     draws.clear()
     figure_rows(5, k_grid=(5.0, 10.0), n_outage=20000, bf_grid_n=11, bf_mc_n=2000)
-    assert draws == [20000, 20000]
+    assert draws == [20000]
