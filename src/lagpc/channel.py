@@ -179,16 +179,24 @@ def cr_forms(r: ChannelRealization, alpha1: float, pw: PowerConfig):
 
 def cr_rate(r: ChannelRealization, p: DesignParams, pw: PowerConfig):
     """Rate I(U; Ys) - I(U; S) of the cognitive user, U = X + alpha2*S, for given gains and design
-    (vectorized), from cr_forms; it can be negative for a poor alpha2."""
+    (vectorized), from cr_forms through cr_forms_rate; it can be negative for a poor alpha2."""
     if p.alpha1 == 1.0:
         if p.alpha2 != 0:
             raise ValueError("alpha1 = 1 with nonzero alpha2: degenerate covariance")
         return np.zeros(np.shape(r.h22)) if np.ndim(r.h22) else 0.0
-    signal, det, b, c = cr_forms(r, p.alpha1, pw)
-    det += abs(p.alpha2) ** 2 * b  # accumulated in place of A: one n-long array at a time
-    det -= 2.0 * p.alpha2.real * c.real
-    det += 2.0 * p.alpha2.imag * c.imag
-    return np.log2(signal / det)
+    return cr_forms_rate(cr_forms(r, p.alpha1, pw), p.alpha2)
+
+
+def cr_forms_rate(forms, alpha2):
+    """cr_rate at alpha2 from the cr_forms of its alpha1, which it leaves as they are, so one cr_forms
+    call serves every alpha2 of that alpha1."""
+    signal, a, b, c = forms
+    det = abs(alpha2) ** 2 * b
+    det += a  # the bits of A + |alpha2|^2 B: addition commutes
+    det -= 2.0 * alpha2.real * c.real
+    det += 2.0 * alpha2.imag * c.imag
+    out = det if np.ndim(det) else None  # the rate in det's place, so the forms plus det are all it holds
+    return np.log2(np.divide(signal, det, out=out), out=out)
 
 
 def full_csit_rate(r: ChannelRealization, alpha1: float, pw: PowerConfig):

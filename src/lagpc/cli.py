@@ -390,22 +390,23 @@ def _sweep_rows(cfg) -> list:
             des = design_slow.design(stats, pw, r_p, reference, r_cr)
             bf_a1 = montecarlo.brute_force_alpha1_outage(r, pw, r_p, reference)
 
-        def row(scheme, which, p, r_target, shown=None):
-            est = montecarlo.estimate(r, stats, p, pw, which, r_target)
-            shown = shown or p
+        def row(scheme, est, shown):
             return _row(k, scheme, metric, est.value, est.std_error, shown.alpha1, shown.alpha2, seed)
 
         if primary:
             for scheme, a1 in (("la_gpc", des.alpha1), ("full_search", bf_a1)):
-                rows.append(row(scheme, "primary", DesignParams(a1, 0.0), r_p))
+                p = DesignParams(a1, 0.0)
+                rows.append(row(scheme, montecarlo.estimate(r, stats, p, pw, "primary", r_p), p))
             rows.append(_row(k, "full_csit", metric, reference, 0.0, 0.0, 0j, seed))
             continue
         # figure 3 prints the design's alpha2 on every row, figure 5 the alpha2 each scheme ran at
-        for scheme in montecarlo.CR_SCHEMES if ergodic else _FIGURE5_ORDER:
+        schemes = montecarlo.CR_SCHEMES if ergodic else _FIGURE5_ORDER
+        for scheme, est in zip(schemes, montecarlo.estimates(r, stats, des.params, pw, schemes, r_cr)):
             shown = des.params if ergodic else montecarlo.scheme_params(scheme, stats, des.params, pw)
-            rows.append(row(scheme, scheme, des.params, r_cr, shown))
+            rows.append(row(scheme, est, shown))
         bf_a2 = montecarlo.brute_force_alpha2(block[:bf_mc_n], stats, bf_a1, pw, r_cr, grid_n=cfg["bf_grid_n"])
-        rows.append(row("full_search", "la_gpc", DesignParams(bf_a1, bf_a2), r_cr))
+        p = DesignParams(bf_a1, bf_a2)
+        rows.append(row("full_search", montecarlo.estimate(r, stats, p, pw, "la_gpc", r_cr), p))
     return rows
 
 

@@ -45,31 +45,34 @@ def scheme_params(which: str, stats: ChannelStats, params: DesignParams, pw: Pow
     raise ValueError(f"unknown scheme {which!r}")
 
 
-def scheme_rates(
-    r: channel.ChannelRealization,
-    stats: ChannelStats,
-    params: DesignParams,
-    pw: PowerConfig,
-    which: str,
-) -> np.ndarray:
+def scheme_rates(r: channel.ChannelRealization, stats: ChannelStats, params: DesignParams, pw: PowerConfig,
+                 which: str) -> np.ndarray:
     """Per-realization rate of one scheme (or the primary user's rate): cr_rate at
     scheme_params, except full_csit, whose precoder follows each realization."""
-    if which == "primary":
-        return channel.primary_rate(r, params.alpha1, pw)
-    if which == "full_csit":
-        return channel.full_csit_rate(r, params.alpha1, pw)
-    return channel.cr_rate(r, scheme_params(which, stats, params, pw), pw)
+    return next(_rates(r, stats, params, pw, (which,)))
 
 
-def _sums(r, stats, params, pw, which, r_target):
-    """(sum, sum of squares, count below r_target) of one scheme's rates over the block r, one
-    entry per _CHUNK of it; with a target only the count is taken (the sums read 0), else only the sums."""
-    parts = []
-    for lo in range(0, len(r), _CHUNK):
-        rates = scheme_rates(r[lo : lo + _CHUNK], stats, params, pw, which)
-        parts.append((float(np.sum(rates)), float(np.sum(rates ** 2)), 0) if r_target is None
-                     else (0.0, 0.0, int(np.count_nonzero(rates < r_target))))
-    return parts
+def _rates(r, stats, params, pw, schemes):
+    """scheme_rates of each of schemes in turn; the cr_rate schemes read one cr_forms call."""
+    forms = None
+    for which in schemes:
+        if which in ("primary", "full_csit"):
+            yield (channel.primary_rate if which == "primary" else channel.full_csit_rate)(r, params.alpha1, pw)
+        elif params.alpha1 == 1.0:  # cr_rate's own rule
+            yield channel.cr_rate(r, scheme_params(which, stats, params, pw), pw)
+        else:
+            forms = forms or channel.cr_forms(r, params.alpha1, pw)
+            yield channel.cr_forms_rate(forms, scheme_params(which, stats, params, pw).alpha2)
+
+
+def _sums(r, stats, params, pw, schemes, r_target):
+    """Per scheme, (sum, sum of squares, count below r_target) of its rates over the block r, one entry
+    per _CHUNK of it; with a target only the count is taken (the sums read 0), else only the sums."""
+    def part(rates):  # through map, so each scheme's rates go before the next scheme's are computed
+        return ((float(np.sum(rates)), float(np.sum(rates ** 2)), 0) if r_target is None
+                else (0.0, 0.0, int(np.count_nonzero(rates < r_target))))
+    chunks = range(0, len(r), _CHUNK)
+    return list(zip(*[list(map(part, _rates(r[lo : lo + _CHUNK], stats, params, pw, schemes))) for lo in chunks]))
 
 
 def _drawn_sums(stats, params, pw, which, r_target, seed, chunks):
@@ -77,7 +80,7 @@ def _drawn_sums(stats, params, pw, which, r_target, seed, chunks):
     parts = []
     for lo, m in chunks:
         r = channel.sample_realizations(stats, m, seed, start=lo)
-        parts += _sums(r, stats, params, pw, which, r_target)
+        parts += _sums(r, stats, params, pw, (which,), r_target)[0]
     return parts
 
 
@@ -164,7 +167,12 @@ def outage_probability(
 def estimate(r: channel.ChannelRealization, stats, params, pw, which: str, r_target=None) -> McEstimate:
     """ergodic_capacity, or with r_target outage_probability, over the held block r: the same bits
     when r is the first len(r) realizations of the stream."""
-    return _estimate(_sums(r, stats, params, pw, which, r_target), len(r), r_target)
+    return estimates(r, stats, params, pw, (which,), r_target)[0]
+
+
+def estimates(r: channel.ChannelRealization, stats, params, pw, schemes, r_target=None) -> list:
+    """estimate of each of schemes at the one design point, the same bits, from one cr_forms per _CHUNK."""
+    return [_estimate(parts, len(r), r_target) for parts in _sums(r, stats, params, pw, schemes, r_target)]
 
 
 def _alpha1_scan(forms, pw: PowerConfig, alpha1s):
@@ -266,10 +274,10 @@ def brute_force_alpha1_outage(
 def _disc_scorer(r, alpha1, pw, a2, r_cr=None):
     """(forms, base, score) of the alpha2 points a2 over r.
 
-    score(lo) is the MC ergodic CR rate, or with r_cr minus the MC CR outage, at
-    each point of a2[lo : lo + _DISC_ROWS].  The rate is log2(signal / det) per sample
-    (channel.cr_forms), base the mean of log2(signal) (None with r_cr), and the dets of
-    a block are one (points x 4) @ (4 x samples) product, forms = (A, B, -2 Re C, 2 Im C).
+    score(lo) is the MC ergodic CR rate, or with r_cr minus the MC CR outage, at each point of a2[lo : lo
+    + _DISC_ROWS].  The rate is log2(signal / det) per sample (channel.cr_forms), base the mean of
+    log2(signal) (with r_cr, the limit: out where det exceeds it), and the dets of a block are one (points
+    x 4) @ (4 x samples) product, forms = (A, B, -2 Re C, 2 Im C).
     """
     signal, a, b, c = channel.cr_forms(r, alpha1, pw)
     forms = np.stack([a, b, -2.0 * c.real, 2.0 * c.imag])
@@ -282,19 +290,13 @@ def _disc_scorer(r, alpha1, pw, a2, r_cr=None):
 
     if r_cr is not None:
         limit = signal * 2.0 ** -r_cr  # rate < r_cr  <=>  det > limit
-        return forms, None, lambda lo: -np.mean(dets(lo) > limit, axis=1)
+        return forms, limit, lambda lo: -np.mean(dets(lo) > limit, axis=1)
     base = float(np.mean(np.log2(signal)))
     return forms, base, lambda lo: base - np.mean(np.log2(d := dets(lo), out=d), axis=1)
 
 
-def brute_force_alpha2(
-    r: channel.ChannelRealization,
-    stats: ChannelStats,
-    alpha1: float,
-    pw: PowerConfig,
-    r_cr: float | None = None,
-    grid_n: int = 61,
-) -> complex:
+def brute_force_alpha2(r: channel.ChannelRealization, stats: ChannelStats, alpha1: float, pw: PowerConfig,
+                       r_cr: float | None = None, grid_n: int = 61) -> complex:
     """Grid search of alpha2: max MC ergodic rate over r, or with r_cr min MC outage.
 
     The disc is centred on the fast statistical design with radius twice its
@@ -302,34 +304,42 @@ def brute_force_alpha2(
     comparable; the first point (dre-major) with the best score wins.  At
     alpha1 = 1 no own signal is left to precode: 0j, unscored (as alpha2_fast).
 
-    The ergodic search scores only blocks of _BOUND_ROWS points that can win: det is a paraboloid in
-    a2 (B > 0), at least d, its minimum on the block's bounding rectangle, so no score there exceeds
-    base - mean log2 d.  Blocks go in descending order of that bound until the next bound plus guard
-    is below the best score.  Guard: det >= m = noise_s sigma2 (Cauchy-Schwarz); the product and d err
-    by under 17u T (u = 2^-53; T = A + B (max re^2 + max im^2) + |f2| max |re| + |f3| max |im| on the
-    disc, with forms = (A, B, f2, f3)), so log2 det by 100u T/m if 68u T <= m, plus 4 ulp; with |log2
-    det| <= |log2 m| + T/m + 1, two means of n terms and three roundings, guard = (2n + 128) u (|log2
-    m| + mean T/m + 1 + |base|), rounded up.  Else, and for the outage objective, every block is scored.
+    Only blocks of _BOUND_ROWS points that can win are scored: det is a paraboloid in a2 (B > 0), at
+    least d, its value at the vertex clamped to the block's bounding rectangle, so no ergodic score there
+    exceeds base - mean log2 d, nor an outage score -(samples with d > limit + g)/n.  Blocks go in
+    descending order of that bound (plus the ergodic guard) until the next is below the best score.  The
+    product and d err by under 17u T (u = 2^-53; T = A + B (max re^2 + max im^2) + |f2| max |re| + |f3|
+    max |im| on the disc, forms = (A, B, f2, f3)).  Ergodic guard: det >= m = noise_s sigma2 (Cauchy-
+    Schwarz), so log2 det errs by 100u T/m if 68u T <= m (else every block is scored), plus 4 ulp; with
+    |log2 det| <= |log2 m| + T/m + 1, two means of n terms and three roundings, guard = (2n + 128) u (|log2
+    m| + mean T/m + 1 + |base|), rounded up.  g: the computed vertex is within u |vertex|, so its clamp
+    moves only if |vertex| < (1 + 2u) max |re| (|im|), by a step that raises the paraboloid under 2u^2 T;
+    a scored det exceeds d - 34u T - 2u^2 T.  d > limit + g gives limit < (1 + 17u) T, so rounding g (T
+    has 6 roundings) and limit + g loses under u T + 310u^2 T: g = 36u T.
     """
     if grid_n < 3:
         raise ValueError("grid_n too coarse: no grid point inside the disc")
     if alpha1 == 1.0:
         return 0j
     a2 = design_fast.alpha2_disc(stats, alpha1, pw, grid_n)[1]
-    (a, b, f2, f3), base, score = _disc_scorer(r, alpha1, pw, a2, r_cr)
+    (a, b, f2, f3), ref, score = _disc_scorer(r, alpha1, pw, a2, r_cr)  # ref: base, or the outage limit
     u, m = 2.0 ** -53, pw.noise_s * (1.0 - alpha1) * pw.Pc
     re, im = np.abs(a2.real).max(), np.abs(a2.imag).max()
     terms = a + b * (re * re + im * im) + np.abs(f2) * re + np.abs(f3) * im
     starts = range(0, len(a2), _BOUND_ROWS)
-    keys = np.full(len(starts), np.inf)  # per block: its score bound plus the guard
-    if r_cr is None and 68.0 * u * terms.max() <= m:
-        guard = (2.0 * len(r) + 128.0) * u * (abs(np.log2(m)) + float(np.mean(terms)) / m + 1.0 + abs(base))
-        vx, vy = -0.5 * f2 / b, -0.5 * f3 / b  # the paraboloid's vertex
-        for k, lo in enumerate(starts):
-            pts = a2[lo : lo + _BOUND_ROWS]
-            x = np.clip(vx, pts.real.min(), pts.real.max())
-            y = np.clip(vy, pts.imag.min(), pts.imag.max())
-            keys[k] = base - float(np.mean(np.log2(a + x * (b * x + f2) + y * (b * y + f3)))) + guard
+    keys = np.full(len(starts), np.inf)  # per block: a bound on its scores
+    if r_cr is not None:
+        out = ref + 36.0 * u * terms  # d above this: the sample is out at every point of the block
+        bound = lambda d: -np.mean(d > out)
+    else:
+        guard = (2.0 * len(r) + 128.0) * u * (abs(np.log2(m)) + float(np.mean(terms)) / m + 1.0 + abs(ref))
+        bound = lambda d: ref - float(np.mean(np.log2(d))) + guard
+    vx, vy = -0.5 * f2 / b, -0.5 * f3 / b  # the paraboloid's vertex
+    for k, lo in enumerate(starts if r_cr is not None or 68.0 * u * terms.max() <= m else ()):
+        pts = a2[lo : lo + _BOUND_ROWS]
+        x = np.clip(vx, pts.real.min(), pts.real.max())
+        y = np.clip(vy, pts.imag.min(), pts.imag.max())
+        keys[k] = bound(a + x * (b * x + f2) + y * (b * y + f3))
     scores = np.full(len(a2), -np.inf)  # -inf at every point left unscored
     for k in np.argsort(-keys, kind="stable"):
         if keys[k] < np.fmax.reduce(scores):  # the best score so far; fmax passes over NaN

@@ -460,6 +460,10 @@ _GOLDEN_CASES = {
     "figure-5-two-k": (
         "reproduce-figure", ["5"], {"k_db": [0, 10], "n_outage": 3000, "bf_grid_n": 5, "bf_mc_n": 2000},
     ),
+    # a disc of 45 blocks, so the outage search's prune skips blocks
+    "figure-5-disc": (
+        "reproduce-figure", ["5"], {"k_db": [0, 10], "n_outage": 3000, "bf_grid_n": 31, "bf_mc_n": 2000},
+    ),
     "figure-6": ("reproduce-figure", ["6", "--samples", "2000"], {}),
     "figure-7": ("reproduce-figure", ["7", "--seed", "3"], {"trials": 30, "n_outage": 5000}),
 }

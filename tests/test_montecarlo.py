@@ -112,10 +112,11 @@ def _disc_scores(r, alpha1, pw, a2, r_cr=None):
     return np.concatenate([score(lo) for lo in range(0, len(a2), montecarlo._DISC_ROWS)])
 
 
-def _oracle_disc_pick(r, stats, alpha1, pw, grid_n):
-    """The full-disc ergodic search the bounded one replaced: the first best point of the full scan."""
+def _oracle_disc_pick(r, stats, alpha1, pw, grid_n, r_cr=None):
+    """The full-disc search the bounded one replaced, ergodic or with r_cr outage: the first best
+    point of the full scan."""
     a2 = design_fast.alpha2_disc(stats, alpha1, pw, grid_n)[1]
-    return complex(a2[np.nanargmax(_disc_scores(r, alpha1, pw, a2))])
+    return complex(a2[np.nanargmax(_disc_scores(r, alpha1, pw, a2, r_cr))])
 
 
 def _log_scale(r, alpha1):
@@ -411,6 +412,37 @@ def test_bounded_searches_pick_the_full_scans_point():
     assert cases == 384
 
 
+def test_bounded_outage_disc_search_picks_the_full_scans_point():
+    """The pruned outage disc search picks the full scan's grid point, on grids the block sizes do not
+    divide, at the grid alpha1 and at alpha1 = 0.99, where the guard is wide against the limit."""
+    cases = 0
+    for k_db in (0.0, 5.0, 10.0, 15.0):
+        stats = ChannelStats.from_k_factor(k_db)
+        r_p, p_out, r_cr = SLOW_TARGETS[k_db]
+        for seed in range(3):
+            r = channel.sample_realizations(stats, 10 ** 4, seed)
+            for alpha1 in (0.3, 0.6, 0.8, brute_force_alpha1_outage(r, PW, r_p, p_out), 0.99):
+                for grid_n in (3, 21, 31, 61):
+                    pick = brute_force_alpha2(r, stats, alpha1, PW, r_cr, grid_n=grid_n)
+                    assert pick == _oracle_disc_pick(r, stats, alpha1, PW, grid_n, r_cr)
+                    cases += 1
+    assert cases == 240
+
+
+def test_outage_disc_search_on_constructed_ties():
+    """Where no sample is out at any point, or every sample at every point, all scores tie and the
+    first point (dre-major) wins, as in the full scan."""
+    for k_db, alpha1 in ((0.0, 0.5), (10.0, 0.3)):
+        stats = ChannelStats.from_k_factor(k_db)
+        r = channel.sample_realizations(stats, 2000, 1)
+        for grid_n in (21, 61):
+            a2 = design_fast.alpha2_disc(stats, alpha1, PW, grid_n)[1]
+            for r_cr, tie in ((-60.0, 0.0), (60.0, -1.0)):
+                assert (_disc_scores(r, alpha1, PW, a2, r_cr) == tie).all()
+                assert brute_force_alpha2(r, stats, alpha1, PW, r_cr, grid_n) == complex(a2[0])
+                assert _oracle_disc_pick(r, stats, alpha1, PW, grid_n, r_cr) == complex(a2[0])
+
+
 def test_bounded_alpha1_scan_on_constructed_targets():
     """Targets equal to a grid point's computed mean (a tie on >=), targets met at
     alpha1 = 0 and targets just out of reach give the full scan's answer."""
@@ -465,13 +497,40 @@ def test_scored_blocks_equal_the_full_scan_bit_for_bit(monkeypatch):
             for lo in range(0, len(a2), rows):
                 alone = _disc_scores(r, alpha1, PW, a2[lo : lo + rows], r_cr)
                 assert alone.tobytes() == full[lo : lo + rows].tobytes()
-        with monkeypatch.context() as m:
-            m.setattr(montecarlo, "_disc_scorer", spy)
-            seen.clear()
-            brute_force_alpha2(r, stats, alpha1, PW, grid_n=61)
-        assert 0 < len(seen) < len(range(0, len(a2), rows))  # some blocks skipped
-        full = _disc_scores(r, alpha1, PW, a2)
-        assert all(scores.tobytes() == full[lo : lo + rows].tobytes() for lo, scores in seen.items())
+        for r_cr in (None, 1.0):
+            with monkeypatch.context() as m:
+                m.setattr(montecarlo, "_disc_scorer", spy)
+                seen.clear()
+                brute_force_alpha2(r, stats, alpha1, PW, r_cr, grid_n=61)
+            assert 0 < len(seen) < len(range(0, len(a2), rows))  # some blocks skipped
+            full = _disc_scores(r, alpha1, PW, a2, r_cr)
+            assert all(scores.tobytes() == full[lo : lo + rows].tobytes() for lo, scores in seen.items())
+
+
+def test_shared_forms_estimates_equal_the_one_scheme_estimates():
+    """Each scheme's estimate from one estimates call, which computes cr_forms once per _CHUNK for
+    every scheme at the design point, equals its one-scheme estimate to the bit, over two chunks."""
+    r = channel.sample_realizations(STATS, montecarlo._CHUNK + 5, 2)
+    schemes = ("la_gpc", "primary", "naive_dpc", "full_csit", "interference_as_noise")
+    for params in (DesignParams(0.0, 0.9 - 0.2j), DesignParams(0.5, 1.1 + 0.1j), DesignParams(1.0, 0j)):
+        for r_target in (None, 1.0):
+            shared = montecarlo.estimates(r, STATS, params, PW, schemes, r_target)
+            for which, est in zip(schemes, shared, strict=True):
+                one = montecarlo.estimate(r, STATS, params, PW, which, r_target)
+                assert (est.value, est.std_error) == (one.value, one.std_error)
+
+
+def test_figure_rows_compute_cr_forms_twice_per_k(monkeypatch):
+    """Figures 3 and 5 compute cr_forms at n twice per K, once for the four scheme rows at the design
+    point and once for the full_search row, besides the disc search's own call at bf_mc_n."""
+    sizes = []
+    forms = channel.cr_forms
+    monkeypatch.setattr(channel, "cr_forms", lambda r, *args: sizes.append(len(r)) or forms(r, *args))
+    figure_rows(3, k_grid=(5.0, 10.0), n_ergodic=4000, bf_grid_n=11, bf_mc_n=2000)
+    assert sizes == [4000, 2000, 4000] * 2
+    sizes.clear()
+    figure_rows(5, k_grid=(5.0, 10.0), n_outage=6000, bf_grid_n=11, bf_mc_n=2000)
+    assert sizes == [6000, 2000, 6000] * 2
 
 
 def test_figure_sweep_rate_structure():
