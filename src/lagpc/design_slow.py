@@ -111,7 +111,7 @@ def solve_alpha2_slow(
 
     Coarse grid over a disc centered on the fast-fading closed form (the
     high-K optimum lands there), evaluated in one call, then coordinate
-    descent with shrinking steps, one call per batch of steps.  Plateau ties
+    descent with shrinking steps, one surrogate call per move.  Plateau ties
     resolve toward the disc center.
     """
     if not 0.0 <= alpha1 < 1.0:
@@ -129,20 +129,24 @@ def solve_alpha2_slow(
         if val < best_val - 1e-15 or (abs(val - best_val) <= 1e-15 and dst < best_dist):
             best_val, best, best_dist = val, a2, dst
     # local refinement: a round steps +1, -1, +i, -i in turn from the best so
-    # far.  One call scores the steps still to take; after the first improving
-    # one the rest are scored again from the new best, so every move is the
-    # one-point-at-a-time loop's.  A round without a move halves the step.
+    # far, and a round without a move halves the step until it is below 1e-4.
+    # One call scores every point the one-point-at-a-time loop visits before
+    # its next move: the rest of the round, a fresh round if this one moved,
+    # then each halved step's round.  The first improving point is that move;
+    # with none, the loop would score them all and stop.
+    dirs = (1.0, -1.0, 1j, -1j)
+    todo, moved = dirs, False
     while step >= 1e-4:
-        todo, moved = (1.0, -1.0, 1j, -1j), False
-        while todo:
-            cands = [best + d * step for d in todo]
-            vals = obj(np.array(cands)).tolist()
-            i = next((k for k, val in enumerate(vals) if val < best_val - 1e-15), None)
-            if i is None:
-                break
-            best_val, best, todo, moved = vals[i], cands[i], todo[i + 1 :], True
-        if not moved:
-            step /= 2.0
+        rounds, half = [(step, todo), (step, dirs if moved else ())], step / 2.0
+        while half >= 1e-4:
+            rounds.append((half, dirs))
+            half /= 2.0
+        ahead = [(s, r[k + 1 :], best + d * s) for s, r in rounds for k, d in enumerate(r)]
+        vals = obj(np.array([cand for _, _, cand in ahead])).tolist()
+        i = next((k for k, val in enumerate(vals) if val < best_val - 1e-15), None)
+        if i is None:
+            break
+        (step, todo, best), best_val, moved = ahead[i], vals[i], True
     return complex(best), float(best_val)
 
 

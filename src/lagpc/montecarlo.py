@@ -251,9 +251,15 @@ def _outage_counts(r: channel.ChannelRealization, pw: PowerConfig, r_p: float, g
     del guard, eps, disc
     srt = np.sort(ends, axis=1)
     counts = np.searchsorted(srt[0], amps) - np.searchsorted(srt[1], amps, side="right")
-    near = [e[np.searchsorted(e, x - reach) : np.searchsorted(e, x + reach, "right")]
-            for e in srt for x in amps]
+    near = []
+    for e in srt:  # the ends within reach of an amp: each amp's window starts where the last ended (amps ascend)
+        lo, hi = np.searchsorted(e, amps - reach), np.searchsorted(e, amps + reach, "right")
+        lo[1:] = np.maximum(lo[1:], hi[:-1])
+        size = np.maximum(hi - lo, 0)
+        near.append(e[np.arange(size.sum()) + np.repeat(lo - np.cumsum(size) + size, size)])
     redo |= np.isin(ends, np.concatenate(near)).any(axis=0)
+    if not redo.any():
+        return counts
     counts -= np.sum((ends[0, redo, None] < amps) & (amps < ends[1, redo, None]), axis=0)
     again = _alpha1_scan(channel.primary_forms(r[redo], pw), pw, np.linspace(0.0, 1.0, grid_n))
     return counts + [np.count_nonzero(1.0 + sig / den < big_t) for _, sig, den in again]

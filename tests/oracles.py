@@ -25,9 +25,12 @@ def achievable_rate(filters):
     return float(-1.0 - np.log2(filters.error_var))
 
 
-def sequential_alpha2_slow(stats, alpha1, pw, r_cr, method="gamma", grid_n=41):
+def sequential_alpha2_slow(stats, alpha1, pw, r_cr, method="gamma", grid_n=41, moves=None):
     """design_slow.solve_alpha2_slow with its coordinate descent scored one
-    point per call, in the visiting order the batched descent reproduces."""
+    point per call, in the visiting order the batched descent reproduces.
+    A list passed as moves receives each point the descent moves to."""
+    moves = [] if moves is None else moves
+
     def obj(a2):
         return design_slow.outage_surrogate(stats, alpha1, a2, pw, r_cr, method)
 
@@ -44,6 +47,7 @@ def sequential_alpha2_slow(stats, alpha1, pw, r_cr, method="gamma", grid_n=41):
             if val < best_val - 1e-15:
                 best_val, best = val, cand
                 moved = True
+                moves.append(cand)
         if not moved:
             step /= 2.0
     return complex(best), float(best_val)

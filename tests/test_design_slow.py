@@ -3,7 +3,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from lagpc import montecarlo, quadform
+from lagpc import design_slow, montecarlo, quadform
 from lagpc.channel import ChannelStats, DesignParams, PowerConfig, cr_outage_form, sample_realizations
 from lagpc.design_fast import InfeasibleDesignError, alpha2_disc, cr_links, primary_rate_surrogate
 from lagpc.design_slow import (
@@ -236,14 +236,52 @@ def test_stack_elements_equal_point_calls_bit_for_bit():
         check(lambda E: quadform.qf_variance(cr_links(stats), E), forms)
 
 
-def test_batched_descent_equals_the_sequential_oracle():
-    """One surrogate call per batch of descent steps returns exactly the
-    (alpha2, outage) of the descent that scores one point per call.  With
-    complex link means the optimum is off the real axis, so a round can
-    improve along both axes and the visiting order matters."""
+def _descent_cases():
+    """(stats, alpha1, pw, r_cr) of the descents the oracle tests run: design-slow's
+    targets over K with real and with complex link means (the optimum then lies
+    off the real axis, so a round can improve along both axes and the visiting
+    order matters); lattice-sim's (alpha1 = 0, P_p = 100, rate 2 and 4 at 22-32
+    dB, K 0 and 10 dB); asymptotic-check's (K 40-80 dB at P_out 0.1, r_cr 1)."""
     for phases, k_db in product(((0.0,) * 4, (0.0, 0.0, 0.4, -1.2)), (*np.arange(0.0, 20.1, 2.5), 40.0, 60.0, 80.0)):
         stats = ChannelStats.from_k_factor(k_db, phases)
         alpha1, _ = solve_alpha1_slow(stats, PW, 2.0, 0.01)
-        for r_cr, method in product((0.2, 1.0, 1.5), ("gamma", "alzer")):
-            want = sequential_alpha2_slow(stats, alpha1, PW, r_cr, method)
-            assert solve_alpha2_slow(stats, alpha1, PW, r_cr, method) == want, (k_db, phases, r_cr, method)
+        for r_cr in (0.2, 1.0, 1.5):
+            yield stats, alpha1, PW, r_cr
+    for k_db, snr_db, rate in product((0.0, 10.0), range(22, 33, 2), (2.0, 4.0)):
+        yield ChannelStats.from_k_factor(k_db), 0.0, PowerConfig(10.0 ** (snr_db / 10.0), 100.0), rate
+    for k_db in range(40, 81, 10):
+        stats = ChannelStats.from_k_factor(k_db)
+        alpha1, _ = solve_alpha1_slow(stats, PW, float(np.log2(1.0 + PW.Pp / PW.noise_p)), 0.1)
+        yield stats, alpha1, PW, 1.0
+
+
+def test_batched_descent_equals_the_sequential_oracle():
+    """One surrogate call per move returns exactly the (alpha2, outage) of the
+    descent that scores one point per call."""
+    for (stats, alpha1, pw, r_cr), method in product(_descent_cases(), ("gamma", "alzer")):
+        want = sequential_alpha2_slow(stats, alpha1, pw, r_cr, method)
+        assert solve_alpha2_slow(stats, alpha1, pw, r_cr, method) == want, (stats, alpha1, pw, r_cr, method)
+
+
+def test_descent_makes_one_surrogate_call_per_move(monkeypatch):
+    """The grid takes one call, each move of the one-point-per-call descent
+    one, and the call that finds no improving point ends the descent."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args[2])
+        return outage_surrogate(*args, **kwargs)
+
+    monkeypatch.setattr(design_slow, "outage_surrogate", spy)
+    total_moves = 0
+    for stats, alpha1, pw, r_cr in _descent_cases():
+        moves = []
+        want = sequential_alpha2_slow(stats, alpha1, pw, r_cr, moves=moves)
+        calls.clear()
+        assert solve_alpha2_slow(stats, alpha1, pw, r_cr) == want
+        assert len(calls) == 1 + len(moves) + 1, (stats, alpha1, pw, r_cr)
+        # each move's point, bit for bit, is in the call that found it
+        for a2, moved_to in zip(calls[1:], moves):
+            assert moved_to in a2.tolist()
+        total_moves += len(moves)
+    assert total_moves > 0

@@ -290,12 +290,31 @@ def test_brute_force_alpha1_outage_validates():
         brute_force_alpha1_outage(r, PW, 8.0, 0.01)
 
 
-def test_outage_counts_match_the_scan_at_every_grid_point():
-    """The interval counts equal the per-grid-point scan's, and pick its alpha1."""
+def _spy_rescoring(monkeypatch):
+    """The list of the sizes of the blocks _outage_counts rescores with the scan."""
+    rescored = []
+    scan = montecarlo._alpha1_scan
+
+    def spy(forms, pw, grid):
+        rescored.append(len(forms[0]))
+        return scan(forms, pw, grid)
+
+    monkeypatch.setattr(montecarlo, "_alpha1_scan", spy)
+    return rescored
+
+
+def test_outage_counts_match_the_scan_at_every_grid_point(monkeypatch):
+    """The interval counts equal the per-grid-point scan's, and pick its alpha1,
+    also on blocks where no sample is rescored."""
+    rescored = _spy_rescoring(monkeypatch)
+    none_rescored = 0
     for k_db, (r_p, p_out, _) in SLOW_TARGETS.items():
         stats = ChannelStats.from_k_factor(k_db)
         for seed in range(6):
+            rescored.clear()
             _outage_counts_match(channel.sample_realizations(stats, 10 ** 5, seed), r_p, p_out)
+            none_rescored += sum(rescored) == 0
+    assert none_rescored > 0
     r_p, p_out, _ = SLOW_TARGETS[0.0]
     _outage_counts_match(channel.sample_realizations(ChannelStats.from_k_factor(0.0), 10 ** 6, 0), r_p, p_out)
 
@@ -336,14 +355,7 @@ def test_outage_counts_on_constructed_edge_samples(monkeypatch):
     zeros = np.zeros(len(rand) + len(edge))
     h11, h12 = np.concatenate([rand.h11, edge]), np.concatenate([rand.h12, h12])
     r = channel.ChannelRealization(h11, h12, zeros, zeros)
-    rescored = []
-    scan = montecarlo._alpha1_scan
-
-    def spy(forms, pw, grid_n):
-        rescored.append(len(forms[0]))
-        return scan(forms, pw, grid_n)
-
-    monkeypatch.setattr(montecarlo, "_alpha1_scan", spy)
+    rescored = _spy_rescoring(monkeypatch)
     for p_out in (0.05, 0.2, 0.5):
         _outage_counts_match(r, r_p, p_out)
     assert min(rescored) >= len(no_cross) + 1  # the h12 = 0 samples and the tangent one at least
