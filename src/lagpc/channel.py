@@ -15,10 +15,25 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.special import ndtri
 
 _UNIT_TOL = 1e-6
 _DRAW_PIECE = 1 << 18  # realizations per piece in sample_realizations
+_NDTRI_PIECE = 1 << 15  # values per cache-sized piece in _ndtri
+
+# Cephes ndtri: y + y P0/Q0 at y - 1/2 (of its square) for |y - 1/2| <= 1/2 - e^-2, else x - log(x)/x - P/Q
+# (of 1/x), x = sqrt(-2 log y), P1/Q1 below x = 8, P2/Q2 above; highest power first, Q monic (1 x = x).
+_EXP_M2 = 0.13533528323661269189
+_NDTRI_P0 = (-59.96335010141079, 98.00107541859997, -56.67628574690703, 13.931260938727968, -1.2391658386738125)
+_NDTRI_Q0 = (1.0, 1.9544885833814176, 4.676279128988815, 86.36024213908905, -225.46268785411937,
+             200.26021238006066, -82.03722561683334, 15.90562251262117, -1.1833162112133)
+_NDTRI_P1 = (4.0554489230596245, 31.525109459989388, 57.16281922464213, 44.08050738932008, 14.684956192885803,
+             2.1866330685079025, -0.1402560791713545, -0.03504246268278482, -0.0008574567851546854)
+_NDTRI_Q1 = (1.0, 15.779988325646675, 45.39076351288792, 41.3172038254672, 15.04253856929075, 2.504649462083094,
+             -0.14218292285478779, -0.03808064076915783, -0.0009332594808954574)
+_NDTRI_P2 = (3.2377489177694603, 6.915228890689842, 3.9388102529247444, 1.3330346081580755, 0.20148538954917908,
+             0.012371663481782003, 0.00030158155350823543, 2.6580697468673755e-06, 6.239745391849833e-09)
+_NDTRI_Q2 = (1.0, 6.02427039364742, 3.6798356385616087, 1.3770209948908132, 0.21623699359449663,
+             0.013420400608854318, 0.00032801446468212774, 2.8924786474538068e-06, 6.790194080099813e-09)
 
 
 @dataclass(frozen=True)
@@ -114,6 +129,43 @@ class ChannelRealization:
         )
 
 
+def _polevl(x, coef, out=None):
+    """coef[0] x^n + ... + coef[n] by Horner's rule, as Cephes' polevl (and its p1evl, with coef[0] = 1)."""
+    out = np.multiply(x, coef[0], out=out)
+    for c in coef[1:-1]:
+        out += c
+        out *= x
+    out += coef[-1]
+    return out
+
+
+def _ndtri(y):
+    """The standard normal quantile of y, 0 < y < 1, in place: Cephes' ndtri (scipy's) step for step, so scipy's
+    bits where np.log rounds as libm's; piece by cache-sized piece, the centre's formula over all of it, the
+    tails' on their values only."""
+    flat = y.reshape(-1)
+    q, p, d = (np.empty(min(flat.size, _NDTRI_PIECE)) for _ in range(3))  # every piece's scratch
+    for lo in range(0, flat.size, _NDTRI_PIECE):
+        c = flat[lo : lo + _NDTRI_PIECE]
+        tail = np.flatnonzero((c <= _EXP_M2) | (c > 1.0 - _EXP_M2))
+        v = c[tail]
+        c -= 0.5  # y - 1/2, then its quantile
+        q, p, d = q[: len(c)], p[: len(c)], d[: len(c)]
+        _polevl(np.square(c, out=q), _NDTRI_P0, out=p)
+        p *= q
+        p /= _polevl(q, _NDTRI_Q0, out=d)
+        p *= c
+        c += p
+        c *= 2.50662827463100050242  # sqrt(2 pi)
+        x = np.sqrt(-2.0 * np.log(np.minimum(v, 1.0 - v)))  # 1 - v is exact above 1 - e^-2
+        z = 1.0 / x
+        x1 = z * _polevl(z, _NDTRI_P1) / _polevl(z, _NDTRI_Q1)
+        far = np.flatnonzero(x >= 8.0)  # y < e^-32
+        x1[far] = z[far] * _polevl(z[far], _NDTRI_P2) / _polevl(z[far], _NDTRI_Q2)
+        c[tail] = np.copysign(x - np.log(x) / x - x1, v - 0.5)  # x - log(x)/x - x1 > 0 here
+    return y
+
+
 def standard_normals(n: int, seed: int, start: int = 0) -> np.ndarray:
     """The (n, 8) standard normals behind realizations start .. start + n - 1 of the stream.
 
@@ -128,7 +180,7 @@ def standard_normals(n: int, seed: int, start: int = 0) -> np.ndarray:
     # 8 doubles per realization = 2 Philox counter increments.
     bitgen.advance(2 * start)
     z = Generator(bitgen).random((n, 8))
-    return ndtri(np.maximum(z, 2.0 ** -53, out=z), out=z)  # normals in place; guard ndtri(0) = -inf
+    return _ndtri(np.maximum(z, 2.0 ** -53, out=z))  # normals in place; guard ndtri(0) = -inf
 
 
 def _scale(stats: ChannelStats, z: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -319,17 +319,16 @@ def _lattice_rows(cfg, label_suffix=""):
     seed = cfg["seed"]
     # one theory-outage block per K, shared by every scheme and SNR
     block = channel.sample_realizations(ChannelStats.from_k_factor(cfg["k_db"]), cfg["theory_n"], seed)
+    scenario = lattice.LatticeScenario(
+        k_db=cfg["k_db"], rate_bpcu=cfg["rate"], snr_db=cfg["snr_db"], trials=cfg["trials"], seed=seed,
+        p_p=cfg["p_p"], noise=cfg["noise"], alpha1=cfg["alpha1"], theory_n=cfg["theory_n"],
+    )
     rows = []
-    for scheme in cfg["schemes"]:
-        scenario = lattice.LatticeScenario(
-            k_db=cfg["k_db"], rate_bpcu=cfg["rate"], snr_db=cfg["snr_db"], trials=cfg["trials"], seed=seed,
-            p_p=cfg["p_p"], noise=cfg["noise"], alpha1=cfg["alpha1"], scheme=scheme, theory_n=cfg["theory_n"],
-        )
-        for p in lattice.codeword_error_sim(scenario, block):
-            for metric, value, se in (
-                ("codeword_error_rate", p.error_rate, p.ci95 / 1.96), ("theory_outage", p.theory_outage, 0.0)
-            ):
-                rows.append(_row(p.snr_db, scheme + label_suffix, metric, value, se, p.alpha1, p.alpha2, seed))
+    for p in lattice.codeword_error_sim(scenario, block, cfg["schemes"]):
+        for metric, value, se in (
+            ("codeword_error_rate", p.error_rate, p.ci95 / 1.96), ("theory_outage", p.theory_outage, 0.0)
+        ):
+            rows.append(_row(p.snr_db, p.scheme + label_suffix, metric, value, se, p.alpha1, p.alpha2, seed))
     return rows
 
 

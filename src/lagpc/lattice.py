@@ -330,7 +330,7 @@ def _design_alpha2(scheme, stats, alpha1, pw, rate):
 
 
 def codeword_error_sim(
-    scenario: LatticeScenario, theory_block: ChannelRealization | None = None
+    scenario: LatticeScenario, theory_block: ChannelRealization | None = None, schemes=None
 ) -> list[ErrorRatePoint]:
     """Codeword error rate across the SNR sweep, with the matched-rate
     outage of the unstructured scheme as the theory reference.
@@ -340,8 +340,12 @@ def codeword_error_sim(
     the filters, the encoder and the decoder once on the (trials, 8) stack.
     The outage is scored on theory_block, the first theory_n realizations
     of channel.sample_realizations at the scenario's K and seed; callers
-    that run several schemes at one K draw it once and pass it in.
+    that run several schemes at one K draw it once and pass it in.  With
+    schemes, each of them runs in place of the scenario's own, SNR by SNR,
+    so that one montecarlo.estimates call (one cr_forms) scores every
+    scheme's outage at an SNR; the points come back scheme by scheme.
     """
+    schemes = (scenario.scheme,) if schemes is None else tuple(schemes)
     q = int(round(2.0 ** (scenario.rate_bpcu / 2.0)))
     if 2.0 * np.log2(q) != scenario.rate_bpcu:
         raise ValueError("rate must be 2*log2(q) for integer q")
@@ -351,58 +355,60 @@ def codeword_error_sim(
     if len(theory_block) != scenario.theory_n:
         raise ValueError("theory_block must hold theory_n realizations")
     pair = build_nested(q)
-    # no_interference puts no primary signal on the air, so its receiver filter
-    # and its theory outage (full_csit's) see none; the as-noise receiver knows
-    # the interference power, it just cannot precode against the realization
-    interference_on = scenario.scheme != "no_interference"
-    theory_which = scenario.scheme if interference_on else "full_csit"
-    mu = np.array([stats.mu11, stats.mu12, stats.mu21, stats.mu22])
-    sd = np.sqrt([stats.var11, stats.var12, stats.var21, stats.var22])
-    n = scenario.trials
-    rows = []
+    # no_interference puts no primary signal on the air, so its theory
+    # outage is full_csit's; the others share alpha1, and montecarlo's
+    # scheme_params give interference_as_noise its alpha2 = 0 from la_gpc's design
+    theory_which = ["full_csit" if s == "no_interference" else s for s in schemes]
+    rows = [[] for _ in schemes]
     for i, snr in enumerate(scenario.snr_db):
         p_c = 10.0 ** (snr / 10.0)
         pw = PowerConfig(p_c, scenario.p_p, noise_p=1.0, noise_s=scenario.noise)
-        a2 = _design_alpha2(scenario.scheme, stats, scenario.alpha1, pw, scenario.rate_bpcu)
-        params = DesignParams(scenario.alpha1, a2)
-        rng = Generator(Philox(SeedSequence(entropy=scenario.seed, spawn_key=(i,))))
-        g = np.empty((n, 8))  # re, then im, of the four gains
-        msgs = np.empty(n, dtype=np.int64)
-        u = np.empty((n, N_DIM))
-        w = np.empty((n, 2 * N_DIM if interference_on else N_DIM))  # interference, then noise
-        # a normal draw of size k is k scalar draws, so one call per group
-        # reads the stream exactly as separate re/im/noise calls would
-        for t in range(n):
-            rng.standard_normal(out=g[t])
-            msgs[t] = rng.integers(pair.codebook_size)
-            rng.random(out=u[t])
-            rng.standard_normal(out=w[t])
-        h = mu + sd * ((g[:, :4] + 1j * g[:, 4:]) / np.sqrt(2.0))
-        r = ChannelRealization(*h.T)
-        hs = channel.effective_interference_gain(r, scenario.alpha1, pw)
-        filters = build_filters(r, params, pw, s_power=None if interference_on else 0.0)
-        if interference_on:
-            s_c = (w[:, :T_SYMBOLS] + 1j * w[:, T_SYMBOLS:N_DIM]) * np.sqrt(scenario.p_p / 2.0)
-            s_frame = s_c.view(float)
-        else:
-            s_frame = np.zeros((n, N_DIM))
-        dither = _fold_dither(pair, u)
-        x = encode(msgs, s_frame, dither, pair, params, pw)
-        y = _gain(r.h22, x) + _gain(hs, s_frame) + w[:, -N_DIM:] * np.sqrt(scenario.noise / 2.0)
-        p_err = np.count_nonzero(decode(y, filters, dither, pair) != msgs) / n
-        ci = 1.96 * np.sqrt(max(p_err * (1.0 - p_err), 1e-12) / n)
-        theory = montecarlo.estimate(theory_block, stats, params, pw, theory_which, scenario.rate_bpcu)
-        rows.append(
-            ErrorRatePoint(
-                snr_db=float(snr),
-                scheme=scenario.scheme,
-                error_rate=float(p_err),
-                ci95=float(ci),
-                trials=n,
-                theory_outage=float(theory.value),
-                alpha1=scenario.alpha1,
-                alpha2=a2,
-                seed=scenario.seed,
-            )
-        )
-    return rows
+        a2 = {s: _design_alpha2(s, stats, scenario.alpha1, pw, scenario.rate_bpcu) for s in schemes}
+        design = DesignParams(scenario.alpha1, a2.get("la_gpc", 0j))
+        theory = montecarlo.estimates(theory_block, stats, design, pw, theory_which, scenario.rate_bpcu)
+        for s, est, points in zip(schemes, theory, rows):
+            p_err, ci = _codec_error_rate(scenario, s, i, pw, DesignParams(scenario.alpha1, a2[s]), pair)
+            points.append(ErrorRatePoint(
+                snr_db=float(snr), scheme=s, error_rate=p_err, ci95=ci, trials=scenario.trials,
+                theory_outage=float(est.value), alpha1=scenario.alpha1, alpha2=a2[s], seed=scenario.seed,
+            ))
+    return [p for points in rows for p in points]
+
+
+def _codec_error_rate(scenario: LatticeScenario, scheme: str, i: int, pw: PowerConfig, params: DesignParams,
+                      pair) -> tuple[float, float]:
+    """(codeword error rate, its 95% half-width) of scheme at the scenario's i-th SNR."""
+    stats = channel.ChannelStats.from_k_factor(scenario.k_db)
+    # no_interference puts no primary signal on the air, so its receiver filter
+    # sees none; the as-noise receiver knows the interference power, it just
+    # cannot precode against the realization
+    interference_on = scheme != "no_interference"
+    mu = np.array([stats.mu11, stats.mu12, stats.mu21, stats.mu22])
+    sd = np.sqrt([stats.var11, stats.var12, stats.var21, stats.var22])
+    n = scenario.trials
+    rng = Generator(Philox(SeedSequence(entropy=scenario.seed, spawn_key=(i,))))
+    g = np.empty((n, 8))  # re, then im, of the four gains
+    msgs = np.empty(n, dtype=np.int64)
+    u = np.empty((n, N_DIM))
+    w = np.empty((n, 2 * N_DIM if interference_on else N_DIM))  # interference, then noise
+    # a normal draw of size k is k scalar draws, so one call per group
+    # reads the stream exactly as separate re/im/noise calls would
+    for t in range(n):
+        rng.standard_normal(out=g[t])
+        msgs[t] = rng.integers(pair.codebook_size)
+        rng.random(out=u[t])
+        rng.standard_normal(out=w[t])
+    h = mu + sd * ((g[:, :4] + 1j * g[:, 4:]) / np.sqrt(2.0))
+    r = ChannelRealization(*h.T)
+    hs = channel.effective_interference_gain(r, scenario.alpha1, pw)
+    filters = build_filters(r, params, pw, s_power=None if interference_on else 0.0)
+    if interference_on:
+        s_c = (w[:, :T_SYMBOLS] + 1j * w[:, T_SYMBOLS:N_DIM]) * np.sqrt(scenario.p_p / 2.0)
+        s_frame = s_c.view(float)
+    else:
+        s_frame = np.zeros((n, N_DIM))
+    dither = _fold_dither(pair, u)
+    x = encode(msgs, s_frame, dither, pair, params, pw)
+    y = _gain(r.h22, x) + _gain(hs, s_frame) + w[:, -N_DIM:] * np.sqrt(scenario.noise / 2.0)
+    p_err = np.count_nonzero(decode(y, filters, dither, pair) != msgs) / n
+    return float(p_err), float(1.96 * np.sqrt(max(p_err * (1.0 - p_err), 1e-12) / n))

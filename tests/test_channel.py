@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.random import Generator, Philox
@@ -284,3 +286,29 @@ def test_realization_indexing():
     sub = r[3:7]
     assert len(sub) == 4
     np.testing.assert_array_equal(sub.h21, r.h21[3:7])
+
+
+def test_ndtri_matches_scipy_to_the_bit_where_log_does():
+    """channel._ndtri against scipy's ndtri on 10^6 Philox uniforms and the edges 2^-53, 1 - 2^-53,
+    1/2 and the branch points e^-2, 1 - e^-2 and e^-32 (where x = 8) with their neighbours.
+
+    The port repeats Cephes' operations, so a draw whose logs np.log rounds as the C library does
+    (every draw on numpy's baseline dispatch) gets scipy's bits.  numpy's AVX-512 log misses by an
+    ulp on a few draws in 10^4, which the tail formula carries to at most 4 ulps.
+    """
+    e2 = channel._EXP_M2
+    edges = [2.0 ** -53, 1.0 - 2.0 ** -53, 0.5, e2, 1.0 - e2, np.exp(-32.0)]
+    edges += [np.nextafter(v, d) for v in (e2, 1.0 - e2, np.exp(-32.0)) for d in (0.0, 1.0)]
+    y = np.concatenate([np.maximum(Generator(Philox(key=2024)).random(10 ** 6), 2.0 ** -53), edges])
+    ulps = np.abs(channel._ndtri(y.copy()).view(np.int64) - ndtri(y).view(np.int64))
+    print("ulps from scipy's ndtri:", dict(enumerate(np.bincount(ulps).tolist())))
+    tail = np.flatnonzero((y <= e2) | (y > 1.0 - e2))
+    t = np.minimum(y[tail], 1.0 - y[tail])
+    x = np.sqrt(-2.0 * np.log(t))
+    libm_logs = np.ones(y.size, dtype=bool)
+    libm_logs[tail] = (np.log(t) == np.array([math.log(v) for v in t.tolist()])) & (
+        np.log(x) == np.array([math.log(v) for v in x.tolist()])
+    )
+    assert libm_logs[-len(edges):].all()
+    assert ulps[libm_logs].max() == 0
+    assert ulps.max() <= 4

@@ -245,3 +245,11 @@ def test_array_surrogate_matches_point_calls():
     for bad in (-0.1, 1.1, np.array([0.5, 1.1])):
         with pytest.raises(ValueError, match="outside"):
             primary_rate_surrogate(stats, bad, PW)
+
+
+def test_i0e_matches_scipy_to_the_bit():
+    """design_fast._i0e repeats Cephes' Clenshaw sums with IEEE operations only, so it gives scipy's
+    bits on every dispatch path, on [1e-4, 1e5] (design-map reaches 25,657) and at the x = 8 branch."""
+    x = np.concatenate([np.geomspace(1e-4, 1e5, 200001), [0.0, 8.0, np.nextafter(8.0, 0.0), np.nextafter(8.0, 9.0)]])
+    assert np.array_equal(design_fast._i0e(x).view(np.uint64), i0e(x).view(np.uint64))
+    assert design_fast._i0e(np.array([25657.0]))[0] == i0e(25657.0)

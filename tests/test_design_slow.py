@@ -2,6 +2,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from scipy.special import gammainc
 
 from lagpc import design_slow, montecarlo, quadform
 from lagpc.channel import ChannelStats, DesignParams, PowerConfig, cr_outage_form, sample_realizations
@@ -261,6 +262,17 @@ def test_batched_descent_equals_the_sequential_oracle():
     for (stats, alpha1, pw, r_cr), method in product(_descent_cases(), ("gamma", "alzer")):
         want = sequential_alpha2_slow(stats, alpha1, pw, r_cr, method)
         assert solve_alpha2_slow(stats, alpha1, pw, r_cr, method) == want, (stats, alpha1, pw, r_cr, method)
+
+
+def test_descent_picks_equal_those_on_scipys_gammainc(monkeypatch):
+    """The in-repo incomplete gamma moves no pick: every descent case gives the alpha1 and alpha2 it
+    gives with scipy's gammainc, and outages within 1e-13 relative (4.1e-14 at most, on an outage of
+    6e-41, where scipy's own error is of that order; see test_quadform)."""
+    ours = [(case[1], solve_alpha2_slow(*case)) for case in _descent_cases()]
+    monkeypatch.setattr(quadform, "_gammainc", gammainc)
+    theirs = [(case[1], solve_alpha2_slow(*case)) for case in _descent_cases()]
+    assert [(a1, a2) for a1, (a2, _) in ours] == [(a1, a2) for a1, (a2, _) in theirs]
+    np.testing.assert_allclose([v for _, (_, v) in ours], [v for _, (_, v) in theirs], rtol=1e-13, atol=0.0)
 
 
 def test_descent_makes_one_surrogate_call_per_move(monkeypatch):

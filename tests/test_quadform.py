@@ -1,8 +1,12 @@
+import contextlib
+import io
+import json
+
 import numpy as np
 import pytest
-from scipy.special import gammainc
+from scipy.special import gammainc, gammaln
 
-from lagpc import quadform
+from lagpc import cli, quadform
 from lagpc.quadform import (
     Chi2Approx,
     DomainError,
@@ -269,8 +273,6 @@ def test_alzer_s_constant():
     assert quadform.alzer_s(2.0) == pytest.approx(1.0)
     assert quadform.alzer_s(1.0) == pytest.approx(1.0)
     # above two degrees of freedom the sharpened constant kicks in
-    from scipy.special import gammaln
-
     w = 6.0
     assert quadform.alzer_s(w) == pytest.approx(np.exp(-(2.0 / w) * gammaln(1.0 + w / 2.0)))
     assert quadform.alzer_s(w) < 1.0
@@ -350,3 +352,89 @@ def test_stacked_matches_mark_undefined_elements_nan():
     assert rm.mean[0] == pytest.approx(ratio_moments(zero, P[0], np.eye(2)).mean, rel=1e-12)
     with pytest.raises(DomainError):
         ratio_moments(zero, P[1], np.eye(2))
+
+
+# --- the in-repo special functions against scipy ----------------------------------
+
+_EPS = 2.0 ** -52
+# the CLI jobs whose chi-square surrogates the recorded inputs come from: design-map's slow jobs
+# and figure 5 at the benchmark's sizes, less its Monte Carlo counts
+_RECORDED_JOBS = (
+    ("design-slow", {"k_db": [2.5 * i for i in range(9)], "r_p": 2.0, "p_out_p": 0.01, "r_cr": 1.0}),
+    ("asymptotic-check", {}),
+    ("reproduce-figure", {"figure": 5, "n_outage": 2000, "bf_grid_n": 5, "bf_mc_n": 1000}),
+)
+
+
+def _recorded_gammainc_inputs(tmp_path, monkeypatch):
+    """(a, x) of every _gammainc call the _RECORDED_JOBS make, flattened."""
+    calls, real = [], quadform._gammainc
+
+    def spy(a, x):
+        calls.append(np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(x, dtype=float)))
+        return real(a, x)
+
+    monkeypatch.setattr(quadform, "_gammainc", spy)
+    for i, (command, config) in enumerate(_RECORDED_JOBS):
+        path = tmp_path / f"{i}.json"
+        path.write_text(json.dumps(config))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main([command, "--config", str(path), "--out", str(tmp_path / str(i))]) == 0
+    monkeypatch.undo()
+    return (np.concatenate([np.ravel(c[k]) for c in calls]) for k in (0, 1))
+
+
+def _rounding_scale(a, x):
+    """Rounding units a double-precision P(a, x) carries: its condition number in a and x,
+    a |log(x/a)| + |x - a|, or where scipy's igam forms exp(a log x - x - lgamma(a)) directly
+    (|x - a| > 0.4 a), the size of those terms if larger."""
+    kappa = a * np.abs(np.log(x / a)) + np.abs(x - a)
+    direct = a * np.abs(np.log(x)) + x + np.abs(gammaln(a))
+    return np.where(np.abs(x - a) > 0.4 * a, np.maximum(kappa, direct), kappa)
+
+
+def test_gammainc_matches_scipy_on_recorded_design_inputs(tmp_path, monkeypatch):
+    """quadform._gammainc against scipy on the inputs design-map's slow jobs and figure 5 give it:
+    the undefined matches (NaN) in the same places, and every value within 1e-14 relative plus
+    4 ulps of the rounding either side carries (_rounding_scale).  Where that scale is large, scipy's
+    own error dominates: 8.1e-12 against mpmath at a = 3354, x = 1922, where the port errs 1.7e-14."""
+    a, x = _recorded_gammainc_inputs(tmp_path, monkeypatch)
+    got, want = quadform._gammainc(a, x), gammainc(a, x)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert np.isnan(a).any() and (a <= 20.0).sum() > 1000 and (a > 200.0).sum() > 100
+    ok = ~np.isnan(want)
+    a, x, got, want = a[ok], x[ok], got[ok], want[ok]
+    tol = 1e-14 + 4.0 * _EPS * _rounding_scale(a, x)
+    assert np.all(np.abs(got - want) <= tol * want + 1e-300)
+
+
+def test_gammainc_masks_and_edges_match_scipy():
+    """NaN shapes and nonpositive thresholds mask as scipy's did under outage_gamma, stacks equal
+    point calls, and both routes (a <= 20 and above) meet scipy at their seam and far out."""
+    w = np.array([np.nan, 4.0, 4.0, 4.0, 41.0, 40.0, 4e4, 2.4e-7, 1e3])
+    threshold = np.array([1.0, -1.0, 0.0, 3.0, 35.0, 35.0, 3.9e4, 1e-3, 1e4])
+    c2 = Chi2Approx(v=np.full(w.shape, 0.5), w=w)
+    got = quadform.outage_gamma(c2, threshold)
+    want = np.where(threshold <= 0, 0.0, gammainc(w / 2.0, threshold))
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+    assert [quadform.outage_gamma(Chi2Approx(0.5, wi), ti) for wi, ti in zip(w[1:], threshold[1:])] == got[1:].tolist()
+    assert quadform._gammainc(3.0, 150.0) == 1.0 and quadform._gammainc(30.0, 1e4) == 1.0
+    assert quadform._gammainc(3.0, 0.0) == 0.0 and np.isnan(quadform._gammainc(-1.0, 2.0))
+
+
+def test_lgamma_matches_scipy_on_the_alzer_domain():
+    """math.lgamma per element against scipy's gammaln at 1 + w/2 for w in (2, 1.6e8] (the shapes
+    the slow designs reach): within 8 ulps of max(1, |gammaln|), so alzer_s within 2e-14."""
+    w = np.geomspace(2.0 + 1e-12, 1.6e8, 100001)
+    got, want = quadform._lgamma(1.0 + w / 2.0), gammaln(1.0 + w / 2.0)
+    assert np.all(np.abs(got - want) <= 8.0 * _EPS * np.maximum(1.0, np.abs(want)))
+    np.testing.assert_allclose(quadform.alzer_s(w), np.exp(-(2.0 / w) * want), rtol=2e-14, atol=0.0)
+
+
+def test_legendre_rule_integrates_polynomials_to_the_last_digits():
+    """_gammainc's 32-node rule integrates x^k, k <= 62, within 6e-15 relative (numpy's own weights
+    miss by up to 2.5e-14 there)."""
+    x, w = quadform._legendre_rule()
+    for k in range(0, 63, 2):
+        assert abs(np.sum(w * x ** k) * (k + 1) / 2.0 - 1.0) < 6e-15, k
