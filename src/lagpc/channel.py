@@ -17,7 +17,6 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 _UNIT_TOL = 1e-6
-_DRAW_PIECE = 1 << 18  # realizations per piece in sample_realizations
 _NDTRI_PIECE = 1 << 15  # values per cache-sized piece in _ndtri
 
 # Cephes ndtri: y + y P0/Q0 at y - 1/2 (of its square) for |y - 1/2| <= 1/2 - e^-2, else x - log(x)/x - P/Q
@@ -183,33 +182,19 @@ def standard_normals(n: int, seed: int, start: int = 0) -> np.ndarray:
     return _ndtri(np.maximum(z, 2.0 ** -53, out=z))  # normals in place; guard ndtri(0) = -inf
 
 
-def _scale(stats: ChannelStats, z: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = sd * z + mu per link, with z's 8 normals per row read as 4 complex numbers."""
-    sd = np.sqrt(np.array([stats.var11, stats.var12, stats.var21, stats.var22]) / 2.0)
-    np.multiply(sd, z.view(complex), out=out)
-    out += np.array([stats.mu11, stats.mu12, stats.mu21, stats.mu22])
-    return out
-
-
 def realizations(stats: ChannelStats, z: np.ndarray) -> ChannelRealization:
-    """The realizations of standard_normals z at these link statistics: the same bits as
-    sample_realizations over the same range."""
-    return ChannelRealization(*_scale(stats, z, np.empty((len(z), 4), dtype=complex)).T)
+    """The realizations of standard_normals z at these link statistics: sd * z + mu per link, with
+    z's 8 normals per row read as 4 complex numbers."""
+    sd = np.sqrt(np.array([stats.var11, stats.var12, stats.var21, stats.var22]) / 2.0)
+    h = np.multiply(sd, z.view(complex))
+    h += np.array([stats.mu11, stats.mu12, stats.mu21, stats.mu22])
+    return ChannelRealization(*h.T)
 
 
-def sample_realizations(
-    stats: ChannelStats, n: int, seed: int, start: int = 0
-) -> ChannelRealization:
+def sample_realizations(stats: ChannelStats, n: int, seed: int, start: int = 0) -> ChannelRealization:
     """Draw ``n`` iid channel realizations, reproducibly: realizations of
     standard_normals(n, seed, start)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    h = np.empty((n, 4), dtype=complex)
-    # filled piece by piece, so the temporaries stay one piece long
-    for lo in range(0, n, _DRAW_PIECE):
-        piece = h[lo : lo + _DRAW_PIECE]
-        _scale(stats, standard_normals(len(piece), seed, start + lo), piece)
-    return ChannelRealization(*h.T)
+    return realizations(stats, standard_normals(n, seed, start))
 
 
 def effective_interference_gain(r: ChannelRealization, alpha1: float, pw: PowerConfig):

@@ -293,7 +293,7 @@ def _cmd_simulate(cfg) -> ResultTable:
         schemes, metric = ("primary",), ("primary_outage" if outage else "primary_ergodic_rate")
     else:
         schemes, metric = cfg["schemes"], ("outage_probability" if outage else "ergodic_rate")
-    rows = []
+    points = []  # every K's design is made before the first draw
     for k in cfg["k_db"]:
         stats = ChannelStats.from_k_factor(k)
         if None not in given:
@@ -302,12 +302,12 @@ def _cmd_simulate(cfg) -> ResultTable:
             params = design_slow.design(stats, pw, cfg["r_p"], cfg["p_out_p"], cfg["r_target"]).params
         else:
             params = design_fast.solve_alpha1_fast(stats, pw).params
-        for which in schemes:
-            if outage:
-                threshold = cfg["r_p"] if which == "primary" and cfg["r_p"] is not None else cfg["r_target"]
-                est = montecarlo.outage_probability(stats, params, pw, threshold, which, cfg["n"], seed)
-            else:
-                est = montecarlo.ergodic_capacity(stats, params, pw, cfg["n"], seed, which=which)
+        points.append((stats, params))
+    threshold = (cfg["user"] == "primary" and cfg.get("r_p")) or cfg.get("r_target")  # None: ergodic
+    ests = montecarlo.drawn_estimates(points, pw, schemes, threshold, cfg["n"], seed)
+    rows = []
+    for k, (_, params), by_scheme in zip(cfg["k_db"], points, ests):
+        for which, est in zip(schemes, by_scheme):
             label = "la_gpc" if which == "primary" else which
             rows.append(_row(k, label, metric, est.value, est.std_error, params.alpha1, params.alpha2, seed))
     return ResultTable("K_dB", rows)
@@ -317,14 +317,13 @@ def _lattice_rows(cfg, label_suffix=""):
     """Codeword error and theory outage rows for a lattice-sim config; figures
     7 and 8 pass one per K with the K in `label_suffix`."""
     seed = cfg["seed"]
-    # one theory-outage block per K, shared by every scheme and SNR
-    block = channel.sample_realizations(ChannelStats.from_k_factor(cfg["k_db"]), cfg["theory_n"], seed)
     scenario = lattice.LatticeScenario(
         k_db=cfg["k_db"], rate_bpcu=cfg["rate"], snr_db=cfg["snr_db"], trials=cfg["trials"], seed=seed,
-        p_p=cfg["p_p"], noise=cfg["noise"], alpha1=cfg["alpha1"], theory_n=cfg["theory_n"],
+        p_p=cfg["p_p"], noise=cfg["noise"], alpha1=cfg["alpha1"], schemes=cfg["schemes"],
+        theory_n=cfg["theory_n"],
     )
     rows = []
-    for p in lattice.codeword_error_sim(scenario, block, cfg["schemes"]):
+    for p in lattice.codeword_error_sim(scenario):
         for metric, value, se in (
             ("codeword_error_rate", p.error_rate, p.ci95 / 1.96), ("theory_outage", p.theory_outage, 0.0)
         ):
@@ -395,7 +394,7 @@ def _sweep_rows(cfg) -> list:
         if primary:
             for scheme, a1 in (("la_gpc", des.alpha1), ("full_search", bf_a1)):
                 p = DesignParams(a1, 0.0)
-                rows.append(row(scheme, montecarlo.estimate(r, stats, p, pw, "primary", r_p), p))
+                rows.append(row(scheme, montecarlo.estimates(r, stats, p, pw, ("primary",), r_p)[0], p))
             rows.append(_row(k, "full_csit", metric, reference, 0.0, 0.0, 0j, seed))
             continue
         # figure 3 prints the design's alpha2 on every row, figure 5 the alpha2 each scheme ran at
@@ -405,7 +404,7 @@ def _sweep_rows(cfg) -> list:
             rows.append(row(scheme, est, shown))
         bf_a2 = montecarlo.brute_force_alpha2(block[:bf_mc_n], stats, bf_a1, pw, r_cr, grid_n=cfg["bf_grid_n"])
         p = DesignParams(bf_a1, bf_a2)
-        rows.append(row("full_search", montecarlo.estimate(r, stats, p, pw, "la_gpc", r_cr), p))
+        rows.append(row("full_search", montecarlo.estimates(r, stats, p, pw, ("la_gpc",), r_cr)[0], p))
     return rows
 
 

@@ -304,8 +304,12 @@ class LatticeScenario:
     p_p: float = 100.0
     noise: float = 1.0
     alpha1: float = 0.0
-    scheme: str = "la_gpc"  # one of SCHEMES
+    schemes: tuple = ("la_gpc",)  # each one of SCHEMES
     theory_n: int = 10 ** 5
+
+    def __post_init__(self):
+        if not set(self.schemes) <= set(SCHEMES):
+            raise ValueError(f"unknown scheme in {self.schemes!r}")
 
 
 @dataclass(frozen=True)
@@ -322,38 +326,30 @@ class ErrorRatePoint:
 
 
 def _design_alpha2(scheme, stats, alpha1, pw, rate):
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}")
     if scheme == "la_gpc":
         return design_slow.solve_alpha2_slow(stats, alpha1, pw, rate)[0]
     return 0j
 
 
-def codeword_error_sim(
-    scenario: LatticeScenario, theory_block: ChannelRealization | None = None, schemes=None
-) -> list[ErrorRatePoint]:
-    """Codeword error rate across the SNR sweep, with the matched-rate
-    outage of the unstructured scheme as the theory reference.
+def codeword_error_sim(scenario: LatticeScenario) -> list[ErrorRatePoint]:
+    """Codeword error rate of each of the scenario's schemes across the SNR
+    sweep, with the matched-rate outage of the unstructured scheme as the
+    theory reference.
 
     Each SNR point draws every trial's randomness from its own stream in
     trial order (channel, message, dither, interference, noise), then runs
     the filters, the encoder and the decoder once on the (trials, 8) stack.
-    The outage is scored on theory_block, the first theory_n realizations
-    of channel.sample_realizations at the scenario's K and seed; callers
-    that run several schemes at one K draw it once and pass it in.  With
-    schemes, each of them runs in place of the scenario's own, SNR by SNR,
-    so that one montecarlo.estimates call (one cr_forms) scores every
-    scheme's outage at an SNR; the points come back scheme by scheme.
+    The outage is scored on one block, the first theory_n realizations of
+    channel.sample_realizations at the scenario's K and seed, and one
+    montecarlo.estimates call (one cr_forms) scores every scheme's outage at
+    an SNR; the points come back scheme by scheme.
     """
-    schemes = (scenario.scheme,) if schemes is None else tuple(schemes)
+    schemes = scenario.schemes
     q = int(round(2.0 ** (scenario.rate_bpcu / 2.0)))
     if 2.0 * np.log2(q) != scenario.rate_bpcu:
         raise ValueError("rate must be 2*log2(q) for integer q")
     stats = channel.ChannelStats.from_k_factor(scenario.k_db)
-    if theory_block is None:
-        theory_block = channel.sample_realizations(stats, scenario.theory_n, scenario.seed)
-    if len(theory_block) != scenario.theory_n:
-        raise ValueError("theory_block must hold theory_n realizations")
+    block = channel.sample_realizations(stats, scenario.theory_n, scenario.seed)
     pair = build_nested(q)
     # no_interference puts no primary signal on the air, so its theory
     # outage is full_csit's; the others share alpha1, and montecarlo's
@@ -365,7 +361,7 @@ def codeword_error_sim(
         pw = PowerConfig(p_c, scenario.p_p, noise_p=1.0, noise_s=scenario.noise)
         a2 = {s: _design_alpha2(s, stats, scenario.alpha1, pw, scenario.rate_bpcu) for s in schemes}
         design = DesignParams(scenario.alpha1, a2.get("la_gpc", 0j))
-        theory = montecarlo.estimates(theory_block, stats, design, pw, theory_which, scenario.rate_bpcu)
+        theory = montecarlo.estimates(block, stats, design, pw, theory_which, scenario.rate_bpcu)
         for s, est, points in zip(schemes, theory, rows):
             p_err, ci = _codec_error_rate(scenario, s, i, pw, DesignParams(scenario.alpha1, a2[s]), pair)
             points.append(ErrorRatePoint(

@@ -1,13 +1,14 @@
 """Ground-truth Monte Carlo estimators and the brute-force grid searches that
 the statistical designs are compared against.
 
-Sampling is counter-based (see channel.sample_realizations), so estimates are
-identical however the index range is chunked; every scheme at a given
-operating point reuses the same realizations (common random numbers).
-`estimate` scores a block the caller holds, as the figures score one block per K.
+`drawn_estimates` draws each chunk's standard normals once and rescales them to
+every (stats, params) point's block, so every K and scheme reads the same
+counter-based stream (common random numbers), and no estimate depends on the
+chunking or the worker count.  `estimates` scores a block the caller holds.
 """
 from __future__ import annotations
 
+import functools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -75,15 +76,6 @@ def _sums(r, stats, params, pw, schemes, r_target):
     return list(zip(*[list(map(part, _rates(r[lo : lo + _CHUNK], stats, params, pw, schemes))) for lo in chunks]))
 
 
-def _drawn_sums(stats, params, pw, which, r_target, seed, chunks):
-    """_sums over the (start, size) chunks of the stream, each drawn on its own."""
-    parts = []
-    for lo, m in chunks:
-        r = channel.sample_realizations(stats, m, seed, start=lo)
-        parts += _sums(r, stats, params, pw, (which,), r_target)[0]
-    return parts
-
-
 def _estimate(parts, n: int, r_target: float | None) -> McEstimate:
     """Sample-mean rate with its standard error, or with a target the
     empirical P(rate < r_target) with its binomial standard error.
@@ -103,8 +95,20 @@ def _estimate(parts, n: int, r_target: float | None) -> McEstimate:
     return McEstimate(mean, float(np.sqrt(var / n)))
 
 
-def _drawn_estimate(stats, params, pw, which, r_target, n, seed, workers) -> McEstimate:
-    """_estimate over the first n realizations of the stream.
+def _chunk_sums(points, pw, schemes, r_target, seed, chunks) -> list:
+    """Per (start, size) chunk of the stream, the _sums of each (stats, params) point: the chunk's normals
+    are drawn once and rescaled to one point's block at a time, each going before the next is built."""
+    def point_sums(z):  # z goes before the next chunk's normals are drawn
+        return [_sums(channel.realizations(stats, z), stats, params, pw, schemes, r_target)
+                for stats, params in points]
+    return [point_sums(channel.standard_normals(m, seed, lo)) for lo, m in chunks]
+
+
+def drawn_estimates(points, pw: PowerConfig, schemes, r_target: float | None, n: int, seed: int,
+                    workers: int | None = None) -> list:
+    """Per (stats, params) point, the estimate of each of schemes over the first n realizations of the
+    stream at its stats (as estimates over sample_realizations(stats, n, seed), to the bit).  Each
+    _CHUNK's normals are drawn once for every point and scheme (common random numbers).
 
     Workers take whole chunks; a run of fewer than two chunks stays in
     process, where it is faster than starting a pool.
@@ -113,15 +117,17 @@ def _drawn_estimate(stats, params, pw, which, r_target, n, seed, workers) -> McE
         raise ValueError("n must be >= 1")
     workers = default_workers() if workers is None else workers
     chunks = [(lo, min(_CHUNK, n - lo)) for lo in range(0, n, _CHUNK)]
+    run = functools.partial(_chunk_sums, list(points), pw, tuple(schemes), r_target, seed)
     if workers < 2 or len(chunks) < 2:
-        parts = _drawn_sums(stats, params, pw, which, r_target, seed, chunks)
+        sums = run(chunks)
     else:
         per = -(-len(chunks) // workers)
         groups = [chunks[i : i + per] for i in range(0, len(chunks), per)]
-        args = [(stats, params, pw, which, r_target, seed, g) for g in groups]
         with ProcessPoolExecutor(max_workers=len(groups)) as ex:
-            parts = [part for group in ex.map(_drawn_sums, *zip(*args)) for part in group]
-    return _estimate(parts, n, r_target)
+            sums = [c for group in ex.map(run, groups) for c in group]
+    # zip(*sums) is per point and zip(*point) per scheme: its parts in chunk order
+    return [[_estimate([p for c in by_chunk for p in c], n, r_target) for by_chunk in zip(*point)]
+            for point in zip(*sums)]
 
 
 def default_workers() -> int:
@@ -137,41 +143,9 @@ def default_workers() -> int:
     return workers
 
 
-def ergodic_capacity(
-    stats: ChannelStats,
-    params: DesignParams,
-    pw: PowerConfig,
-    n: int = 10 ** 5,
-    seed: int = 0,
-    which: str = "la_gpc",
-    workers: int | None = None,
-) -> McEstimate:
-    """Sample-mean rate with its standard error."""
-    return _drawn_estimate(stats, params, pw, which, None, n, seed, workers)
-
-
-def outage_probability(
-    stats: ChannelStats,
-    params: DesignParams,
-    pw: PowerConfig,
-    r_target: float,
-    which: str = "la_gpc",
-    n: int = 10 ** 6,
-    seed: int = 0,
-    workers: int | None = None,
-) -> McEstimate:
-    """Empirical P(rate < r_target) with binomial standard error."""
-    return _drawn_estimate(stats, params, pw, which, r_target, n, seed, workers)
-
-
-def estimate(r: channel.ChannelRealization, stats, params, pw, which: str, r_target=None) -> McEstimate:
-    """ergodic_capacity, or with r_target outage_probability, over the held block r: the same bits
-    when r is the first len(r) realizations of the stream."""
-    return estimates(r, stats, params, pw, (which,), r_target)[0]
-
-
 def estimates(r: channel.ChannelRealization, stats, params, pw, schemes, r_target=None) -> list:
-    """estimate of each of schemes at the one design point, the same bits, from one cr_forms per _CHUNK."""
+    """drawn_estimates of each of schemes at the one design point over the held block r, from one
+    cr_forms per _CHUNK: the same bits when r is the first len(r) realizations of the stream."""
     return [_estimate(parts, len(r), r_target) for parts in _sums(r, stats, params, pw, schemes, r_target)]
 
 

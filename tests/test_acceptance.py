@@ -51,8 +51,8 @@ def test_criterion_1_fast_fading_protection():
     for k_db in K_GRID:
         stats = ChannelStats.from_k_factor(k_db)
         res = solve_alpha1_fast(stats, PW)
-        est = montecarlo.ergodic_capacity(
-            stats, res.params, PW, n=10 ** 5, seed=1, which="primary", workers=1
+        [[est]] = montecarlo.drawn_estimates(
+            [(stats, res.params)], PW, ("primary",), None, n=10 ** 5, seed=1, workers=1
         )
         ok = est.value >= res.r_target - 2.0 * est.std_error
         if k_db <= 5.0:  # visible over-design in the heavy-fading regime
@@ -70,8 +70,8 @@ def test_criterion_2_slow_fading_protection():
         stats = ChannelStats.from_k_factor(k_db)
         r_p, p_out, r_cr = SLOW_PAIRS[k_db]
         res = slow_design(stats, PW, r_p, p_out, r_cr)
-        est = montecarlo.outage_probability(
-            stats, DesignParams(res.alpha1, 0.0), PW, r_p, "primary",
+        [[est]] = montecarlo.drawn_estimates(
+            [(stats, DesignParams(res.alpha1, 0.0))], PW, ("primary",), r_p,
             n=10 ** 6, seed=2, workers=1,
         )
         ok = est.value <= p_out + 0.005
@@ -105,12 +105,9 @@ def test_criterion_3_near_optimality_vs_grid_search():
             sample_realizations(stats, 3 * 10 ** 4, 5), stats, res.alpha1, PW, r_cr, grid_n=41
         )
         kw = dict(n=2 * 10 ** 5, seed=11, workers=1)
-        p_design = montecarlo.outage_probability(
-            stats, res.params, PW, r_cr, "la_gpc", **kw
-        ).value
-        p_best = montecarlo.outage_probability(
-            stats, DesignParams(res.alpha1, best2), PW, r_cr, "la_gpc", **kw
-        ).value
+        points = [(stats, res.params), (stats, DesignParams(res.alpha1, best2))]
+        [[p_design], [p_best]] = montecarlo.drawn_estimates(points, PW, ("la_gpc",), r_cr, **kw)
+        p_design, p_best = p_design.value, p_best.value
         ok = abs(p_design - p_best) <= 0.02
         lines.append(
             (ok, f"criterion 3 [outage K={k_db:g}]: designed {p_design:.4f}, "
@@ -290,7 +287,7 @@ def test_criterion_8_lattice_codec():
              f"outage {p.theory_outage:.4f}, gap {gap:+.4f} within {1.96 * se:.4f}")
         )
     blind = lattice.codeword_error_sim(
-        lattice.LatticeScenario(**{**common, "scheme": "interference_as_noise"})
+        lattice.LatticeScenario(**{**common, "schemes": ("interference_as_noise",)})
     )
     # precoding against the known interference is what makes the code work:
     # ignoring it must cost significantly more errors at every SNR (an exact

@@ -74,21 +74,11 @@ def test_sample_realizations_partition_independent():
     np.testing.assert_array_equal(whole.h22[180:], rest.h22)
 
 
-def test_sample_realizations_pieces_tile_the_stream(monkeypatch):
-    """Filling the block in pieces draws the same stream as one piece."""
-    stats = ChannelStats.from_k_factor(3.0)
-    whole = channel.sample_realizations(stats, 500, seed=9, start=40)
-    monkeypatch.setattr(channel, "_DRAW_PIECE", 64)
-    pieces = channel.sample_realizations(stats, 500, seed=9, start=40)
-    for name in ("h11", "h12", "h21", "h22"):
-        np.testing.assert_array_equal(getattr(pieces, name), getattr(whole, name))
-
-
-def _oracle_sample(stats, n, seed, start):
+def _oracle_sample(stats, n, seed, start, quantile=ndtri):
     """The sampler before it ran ndtri and the complex view in place: one piece."""
     bitgen = Philox(key=seed)
     bitgen.advance(2 * start)
-    z = ndtri(np.maximum(Generator(bitgen).random((n, 8)), 2.0 ** -53))
+    z = quantile(np.maximum(Generator(bitgen).random((n, 8)), 2.0 ** -53))
     sd = np.sqrt(np.array([stats.var11, stats.var12, stats.var21, stats.var22]) / 2.0)
     mu = np.array([stats.mu11, stats.mu12, stats.mu21, stats.mu22])
     h = sd * (z[:, 0::2] + 1j * z[:, 1::2])
@@ -96,10 +86,9 @@ def _oracle_sample(stats, n, seed, start):
     return h
 
 
-def test_sample_realizations_match_the_copying_sampler(monkeypatch):
-    """The in-place draws equal the copying expression to the bit, across pieces."""
+def test_sample_realizations_match_the_copying_sampler():
+    """The in-place draws equal the copying expression to the bit, from a nonzero start."""
     stats = ChannelStats.from_k_factor(3.0)
-    monkeypatch.setattr(channel, "_DRAW_PIECE", 64)
     r = channel.sample_realizations(stats, 300, seed=11, start=37)
     got = np.stack([r.h11, r.h12, r.h21, r.h22], axis=1)
     assert np.array_equal(got.view(np.uint64), _oracle_sample(stats, 300, 11, 37).view(np.uint64))
@@ -107,14 +96,18 @@ def test_sample_realizations_match_the_copying_sampler(monkeypatch):
 
 @pytest.mark.parametrize("k_db", [0.0, 15.0])
 def test_realizations_of_standard_normals_are_the_sampled_stream(k_db):
-    """Rescaling one draw of normals gives sample_realizations' bits, across a piece boundary."""
+    """Rescaling one draw of more than 2^18 normals gives the copying sampler's bits.
+
+    Over 2 * 10^6 draws numpy's AVX-512 log misses libm's by an ulp on some of them, where the port's
+    quantile then differs from scipy's (test_ndtri_matches_scipy_to_the_bit_where_log_does), so here
+    the copying sampler takes the port's quantiles: this checks the stream's position and the rescale.
+    """
     stats = ChannelStats.from_k_factor(k_db)
-    n = channel._DRAW_PIECE + 3
+    n = (1 << 18) + 3
     held = channel.realizations(stats, channel.standard_normals(n, seed=13, start=7))
-    drawn = channel.sample_realizations(stats, n, seed=13, start=7)
-    for name in ("h11", "h12", "h21", "h22"):
-        got, want = np.ascontiguousarray(getattr(held, name)), np.ascontiguousarray(getattr(drawn, name))
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    got = np.stack([held.h11, held.h12, held.h21, held.h22], axis=1)
+    want = _oracle_sample(stats, n, 13, 7, quantile=lambda y: channel._ndtri(y.copy()))
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_sample_realizations_deterministic_and_seed_sensitive():

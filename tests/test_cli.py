@@ -316,8 +316,47 @@ def test_primary_outage_is_scored_at_r_p(tmp_path):
     [row] = _read_csv(out / "simulate-outage.csv").rows
     stats, pw = ChannelStats.from_k_factor(10.0), PowerConfig(10.0, 10.0)
     params = design_slow.design(stats, pw, 2.0, 0.01, 1.0).params
-    est = montecarlo.outage_probability(stats, params, pw, 2.0, "primary", 20000, 0)
+    [[est]] = montecarlo.drawn_estimates([(stats, params)], pw, ("primary",), 2.0, 20000, 0)
     assert row[3] == est.value > 0.0
+
+
+def test_simulate_draws_each_chunk_once_for_every_k_and_scheme(tmp_path, monkeypatch):
+    """One draw of normals per chunk serves both K and all four schemes, with one cr_forms per
+    (chunk, K) for the three schemes that read it."""
+    from lagpc import channel, montecarlo
+
+    draws, forms = [], []
+    normals, cr_forms = channel.standard_normals, channel.cr_forms
+
+    def counting(n, seed, start=0):
+        draws.append((start, n))
+        return normals(n, seed, start)
+
+    monkeypatch.delenv("LAGPC_WORKERS", raising=False)
+    monkeypatch.setattr(montecarlo, "_CHUNK", 1000)
+    monkeypatch.setattr(channel, "standard_normals", counting)
+    monkeypatch.setattr(channel, "cr_forms", lambda r, *args: forms.append(len(r)) or cr_forms(r, *args))
+    cfg = {"k_db": [5, 10], "n": 2000, "r_target": 1.0, "r_p": 2.0, "p_out_p": 0.1,
+           "schemes": ["la_gpc", "full_csit", "naive_dpc", "interference_as_noise"]}
+    rc, out = _run(tmp_path, "simulate-outage", config=cfg)
+    assert rc == 0
+    assert draws == [(0, 1000), (1000, 1000)]
+    assert forms == [1000] * 4  # (chunk, K) = (0, 5), (0, 10), (1, 5), (1, 10)
+    assert len(_read_csv(out / "simulate-outage.csv").rows) == 8
+
+
+def test_simulate_designs_every_k_before_the_first_draw(tmp_path, capsys, monkeypatch):
+    from lagpc import channel
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before every K was designed")
+
+    monkeypatch.setattr(channel, "standard_normals", no_sampling)
+    cfg = {"k_db": [10, 15, 0], "r_target": 1.0, "r_p": 3.0, "p_out_p": 0.01}
+    rc, out = _run(tmp_path, "simulate-outage", config=cfg)
+    assert rc == 3
+    assert "infeasible" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_samples_and_seed_overrides(tmp_path):

@@ -48,12 +48,11 @@ def test_alpha1_slow_keeps_primary_outage_under_target():
     for k_db, r_p, p_out, _ in POINTS:
         stats = ChannelStats.from_k_factor(k_db)
         alpha1, _ = solve_alpha1_slow(stats, PW, r_p, p_out)
-        est = montecarlo.outage_probability(
-            stats,
-            DesignParams(alpha1, 0.0),
+        [[est]] = montecarlo.drawn_estimates(
+            [(stats, DesignParams(alpha1, 0.0))],
             PW,
+            ("primary",),
             r_p,
-            which="primary",
             n=200000,
             seed=2,
             workers=1,
@@ -89,8 +88,8 @@ def test_infeasible_pair_raises():
 def _designed_outage(k_db, r_p, p_out, r_cr, n=200000, seed=1):
     stats = ChannelStats.from_k_factor(k_db)
     res = design(stats, PW, r_p, p_out, r_cr)
-    est = montecarlo.outage_probability(
-        stats, res.params, PW, r_cr, n=n, seed=seed, workers=1
+    [[est]] = montecarlo.drawn_estimates(
+        [(stats, res.params)], PW, ("la_gpc",), r_cr, n=n, seed=seed, workers=1
     )
     return res, est.value
 
@@ -124,12 +123,9 @@ def test_alpha2_slow_near_grid_search():
         grid_n=41,
     )
     kw = dict(n=200000, seed=11, workers=1)
-    p_design = montecarlo.outage_probability(
-        stats, DesignParams(alpha1, alpha2), PW, r_cr, **kw
-    ).value
-    p_best = montecarlo.outage_probability(
-        stats, DesignParams(alpha1, best), PW, r_cr, **kw
-    ).value
+    points = [(stats, DesignParams(alpha1, alpha2)), (stats, DesignParams(alpha1, best))]
+    [[p_design], [p_best]] = montecarlo.drawn_estimates(points, PW, ("la_gpc",), r_cr, **kw)
+    p_design, p_best = p_design.value, p_best.value
     assert p_design <= p_best + 0.02
 
 

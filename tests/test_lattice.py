@@ -520,10 +520,11 @@ def test_transmit_samples_gaussianization(pair2):
 def _reference_codeword_error_sim(sc):
     """The codec simulation one trial at a time on single frames, with the
     theory outage from the pooled estimator, as it ran before the batched one."""
+    [scheme] = sc.schemes
     q = int(round(2.0 ** (sc.rate_bpcu / 2.0)))
     stats = ChannelStats.from_k_factor(sc.k_db)
     pair = lat.build_nested(q)
-    interference_on = sc.scheme != "no_interference"
+    interference_on = scheme != "no_interference"
     filter_s_power = sc.p_p if interference_on else 0.0
     mu = np.array([stats.mu11, stats.mu12, stats.mu21, stats.mu22])
     sd = np.sqrt([stats.var11, stats.var12, stats.var21, stats.var22])
@@ -531,7 +532,7 @@ def _reference_codeword_error_sim(sc):
     for i, snr in enumerate(sc.snr_db):
         p_c = 10.0 ** (snr / 10.0)
         pw = PowerConfig(p_c, sc.p_p, noise_p=1.0, noise_s=sc.noise)
-        a2 = lat._design_alpha2(sc.scheme, stats, sc.alpha1, pw, sc.rate_bpcu)
+        a2 = lat._design_alpha2(scheme, stats, sc.alpha1, pw, sc.rate_bpcu)
         params = DesignParams(sc.alpha1, a2)
         rng = Generator(Philox(SeedSequence(entropy=sc.seed, spawn_key=(i,))))
         errors = 0
@@ -552,13 +553,13 @@ def _reference_codeword_error_sim(sc):
             errors += lat.decode(y, filters, dither, pair) != msg
         p_err = errors / sc.trials
         ci = 1.96 * np.sqrt(max(p_err * (1.0 - p_err), 1e-12) / sc.trials)
-        which = "full_csit" if sc.scheme == "no_interference" else "la_gpc"
-        theory = montecarlo.outage_probability(
-            stats, params, pw, sc.rate_bpcu, which, n=sc.theory_n, seed=sc.seed
-        ).value
+        which = "full_csit" if scheme == "no_interference" else "la_gpc"
+        theory = montecarlo.drawn_estimates(
+            [(stats, params)], pw, (which,), sc.rate_bpcu, n=sc.theory_n, seed=sc.seed
+        )[0][0].value
         rows.append(
             lat.ErrorRatePoint(
-                float(snr), sc.scheme, float(p_err), float(ci), sc.trials, float(theory),
+                float(snr), scheme, float(p_err), float(ci), sc.trials, float(theory),
                 sc.alpha1, a2, sc.seed,
             )
         )
@@ -575,7 +576,7 @@ def test_codeword_error_sim_matches_per_trial_reference(scheme):
             for seed in (3, 8):
                 sc = lat.LatticeScenario(
                     k_db=k_db, rate_bpcu=rate, snr_db=snr_db, trials=60, seed=seed,
-                    scheme=scheme, theory_n=4000,
+                    schemes=(scheme,), theory_n=4000,
                 )
                 got = lat.codeword_error_sim(sc)
                 assert got == _reference_codeword_error_sim(sc)
@@ -605,13 +606,13 @@ def test_codeword_error_sim_physics():
     assert main[0].error_rate > main[1].error_rate > main[2].error_rate
 
     clean = lat.codeword_error_sim(
-        lat.LatticeScenario(snr_db=(12.0,), trials=400, scheme="no_interference", **kw)
+        lat.LatticeScenario(snr_db=(12.0,), trials=400, schemes=("no_interference",), **kw)
     )[0]
     assert clean.error_rate < main[0].error_rate
     assert clean.theory_outage < main[0].theory_outage
 
     blind = lat.codeword_error_sim(
-        lat.LatticeScenario(snr_db=(6.0,), trials=300, scheme="interference_as_noise", **kw)
+        lat.LatticeScenario(snr_db=(6.0,), trials=300, schemes=("interference_as_noise",), **kw)
     )[0]
     assert blind.error_rate >= 0.95
     assert blind.alpha2 == 0j
@@ -625,6 +626,6 @@ def test_codeword_error_sim_validation():
     with pytest.raises(ValueError):
         lat.codeword_error_sim(
             lat.LatticeScenario(
-                k_db=10.0, rate_bpcu=2.0, snr_db=(20.0,), trials=5, scheme="bogus"
+                k_db=10.0, rate_bpcu=2.0, snr_db=(20.0,), trials=5, schemes=("bogus",)
             )
         )

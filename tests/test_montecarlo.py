@@ -11,8 +11,7 @@ from lagpc.montecarlo import (
     brute_force_alpha1_fast,
     brute_force_alpha1_outage,
     brute_force_alpha2,
-    ergodic_capacity,
-    outage_probability,
+    drawn_estimates,
     scheme_rates,
 )
 
@@ -127,22 +126,33 @@ def _log_scale(r, alpha1):
     return float(np.mean(np.abs(np.log2(sigma2 * ys_pow))))
 
 
+def _ergodic(n, seed, workers, which="la_gpc"):
+    """The drawn_estimates ergodic rate of one scheme at STATS and PARAMS."""
+    return drawn_estimates([(STATS, PARAMS)], PW, (which,), None, n, seed, workers)[0][0]
+
+
+def _outage(r_target, n, seed, workers, which="la_gpc"):
+    """The drawn_estimates outage of one scheme at STATS and PARAMS."""
+    return drawn_estimates([(STATS, PARAMS)], PW, (which,), r_target, n, seed, workers)[0][0]
+
+
 def test_sums_partition_independence():
     for r_target in (1.0, None):  # the outage counts, then the rate sums
-        whole = montecarlo._drawn_sums(STATS, PARAMS, PW, "la_gpc", r_target, 3, [(0, 500)])[0]
-        head, tail = montecarlo._drawn_sums(STATS, PARAMS, PW, "la_gpc", r_target, 3, [(0, 180), (180, 320)])
+        [[[(whole,)]]] = montecarlo._chunk_sums([(STATS, PARAMS)], PW, ("la_gpc",), r_target, 3, [(0, 500)])
+        chunks = montecarlo._chunk_sums([(STATS, PARAMS)], PW, ("la_gpc",), r_target, 3, [(0, 180), (180, 320)])
+        [[[(head,)]], [[(tail,)]]] = chunks
         assert whole[0] == pytest.approx(head[0] + tail[0], rel=1e-12)
         assert whole[1] == pytest.approx(head[1] + tail[1], rel=1e-12)
         assert whole[2] == head[2] + tail[2]
 
 
 def test_workers_do_not_change_estimates():
-    one = ergodic_capacity(STATS, PARAMS, PW, n=4000, seed=7, workers=1)
-    three = ergodic_capacity(STATS, PARAMS, PW, n=4000, seed=7, workers=3)
+    one = _ergodic(n=4000, seed=7, workers=1)
+    three = _ergodic(n=4000, seed=7, workers=3)
     assert three.value == pytest.approx(one.value, rel=1e-12)
     assert three.std_error == pytest.approx(one.std_error, rel=1e-9)
-    po1 = outage_probability(STATS, PARAMS, PW, 1.0, n=6000, seed=7, workers=1)
-    po3 = outage_probability(STATS, PARAMS, PW, 1.0, n=6000, seed=7, workers=3)
+    po1 = _outage(1.0, n=6000, seed=7, workers=1)
+    po3 = _outage(1.0, n=6000, seed=7, workers=3)
     assert po3.value == po1.value  # integer counts partition exactly
 
 
@@ -150,8 +160,8 @@ def test_estimates_bit_identical_across_worker_counts(monkeypatch):
     monkeypatch.setattr(montecarlo, "_CHUNK", 1000)
     runs = [
         (
-            ergodic_capacity(STATS, PARAMS, PW, n=4500, seed=7, workers=w),
-            outage_probability(STATS, PARAMS, PW, 1.0, n=4500, seed=7, workers=w),
+            _ergodic(n=4500, seed=7, workers=w),
+            _outage(1.0, n=4500, seed=7, workers=w),
         )
         for w in (1, 2, 3)
     ]
@@ -160,10 +170,27 @@ def test_estimates_bit_identical_across_worker_counts(monkeypatch):
         assert (out.value, out.std_error) == (runs[0][1].value, runs[0][1].std_error)
 
 
+def test_every_point_and_scheme_equals_its_held_block_estimate(monkeypatch):
+    """Every K and scheme of one drawn_estimates call, over several chunks and at any worker count,
+    equals estimates over sample_realizations at that K to the bit."""
+    monkeypatch.setattr(montecarlo, "_CHUNK", 1000)
+    n, seed = 2500, 6
+    schemes = ("la_gpc", "primary", "naive_dpc", "full_csit", "interference_as_noise")
+    points = [(ChannelStats.from_k_factor(k), DesignParams(a1, a2))
+              for k, a1, a2 in ((0.0, 0.2, 0.5 + 0.1j), (5.0, 0.5, 1.1 - 0.2j), (15.0, 0.75, 1.26 + 0j))]
+    for r_target in (None, 1.0):
+        blocks = [(channel.sample_realizations(stats, n, seed), stats, params) for stats, params in points]
+        want = [montecarlo.estimates(r, stats, params, PW, schemes, r_target) for r, stats, params in blocks]
+        for workers in (1, 2, 3):
+            got = drawn_estimates(points, PW, schemes, r_target, n, seed, workers)
+            assert [[(e.value, e.std_error) for e in row] for row in got] == \
+                [[(e.value, e.std_error) for e in row] for row in want]
+
+
 def test_determinism_and_seed_sensitivity():
-    a = ergodic_capacity(STATS, PARAMS, PW, n=3000, seed=5, workers=1)
-    b = ergodic_capacity(STATS, PARAMS, PW, n=3000, seed=5, workers=1)
-    c = ergodic_capacity(STATS, PARAMS, PW, n=3000, seed=6, workers=1)
+    a = _ergodic(n=3000, seed=5, workers=1)
+    b = _ergodic(n=3000, seed=5, workers=1)
+    c = _ergodic(n=3000, seed=6, workers=1)
     assert (a.value, a.std_error) == (b.value, b.std_error)
     assert a.value != c.value
 
@@ -200,25 +227,25 @@ def test_outage_label_routing():
     n, thr = 2000, 1.0
     r = channel.sample_realizations(STATS, n, 4)
     for which in ("la_gpc", "full_csit", "primary"):
-        got = outage_probability(STATS, PARAMS, PW, thr, which, n, seed=4, workers=1).value
+        got = _outage(thr, n, seed=4, workers=1, which=which).value
         want = int(np.sum(scheme_rates(r, STATS, PARAMS, PW, which) < thr))
         assert got * n == want
-    default = outage_probability(STATS, PARAMS, PW, thr, n=n, seed=4, workers=1).value
-    assert default == outage_probability(STATS, PARAMS, PW, thr, "la_gpc", n, seed=4, workers=1).value
+    default = _outage(thr, n=n, seed=4, workers=1).value
+    assert default == _outage(thr, n, seed=4, workers=1, which="la_gpc").value
     with pytest.raises(ValueError, match="unknown scheme"):
-        outage_probability(STATS, PARAMS, PW, thr, "cr", n, seed=4, workers=1)
+        _outage(thr, n, seed=4, workers=1, which="cr")
 
 
 def test_binomial_std_error():
-    est = outage_probability(STATS, PARAMS, PW, 1.0, n=5000, seed=1, workers=1)
+    est = _outage(1.0, n=5000, seed=1, workers=1)
     assert est.std_error == pytest.approx(
         np.sqrt(est.value * (1.0 - est.value) / 5000)
     )
 
 
 def test_std_error_shrinks_with_n():
-    small = ergodic_capacity(STATS, PARAMS, PW, n=2000, seed=9, workers=1)
-    big = ergodic_capacity(STATS, PARAMS, PW, n=8000, seed=9, workers=1)
+    small = _ergodic(n=2000, seed=9, workers=1)
+    big = _ergodic(n=8000, seed=9, workers=1)
     assert big.std_error == pytest.approx(small.std_error / 2.0, rel=0.2)
 
 
@@ -528,7 +555,7 @@ def test_shared_forms_estimates_equal_the_one_scheme_estimates():
         for r_target in (None, 1.0):
             shared = montecarlo.estimates(r, STATS, params, PW, schemes, r_target)
             for which, est in zip(schemes, shared, strict=True):
-                one = montecarlo.estimate(r, STATS, params, PW, which, r_target)
+                [one] = montecarlo.estimates(r, STATS, params, PW, (which,), r_target)
                 assert (est.value, est.std_error) == (one.value, one.std_error)
 
 
@@ -592,9 +619,9 @@ def test_figure_sweeps_match_the_public_estimators():
         rows = figure_rows(3, PW, (k_db,), n_ergodic=3000, seed=seed, bf_grid_n=5, bf_mc_n=2000)
         rows += figure_rows(5, PW, (k_db,), n_outage=4000, seed=seed, bf_grid_n=5, bf_mc_n=2000)
         got = {(r.metric, r.scheme): (r.value, r.std_error) for r in rows}
-        for scheme in montecarlo.CR_SCHEMES:
-            erg = ergodic_capacity(stats, fast, PW, 3000, seed, which=scheme, workers=1)
-            out = outage_probability(stats, slow, PW, r_cr, scheme, 4000, seed, workers=1)
+        ergs = drawn_estimates([(stats, fast)], PW, montecarlo.CR_SCHEMES, None, 3000, seed, workers=1)[0]
+        outs = drawn_estimates([(stats, slow)], PW, montecarlo.CR_SCHEMES, r_cr, 4000, seed, workers=1)[0]
+        for scheme, erg, out in zip(montecarlo.CR_SCHEMES, ergs, outs, strict=True):
             assert got["cr_ergodic_rate", scheme] == (erg.value, erg.std_error)
             assert got["cr_outage", scheme] == (out.value, out.std_error)
 
