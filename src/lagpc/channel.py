@@ -94,7 +94,7 @@ class PowerConfig:
 
 @dataclass(frozen=True)
 class DesignParams:
-    """One design point, or a grid of them when alpha1 or alpha2 is an array."""
+    """One design point: the relaying ratio alpha1 in [0, 1] and the precoder alpha2."""
 
     alpha1: float
     alpha2: complex
@@ -281,19 +281,19 @@ def build_matrices(alpha1, pw: PowerConfig):
     return P, Q
 
 
-def cr_outage_form(p: DesignParams, pw: PowerConfig, r_cr: float):
-    """(E, threshold): cr_rate < r_cr exactly when g^H E g < threshold, g = (h21, h22).
+def cr_outage_form(alpha1, alpha2, pw: PowerConfig, r_cr: float):
+    """(E, threshold): cr_rate < r_cr at (alpha1, alpha2) exactly when g^H E g < threshold, g = (h21, h22).
 
     With c0 = var(U) and d = 2^r_cr / sigma2, E = (1 - c0 d) S + d D, where
     S = P + Q and the rank-one D completes the determinant of the (U, Ys)
-    covariance.  Array-valued p.alpha1 and/or p.alpha2 broadcast to a grid of
+    covariance.  Arrays of alpha1 and/or alpha2 broadcast to a grid of
     design points: E is then a stack [..., 2, 2] and the threshold an array.
     """
-    P, Q = build_matrices(p.alpha1, pw)
-    sigma2 = (1.0 - p.alpha1) * pw.Pc
-    alpha2 = np.asarray(p.alpha2, dtype=complex)  # one ufunc route for a point and a grid
+    P, Q = build_matrices(alpha1, pw)
+    sigma2 = (1.0 - alpha1) * pw.Pc
+    alpha2 = np.asarray(alpha2, dtype=complex)  # one ufunc route for a point and a grid
     c0 = sigma2 + np.square(abs(alpha2)) * pw.Pp
-    D = _outer(alpha2 * pw.Pp, sigma2 + alpha2 * np.sqrt(p.alpha1 * pw.Pc * pw.Pp))
+    D = _outer(alpha2 * pw.Pp, sigma2 + alpha2 * np.sqrt(alpha1 * pw.Pc * pw.Pp))
     d = 2.0 ** r_cr / sigma2
     E = np.asarray(1.0 - c0 * d)[..., None, None] * (P + Q) + np.asarray(d)[..., None, None] * D
     return E, (c0 * d - 1.0) * pw.noise_s

@@ -89,7 +89,7 @@ def outage_surrogate(
     """
     if method not in _OUTAGE:
         raise ValueError(f"unknown method {method!r}")
-    E, threshold = cr_outage_form(DesignParams(alpha1, alpha2), pw, r_cr)
+    E, threshold = cr_outage_form(alpha1, alpha2, pw, r_cr)
     shape = np.shape(threshold)
     threshold = np.reshape(threshold, -1)
     # always a stack, so an undefined match reads NaN instead of raising

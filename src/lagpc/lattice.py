@@ -325,12 +325,6 @@ class ErrorRatePoint:
     seed: int
 
 
-def _design_alpha2(scheme, stats, alpha1, pw, rate):
-    if scheme == "la_gpc":
-        return design_slow.solve_alpha2_slow(stats, alpha1, pw, rate)[0]
-    return 0j
-
-
 def codeword_error_sim(scenario: LatticeScenario) -> list[ErrorRatePoint]:
     """Codeword error rate of each of the scenario's schemes across the SNR
     sweep, with the matched-rate outage of the unstructured scheme as the
@@ -352,21 +346,23 @@ def codeword_error_sim(scenario: LatticeScenario) -> list[ErrorRatePoint]:
     block = channel.sample_realizations(stats, scenario.theory_n, scenario.seed)
     pair = build_nested(q)
     # no_interference puts no primary signal on the air, so its theory
-    # outage is full_csit's; the others share alpha1, and montecarlo's
-    # scheme_params give interference_as_noise its alpha2 = 0 from la_gpc's design
+    # outage is full_csit's; each scheme transmits at montecarlo's scheme_params
+    # of its theory scheme, from la_gpc's design (alpha2 = 0 but for la_gpc)
     theory_which = ["full_csit" if s == "no_interference" else s for s in schemes]
     rows = [[] for _ in schemes]
     for i, snr in enumerate(scenario.snr_db):
         p_c = 10.0 ** (snr / 10.0)
         pw = PowerConfig(p_c, scenario.p_p, noise_p=1.0, noise_s=scenario.noise)
-        a2 = {s: _design_alpha2(s, stats, scenario.alpha1, pw, scenario.rate_bpcu) for s in schemes}
-        design = DesignParams(scenario.alpha1, a2.get("la_gpc", 0j))
+        a2 = design_slow.solve_alpha2_slow(stats, scenario.alpha1, pw, scenario.rate_bpcu)[0]
+        design = DesignParams(scenario.alpha1, a2)
         theory = montecarlo.estimates(block, stats, design, pw, theory_which, scenario.rate_bpcu)
-        for s, est, points in zip(schemes, theory, rows):
-            p_err, ci = _codec_error_rate(scenario, s, i, pw, DesignParams(scenario.alpha1, a2[s]), pair)
+        for s, which, est, points in zip(schemes, theory_which, theory, rows):
+            params = montecarlo.scheme_params(which, stats, design, pw)
+            p_err, ci = _codec_error_rate(scenario, s, i, pw, params, pair)
             points.append(ErrorRatePoint(
                 snr_db=float(snr), scheme=s, error_rate=p_err, ci95=ci, trials=scenario.trials,
-                theory_outage=float(est.value), alpha1=scenario.alpha1, alpha2=a2[s], seed=scenario.seed,
+                theory_outage=float(est.value), alpha1=params.alpha1, alpha2=complex(params.alpha2),
+                seed=scenario.seed,
             ))
     return [p for points in rows for p in points]
 

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from lagpc import cli, lattice, montecarlo, quadform
-from lagpc.asymptotics import convergence_sweep
 from lagpc.channel import (
     ChannelRealization,
     ChannelStats,
@@ -119,20 +118,23 @@ def test_criterion_3_near_optimality_vs_grid_search():
 def test_criterion_4_asymptotic_convergence():
     # The designs converge to the nonfading limit as K grows, so each leg is
     # checked along K: its deviation shrinks strictly, each 10 dB step shrinks
-    # it by the order convergence_sweep documents (sqrt(10) for the slow
+    # it by the order asymptotic-check documents (sqrt(10) for the slow
     # alpha1, whose gap carries the Cantelli margin ~10^(-K/20); 10 for the
     # other legs, ~10^(-K/10)) within 25%, and it stays under 1e-3 from the
     # first grid K at which that order brings it there.
     k_grid = (40.0, 50.0, 60.0, 70.0, 80.0)
-    rep_f = convergence_sweep(PW, modes=("fast",), k_grid=k_grid)
-    rep_s = convergence_sweep(PW, modes=("slow",), k_grid=k_grid)
-    lines = [(rep_s.slow_k_db == k_grid,
-              f"criterion 4 [slow grid]: designed at K = {rep_s.slow_k_db} dB")]
+    rows = cli._cmd_asymptotic_check(cli.validate_config("asymptotic-check", {"k_db": list(k_grid)})).rows
+
+    def leg(metric, col=3):
+        return tuple(row[col] for row in rows if row[2] == metric)
+
+    slow_k_db = leg("alpha1_deviation_slow", col=0)
+    lines = [(slow_k_db == k_grid, f"criterion 4 [slow grid]: designed at K = {slow_k_db} dB")]
     legs = [  # name, deviations, decay per 10 dB, first K held to 1e-3
-        ("fast alpha1", rep_f.deviations["alpha1_fast"], 10.0, 40.0),
-        ("fast alpha2", rep_f.deviations["alpha2_fast"], 10.0, 40.0),
-        ("slow alpha1", rep_s.deviations["alpha1_slow"], np.sqrt(10.0), 60.0),
-        ("slow alpha2", rep_s.deviations["alpha2_slow"], 10.0, 40.0),
+        ("fast alpha1", leg("alpha1_deviation_fast"), 10.0, 40.0),
+        ("fast alpha2", leg("alpha2_deviation_fast"), 10.0, 40.0),
+        ("slow alpha1", leg("alpha1_deviation_slow"), np.sqrt(10.0), 60.0),
+        ("slow alpha2", leg("alpha2_deviation_slow"), 10.0, 40.0),
     ]
     for name, dev, order, k_bound in legs:
         steps = [a / b for a, b in zip(dev, dev[1:])]
@@ -186,7 +188,7 @@ def test_criterion_5_quadform_oracles():
         stats = ChannelStats.from_k_factor(k_db)
         r_p, p_out, r_cr = SLOW_PAIRS[k_db]
         res = slow_design(stats, PW, r_p, p_out, r_cr)
-        E, thr = cr_outage_form(res.params, PW, r_cr)
+        E, thr = cr_outage_form(res.alpha1, res.alpha2, PW, r_cr)
         c2 = quadform.chi2_params(cr_links(stats), E)
         approx = quadform.outage_gamma(c2, thr)
         h = _draw(cr_links(stats), 10 ** 6, rng)

@@ -241,13 +241,13 @@ def test_outage_event_matches_quadratic_form():
     h = np.stack([r.h21, r.h22])
     target = 1.4
     p = DesignParams(0.35, 0.8 + 0.2j)
-    E, thresh = channel.cr_outage_form(p, PW, target)
+    E, thresh = channel.cr_outage_form(p.alpha1, p.alpha2, PW, target)
     quad = np.real(np.einsum("in,ij,jn->n", h.conj(), E, h))
     np.testing.assert_array_equal(channel.cr_rate(r, p, PW) < target, quad < thresh)
 
     a1 = np.array([[0.0], [0.35], [0.8]])
     a2 = np.array([[0.0, 0.5, 0.8 + 0.2j, 1.2 - 0.4j, 2.0j]])
-    E, thresh = channel.cr_outage_form(DesignParams(a1, a2), PW, target)
+    E, thresh = channel.cr_outage_form(a1, a2, PW, target)
     assert E.shape == (3, 5, 2, 2) and thresh.shape == (3, 5)
     for i, j in np.ndindex(thresh.shape):
         rates = channel.cr_rate(r, DesignParams(a1[i, 0], a2[0, j]), PW)
@@ -257,7 +257,7 @@ def test_outage_event_matches_quadratic_form():
 
 def test_build_matrices_shapes_and_rank():
     P, Q = channel.build_matrices(0.5, PW)
-    E, thresh = channel.cr_outage_form(DesignParams(0.5, 0.7 + 0.1j), PW, 1.0)
+    E, thresh = channel.cr_outage_form(0.5, 0.7 + 0.1j, PW, 1.0)
     for mat in (P, Q, E):
         assert mat.shape == (2, 2)
         np.testing.assert_allclose(mat, mat.conj().T, atol=1e-12)

@@ -414,6 +414,18 @@ def test_lattice_sim_draws_one_theory_block(tmp_path, monkeypatch):
     assert len(table.rows) == 12
 
 
+def test_asymptotic_check_skips_an_infeasible_slow_k(tmp_path):
+    """At K = 0 dB the slow alpha1 cannot reach the nonfading rate: that K keeps
+    its nonfading and fast rows, and only the feasible K gets slow rows."""
+    rc, out = _run(tmp_path, "asymptotic-check", config={"k_db": [0, 20]})
+    assert rc == 0
+    rows = _read_csv(out / "asymptotic-check.csv").rows
+    metrics = {k: [row[2] for row in rows if row[0] == k] for k in (0.0, 20.0)}
+    limits_and_fast = ["alpha1_nonfading", "alpha2_nonfading", "alpha1_deviation_fast", "alpha2_deviation_fast"]
+    assert metrics[0.0] == limits_and_fast
+    assert metrics[20.0] == limits_and_fast + ["alpha1_deviation_slow", "alpha2_deviation_slow"]
+
+
 def test_transmit_statistics_figure(tmp_path):
     rc, out = _run(
         tmp_path, "reproduce-figure", args=["6", "--samples", "3000"], config={}
@@ -446,7 +458,7 @@ def test_repeated_or_unordered_x_values_are_config_errors(tmp_path, capsys, monk
         raise AssertionError("worked before the config check")
 
     for module, attr in ((design_fast, "solve_alpha1_fast"), (channel, "standard_normals"),
-                         (asymptotics, "convergence_sweep")):
+                         (asymptotics, "nonfading_alpha1")):
         monkeypatch.setattr(module, attr, no_work)
     rc, out = _run(tmp_path, name, config={key: value})
     assert rc == 2

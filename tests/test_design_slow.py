@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import gammainc
 
-from lagpc import design_slow, montecarlo, quadform
+from lagpc import channel, design_slow, montecarlo, quadform
 from lagpc.channel import ChannelStats, DesignParams, PowerConfig, cr_outage_form, sample_realizations
 from lagpc.design_fast import InfeasibleDesignError, alpha2_disc, cr_links, primary_rate_surrogate
 from lagpc.design_slow import (
@@ -177,7 +177,7 @@ def test_array_surrogates_match_point_calls():
     a2 = np.array([0.0, 0.9, 1.2, 5.0, 1.5 + 0.5j, 0.3, 2.0, 50.0, 3.0])
     undefined = [3, 7]
     for i in undefined:  # these points take the fallback, not the tail
-        E, _ = cr_outage_form(DesignParams(alpha1, a2[i]), PW, r_cr)
+        E, _ = cr_outage_form(alpha1, a2[i], PW, r_cr)
         with pytest.raises(quadform.DomainError):
             quadform.chi2_params(cr_links(stats), E)
     for method in ("gamma", "alzer"):
@@ -192,6 +192,15 @@ def test_array_surrogates_match_point_calls():
             else:
                 assert 0.0 < w < 1.0
                 assert g == w
+
+
+def test_stacked_surrogate_checks_alpha1_once(monkeypatch):
+    """One outage_surrogate call over an alpha2 stack checks its alpha1 once, in build_matrices."""
+    calls = []
+    check = channel._check_alpha1
+    monkeypatch.setattr(channel, "_check_alpha1", lambda a1: calls.append(a1) or check(a1))
+    outage_surrogate(ChannelStats.from_k_factor(10.0), 0.3, np.array([0.5, 0.9 + 0.1j, 1.2]), PW, 1.0)
+    assert calls == [0.3]
 
 
 def test_array_prescan_matches_point_calls():
@@ -228,7 +237,7 @@ def test_stack_elements_equal_point_calls_bit_for_bit():
         check(lambda a1: ratio_stats(stats, a1, PW).mean, grid, float)
         check(lambda a1: ratio_stats(stats, a1, PW).std, grid, float)
         check(lambda a1: primary_rate_surrogate(stats, a1, PW), grid, float)
-        forms = cr_outage_form(DesignParams(alpha1, disc), PW, r_cr)[0]
+        forms = cr_outage_form(alpha1, disc, PW, r_cr)[0]
         check(lambda E: quadform.qf_mean(cr_links(stats), E), forms)
         check(lambda E: quadform.qf_variance(cr_links(stats), E), forms)
 

@@ -532,7 +532,7 @@ def _reference_codeword_error_sim(sc):
     for i, snr in enumerate(sc.snr_db):
         p_c = 10.0 ** (snr / 10.0)
         pw = PowerConfig(p_c, sc.p_p, noise_p=1.0, noise_s=sc.noise)
-        a2 = lat._design_alpha2(scheme, stats, sc.alpha1, pw, sc.rate_bpcu)
+        a2 = solve_alpha2_slow(stats, sc.alpha1, pw, sc.rate_bpcu)[0] if scheme == "la_gpc" else 0j
         params = DesignParams(sc.alpha1, a2)
         rng = Generator(Philox(SeedSequence(entropy=sc.seed, spawn_key=(i,))))
         errors = 0
