@@ -11,7 +11,7 @@ All logarithms are base 2 and all rates are in bits per channel use.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -35,20 +35,13 @@ _NDTRI_Q2 = (1.0, 6.02427039364742, 3.6798356385616087, 1.3770209948908132, 0.21
              0.013420400608854318, 0.00032801446468212774, 2.8924786474538068e-06, 6.790194080099813e-09)
 
 
-@dataclass(frozen=True)
-class ChannelStats:
+class ChannelStats(namedtuple("ChannelStats", "mu11 mu12 mu21 mu22 var11 var12 var21 var22")):
     """Rician statistics of the four links; unit mean-square per link."""
 
-    mu11: complex
-    mu12: complex
-    mu21: complex
-    mu22: complex
-    var11: float
-    var12: float
-    var21: float
-    var22: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("11", "12", "21", "22"):
             mu = getattr(self, "mu" + name)
             var = getattr(self, "var" + name)
@@ -58,6 +51,7 @@ class ChannelStats:
                 raise ValueError(
                     f"link {name}: |mu|^2 + var = {abs(mu)**2 + var:.8f}, expected 1"
                 )
+        return self
 
     @classmethod
     def from_k_factor(cls, k_db: float, phases=(0.0, 0.0, 0.0, 0.0)) -> "ChannelStats":
@@ -80,27 +74,25 @@ class ChannelStats:
         return abs(getattr(self, "mu" + link)) ** 2 / var
 
 
-@dataclass(frozen=True)
-class PowerConfig:
-    Pc: float
-    Pp: float
-    noise_p: float = 1.0
-    noise_s: float = 1.0
+class PowerConfig(namedtuple("PowerConfig", "Pc Pp noise_p noise_s", defaults=(1.0, 1.0))):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if min(self.Pc, self.Pp, self.noise_p, self.noise_s) <= 0:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if min(self) <= 0:
             raise ValueError("powers and noise variances must be positive")
+        return self
 
 
-@dataclass(frozen=True)
-class DesignParams:
+class DesignParams(namedtuple("DesignParams", "alpha1 alpha2")):
     """One design point: the relaying ratio alpha1 in [0, 1] and the precoder alpha2."""
 
-    alpha1: float
-    alpha2: complex
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         _check_alpha1(self.alpha1)
+        return self
 
 
 def _check_alpha1(alpha1):
@@ -110,14 +102,11 @@ def _check_alpha1(alpha1):
         raise ValueError(f"alpha1 = {alpha1} outside [0, 1]")
 
 
-@dataclass(frozen=True)
 class ChannelRealization:
     """One draw (or a vector of draws) of the four channel gains."""
 
-    h11: np.ndarray
-    h12: np.ndarray
-    h21: np.ndarray
-    h22: np.ndarray
+    def __init__(self, h11, h12, h21, h22):
+        self.h11, self.h12, self.h21, self.h22 = h11, h12, h21, h22
 
     def __len__(self):
         return np.size(self.h11)

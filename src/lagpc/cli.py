@@ -11,7 +11,6 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -35,10 +34,9 @@ class ConfigError(Exception):
     pass
 
 
-@dataclass
 class ResultTable:
-    x_name: str
-    rows: list
+    def __init__(self, x_name: str, rows: list):
+        self.x_name, self.rows = x_name, rows
 
     def header(self):
         return (self.x_name,) + FIXED_COLUMNS

@@ -7,11 +7,10 @@ rate is at least the target).  alpha2 then follows in closed form.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from . import quadform
 from .channel import ChannelStats, DesignParams, PowerConfig, build_matrices
@@ -20,7 +19,6 @@ LOG2E = float(np.log2(np.e))
 _PRESCAN_N = 200
 _RESIDUAL_TOL = 1e-9
 _U_WINDOW = 40.0  # standard deviations of |H11|; the tail beyond is ~e^-800
-_leggauss = lru_cache(maxsize=2)(leggauss)  # the 96- and 192-node rules, built once per process
 # Cephes' Chebyshev coefficients of i0e (scipy's), highest order first: A on [0, 8] in x/2 - 2, B (of
 # sqrt(x) i0e) on (8, inf) in 32/x - 2, led by zeros to A's length, which leave Clenshaw's sums as they are
 _I0E_A = (-4.4153416464793395e-18, 3.3307945188222384e-17, -2.431279846547955e-16, 1.715391285555133e-15,
@@ -45,8 +43,7 @@ class InfeasibleDesignError(Exception):
     """The protection target cannot be met even at full relaying."""
 
 
-@dataclass(frozen=True)
-class FastDesignResult:
+class FastDesignResult(NamedTuple):
     alpha1: float
     alpha2: complex
     r_target: float
@@ -135,7 +132,7 @@ def _gauss_legendre(f, windows):
     Gauss-Legendre rule, and its distance from the 96-node rule as the error."""
     lo, hi = np.array(windows).T[:, :, None]
     half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
-    (xc, wc), (xf, wf) = map(_leggauss, (96, 192))
+    (xc, wc), (xf, wf) = map(quadform.legendre_rule, (96, 192))
     vals = f(mid + half * np.concatenate([xc, xf]))  # f once, on both rules' nodes
     coarse, fine = np.sum(half * wc * vals[:, : len(xc)]), np.sum(half * wf * vals[:, len(xc) :])
     return float(fine), float(abs(fine - coarse))

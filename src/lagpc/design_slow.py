@@ -9,7 +9,7 @@ regularized incomplete gamma itself or through its exponential lower bound.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,8 +21,7 @@ _SHARP_R = 2.0 / 9.0
 _MIN_DELTA_FOR_SHARP = 2.0 / np.sqrt(3.0)
 
 
-@dataclass(frozen=True)
-class SlowDesignResult:
+class SlowDesignResult(NamedTuple):
     alpha1: float
     alpha2: complex
     objective_value: float  # the surrogate outage at (alpha1, alpha2)

@@ -14,7 +14,8 @@ Table 2.3).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
@@ -100,16 +101,16 @@ def e8_closest_point(x) -> np.ndarray:
     return out[0] if squeeze else out
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(namedtuple("Lattice", "gen scale")):
     """A scaled copy of E8; gen = scale * base generator, columns as basis."""
 
-    gen: np.ndarray
-    scale: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.scale <= 0 or not np.isfinite(self.scale):
             raise ValueError("scale must be positive and finite")
+        return self
 
     @classmethod
     def scaled_e8(cls, scale: float) -> "Lattice":
@@ -125,8 +126,7 @@ def mod_lambda(x, coarse: Lattice) -> np.ndarray:
     return x - coarse.closest(x)
 
 
-@dataclass(frozen=True)
-class NestedPair:
+class NestedPair(NamedTuple):
     fine: Lattice
     coarse: Lattice
     q_nest: int
@@ -189,8 +189,7 @@ def _gain(c, frame) -> np.ndarray:
     return (np.asarray(c)[..., None] * frame).view(float)
 
 
-@dataclass(frozen=True)
-class FilterSet:
+class FilterSet(NamedTuple):
     """Receiver gain and error variance of one realization or a stack.
 
     z is the MMSE gain on the received frame; error_var is the per-dimension
@@ -294,26 +293,20 @@ def transmit_samples(
     return (x + relay * s_frame).ravel()
 
 
-@dataclass(frozen=True)
-class LatticeScenario:
-    k_db: float
-    rate_bpcu: float
-    snr_db: tuple
-    trials: int = 2000
-    seed: int = 0
-    p_p: float = 100.0
-    noise: float = 1.0
-    alpha1: float = 0.0
-    schemes: tuple = ("la_gpc",)  # each one of SCHEMES
-    theory_n: int = 10 ** 5
+class LatticeScenario(namedtuple("LatticeScenario", "k_db rate_bpcu snr_db trials seed p_p noise alpha1 "
+                                 "schemes theory_n", defaults=(2000, 0, 100.0, 1.0, 0.0, ("la_gpc",), 10 ** 5))):
+    """One codec sweep over snr_db; schemes are each one of SCHEMES."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not set(self.schemes) <= set(SCHEMES):
             raise ValueError(f"unknown scheme in {self.schemes!r}")
+        return self
 
 
-@dataclass(frozen=True)
-class ErrorRatePoint:
+class ErrorRatePoint(NamedTuple):
     snr_db: float
     scheme: str
     error_rate: float

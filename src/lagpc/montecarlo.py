@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import functools
 import os
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,8 +28,16 @@ _BOUND_ROWS = 8 * _DISC_ROWS  # alpha2 points per score bound: whole det product
 _SCAN_BLOCK = 16  # grid alpha1 per rate bound in brute_force_alpha1_fast
 
 
-@dataclass(frozen=True)
-class McEstimate:
+def __getattr__(name):
+    """ProcessPoolExecutor, imported on first read (PEP 562): concurrent.futures is costly to import and
+    only drawn_estimates' pool branch, which builds its pool through this name, reads it."""
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor
+
+
+class McEstimate(NamedTuple):
     value: float
     std_error: float
 
@@ -123,7 +131,7 @@ def drawn_estimates(points, pw: PowerConfig, schemes, r_target: float | None, n:
     else:
         per = -(-len(chunks) // workers)
         groups = [chunks[i : i + per] for i in range(0, len(chunks), per)]
-        with ProcessPoolExecutor(max_workers=len(groups)) as ex:
+        with sys.modules[__name__].ProcessPoolExecutor(max_workers=len(groups)) as ex:
             sums = [c for group in ex.map(run, groups) for c in group]
     # zip(*sums) is per point and zip(*point) per scheme: its parts in chunk order
     return [[_estimate([p for c in by_chunk for p in c], n, r_target) for by_chunk in zip(*point)]

@@ -22,8 +22,8 @@ then one call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,20 +36,14 @@ class DomainError(ValueError):
     """Inputs outside the region where the approximation is defined."""
 
 
-@dataclass(frozen=True)
 class GaussianVectorSpec:
     """H ~ CN(mean, cov); cov is diagonal in every scenario used here."""
 
-    mean: np.ndarray
-    cov: np.ndarray
-
-    def __post_init__(self):
+    def __init__(self, mean, cov):
         # read-only copies: a spec may be cached and shared between callers
-        mu = np.array(self.mean, dtype=complex)
-        cov = np.array(self.cov, dtype=complex)
+        self.mean = mu = np.array(mean, dtype=complex)
+        self.cov = cov = np.array(cov, dtype=complex)
         mu.flags.writeable = cov.flags.writeable = False
-        object.__setattr__(self, "mean", mu)
-        object.__setattr__(self, "cov", cov)
         if np.max(np.abs(cov - cov.conj().T)) > _HERM_TOL:
             raise ValueError("covariance not Hermitian")
         if np.min(np.linalg.eigvalsh(cov)) < -1e-9:
@@ -57,23 +51,20 @@ class GaussianVectorSpec:
         # the moment weights of the module docstring, vec(R^T) and G
         n = mu.size
         mu_mu = np.outer(mu, mu.conj())
-        object.__setattr__(self, "_mean_weights", (cov + mu_mu).T.reshape(n * n))
-        kernel = np.einsum("jk,li->ijkl", cov, cov + 2.0 * mu_mu).reshape(n * n, n * n)
-        object.__setattr__(self, "_cov_kernel", kernel)
+        self._mean_weights = (cov + mu_mu).T.reshape(n * n)
+        self._cov_kernel = np.einsum("jk,li->ijkl", cov, cov + 2.0 * mu_mu).reshape(n * n, n * n)
 
     @classmethod
     def from_diag(cls, mean, variances) -> "GaussianVectorSpec":
         return cls(np.asarray(mean, dtype=complex), np.diag(variances).astype(complex))
 
 
-@dataclass(frozen=True)
-class RatioMoments:
+class RatioMoments(NamedTuple):
     mean: float
     std: float
 
 
-@dataclass(frozen=True)
-class Chi2Approx:
+class Chi2Approx(NamedTuple):
     v: float
     w: float
 
@@ -166,15 +157,37 @@ def chi2_params(g: GaussianVectorSpec, E) -> Chi2Approx:
     return Chi2Approx(v=_value(m2 / (2.0 * m1)), w=_value(2.0 * np.square(m1) / m2))
 
 
-@lru_cache(maxsize=1)
-def _legendre_rule():
-    """_RULE_N-node Gauss-Legendre rule: numpy's nodes, weights 2 / ((1 - x^2) P_n'(x)^2) (numpy's err 6e-14)."""
-    x = np.polynomial.legendre.leggauss(_RULE_N)[0]
-    p0, p1 = np.ones_like(x), x
-    for k in range(2, _RULE_N + 1):
-        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-    dp = _RULE_N * (x * p1 - p0) / (x * x - 1.0)
-    return x, 2.0 / ((1.0 - x * x) * dp * dp)
+@lru_cache(maxsize=8)
+def legendre_rule(n: int):
+    """(nodes ascending, weights) of the n-node Gauss-Legendre rule on [-1, 1], without LAPACK.
+
+    Newton's method on the three-term recurrence, from Tricomi's approximate nodes (Hale & Townsend,
+    SIAM J. Sci. Comput. 35(2), 2013), for the nonnegative half; the weights are 2 / ((1 - x^2) P_n'^2).
+    A step under 1e-12 leaves the next under an ulp, so P_n' is carried over it by Legendre's equation,
+    (1 - x^2) P_n'' = 2 x P_n' - n (n + 1) P_n, in place of another pass.  The nodes lie within 2 ulps
+    of numpy's leggauss, whose weights err by up to 4e-11 at 192 nodes.
+    """
+    theta = (4.0 * np.arange((n + 1) // 2, 0, -1) - 1.0) * (np.pi / (4.0 * n + 2.0))
+    shift = (39.0 - 28.0 / np.square(np.sin(theta))) / (384.0 * n ** 4)
+    x = (1.0 - (n - 1) / (8.0 * n ** 3) - shift) * np.cos(theta)
+    steps = [((2 * k - 1) / k, (k - 1) / k) for k in range(2, n + 1)]
+    dx = 1.0
+    while np.max(np.abs(dx)) > 1e-12:
+        p0, p1 = np.ones_like(x), x.copy()
+        for a, b in steps:  # P_k = a x P_(k-1) - b P_(k-2), in place: the rule's cost is these passes
+            t = x * p1
+            t *= a
+            p0 *= b
+            t -= p0
+            p0, p1 = p1, t
+        dp = n * (x * p1 - p0) / (x * x - 1.0)
+        dx = p1 / dp
+        x -= dx
+    dp -= dx * (2.0 * x * dp - n * (n + 1) * p1) / (1.0 - x * x)
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    x, w = np.concatenate([-x[::-1], x[n % 2 :]]), np.concatenate([w[::-1], w[n % 2 :]])
+    x.flags.writeable = w.flags.writeable = False  # shared by every caller
+    return x, w
 
 
 def _gammainc(a, x):
@@ -222,7 +235,7 @@ def _gammainc(a, x):
         below = np.minimum(40.0 * x / gap, x - n + np.sqrt(np.square(x - n) + 80.0 * n))
         lo = np.where(left, np.maximum(-1.0, -below / x), 0.0)
         hi = np.where(left, 0.0, 40.0 / np.maximum(x - n, 40.0 * n / (40.0 + np.sqrt(1600.0 + 80.0 * n))))
-        (nodes, weights), half = _legendre_rule(), 0.5 * (hi - lo)
+        (nodes, weights), half = legendre_rule(_RULE_N), 0.5 * (hi - lo)
         e = (0.5 * (hi + lo))[:, None] + half[:, None] * nodes
         with np.errstate(divide="ignore"):  # a node that rounds onto t = 0 weighs exp(-inf) = 0
             f = np.exp(n[:, None] * np.log1p(e) - x[:, None] * e)

@@ -5,7 +5,7 @@ import pytest
 from numpy.random import Generator, Philox
 from scipy.special import ndtri
 
-from lagpc import channel
+from lagpc import channel, design_fast
 from lagpc.channel import (
     ChannelRealization,
     ChannelStats,
@@ -52,6 +52,30 @@ def test_design_params_range():
     with pytest.raises(ValueError):
         DesignParams(1.2, 0.0)
     DesignParams(1.0, 0.0)  # boundary is legal
+
+
+def test_validated_records_keep_their_messages():
+    with pytest.raises(ValueError, match="negative variance on link 22"):
+        ChannelStats(0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, -0.1)
+    with pytest.raises(ValueError, match=r"link 11: \|mu\|\^2 \+ var = 1\.31000000, expected 1"):
+        ChannelStats(0.9, 0.0, 0.0, 0.0, 0.5, 1.0, 1.0, 1.0)
+    with pytest.raises(ValueError, match="powers and noise variances must be positive"):
+        PowerConfig(10.0, 10.0, noise_s=-1.0)
+    with pytest.raises(ValueError, match=r"alpha1 = 1\.2 outside \[0, 1\]"):
+        DesignParams(alpha2=0.0, alpha1=1.2)
+
+
+def test_stats_and_power_configs_are_equal_and_hash_by_value():
+    """They key design_fast's lru_caches, so equal values built apart share one cached spec."""
+    a, b = ChannelStats.from_k_factor(10.0), ChannelStats.from_k_factor(10.0)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != ChannelStats.from_k_factor(5.0)
+    assert design_fast.primary_links(a) is design_fast.primary_links(b)
+    pw = PowerConfig(10.0, 100.0)
+    assert pw == PowerConfig(Pc=10.0, Pp=100.0, noise_p=1.0, noise_s=1.0)
+    assert hash(pw) == hash(PowerConfig(10.0, 100.0, 1.0, 1.0))
+    assert pw != PowerConfig(10.0, 100.0, noise_s=2.0)
+    assert {pw: 1}[PowerConfig(10.0, 100.0)] == 1
 
 
 def test_sample_realizations_moments():
@@ -279,6 +303,15 @@ def test_realization_indexing():
     sub = r[3:7]
     assert len(sub) == 4
     np.testing.assert_array_equal(sub.h21, r.h21[3:7])
+
+
+def test_built_realization_len_and_slicing():
+    h = np.arange(12.0).reshape(4, 3) + 1j
+    r = ChannelRealization(*h)
+    assert len(r) == 3 and len(r[1:]) == 2 and len(ChannelRealization(1j, 2j, 3j, 4j)) == 1
+    sub = r[::2]
+    for got, want in zip((sub.h11, sub.h12, sub.h21, sub.h22), h[:, ::2]):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_ndtri_matches_scipy_to_the_bit_where_log_does():

@@ -1,6 +1,9 @@
+import dataclasses
 import hashlib
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import lagpc
 from lagpc.cli import (
     FIXED_COLUMNS,
     ConfigError,
@@ -466,16 +470,36 @@ def test_repeated_or_unordered_x_values_are_config_errors(tmp_path, capsys, monk
     assert not out.exists()
 
 
-def test_cli_import_loads_no_scipy():
-    """`import lagpc.cli` loads numpy and the standard library only: no scipy module, and not
-    numpy.f2py, which scipy's array-API layer pulled in."""
+def _cli_import_modules():
+    """The modules a fresh process holds after `import lagpc.cli`."""
     code = "import sys, lagpc.cli; print(' '.join(sorted(sys.modules)))"
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src}
     loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    modules = loaded.stdout.split()
+    return loaded.stdout.split()
+
+
+def test_cli_import_loads_no_scipy():
+    """`import lagpc.cli` loads numpy and the standard library only: no scipy module, and not
+    numpy.f2py, which scipy's array-API layer pulled in."""
+    modules = _cli_import_modules()
     assert "numpy" in modules
     assert [m for m in modules if m.startswith(("scipy", "numpy.f2py"))] == []
+
+
+def test_cli_import_loads_no_pool_polynomial_or_dataclass_machinery():
+    """Start-up pays for none of them: `import lagpc.cli` loads no concurrent, multiprocessing or
+    numpy.polynomial module (a pooled drawn_estimates imports concurrent.futures itself), and no lagpc
+    class is a dataclass."""
+    modules = _cli_import_modules()
+    assert "lagpc.montecarlo" in modules
+    assert [m for m in modules if m.split(".")[0] in ("concurrent", "multiprocessing")
+            or m.startswith("numpy.polynomial")] == []
+    classes = {f"{info.name}.{name}": obj for info in pkgutil.iter_modules(lagpc.__path__)
+               for name, obj in vars(importlib.import_module(f"lagpc.{info.name}")).items()
+               if isinstance(obj, type) and obj.__module__.startswith("lagpc")}
+    assert {"channel.ChannelStats", "cli.ResultTable", "quadform.GaussianVectorSpec"} <= set(classes)
+    assert [name for name, cls in classes.items() if dataclasses.is_dataclass(cls)] == []
 
 
 # --- recorded outputs ------------------------------------------------------------
@@ -548,7 +572,11 @@ def test_outputs_match_recorded_digests(tmp_path):
     ergodic-explicit-alpha when channel.cr_rate and channel.primary_rate came
     to read the per-sample forms the grid searches score (at most 1.5e-15
     relative in a rate, 1.6e-14 in a std error); design-slow-default-targets' CSV and
-    surrogate_outage curve when the incomplete gamma moved in-repo (1.2e-15 relative).  A deliberate
+    surrogate_outage curve when the incomplete gamma moved in-repo (1.2e-15 relative); and every case
+    downstream of the fast-fading target (design-fast, ergodic-cr, ergodic-primary, asymptotic-check,
+    figures 2, 3 and 6) plus design-slow-default-targets' K = 15 dB surrogate outage when the
+    Gauss-Legendre rules moved from numpy's leggauss to quadform.legendre_rule (weights about 4e-11
+    nearer the exact rule at 192 nodes; at most 3.1e-13 relative in a rate, 1.1e-15 in the outage).  A deliberate
     output change re-records them (write `_output_digests` to that file as
     JSON) and names the moved rows in CHANGES.md.
     """

@@ -5,7 +5,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq as scipy_brentq
 from scipy.special import i0e
 
-from lagpc import design_fast, design_slow, montecarlo
+from lagpc import design_fast, design_slow, montecarlo, quadform
 from lagpc.channel import (
     ChannelStats,
     DesignParams,
@@ -90,7 +90,7 @@ def test_target_matches_adaptive_quadrature():
 
 def test_target_raises_when_the_rules_disagree(monkeypatch):
     # 3- and 6-node rules cannot resolve the peak on the 40-wide windows
-    monkeypatch.setattr(design_fast, "_leggauss", lambda n: leggauss(n // 32))
+    monkeypatch.setattr(quadform, "legendre_rule", lambda n: leggauss(n // 32))
     with pytest.raises(RuntimeError, match="did not converge"):
         primary_target_ergodic(ChannelStats.from_k_factor(10.0), PW)
 

@@ -618,6 +618,16 @@ def test_codeword_error_sim_physics():
     assert blind.alpha2 == 0j
 
 
+def test_validated_codec_records_keep_their_messages_and_defaults():
+    with pytest.raises(ValueError, match="scale must be positive and finite"):
+        lat.Lattice(lat.e8_generator(), 0.0)
+    with pytest.raises(ValueError, match="unknown scheme in"):
+        lat.LatticeScenario(k_db=10.0, rate_bpcu=2.0, snr_db=(20.0,), schemes=("bogus",))
+    sc = lat.LatticeScenario(10.0, 2.0, (20.0,))
+    assert (sc.trials, sc.seed, sc.p_p, sc.noise, sc.alpha1, sc.schemes, sc.theory_n) == \
+        (2000, 0, 100.0, 1.0, 0.0, ("la_gpc",), 10 ** 5)
+
+
 def test_codeword_error_sim_validation():
     with pytest.raises(ValueError):
         lat.codeword_error_sim(

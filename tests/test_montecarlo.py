@@ -170,6 +170,25 @@ def test_estimates_bit_identical_across_worker_counts(monkeypatch):
         assert (out.value, out.std_error) == (runs[0][1].value, runs[0][1].std_error)
 
 
+def test_pool_is_built_once_through_the_module_name(monkeypatch):
+    """A pooled drawn_estimates builds its pool through montecarlo.ProcessPoolExecutor, so a rebinding of
+    that name (as a tracer's counting pool) holds: 2 workers over 5 chunks build it once, with the one-worker
+    bits."""
+    built = []
+
+    class CountingPool(montecarlo.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "_CHUNK", 1000)
+    one = _ergodic(n=4500, seed=7, workers=1)
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool)
+    two = _ergodic(n=4500, seed=7, workers=2)
+    assert built == [{"max_workers": 2}]
+    assert (two.value, two.std_error) == (one.value, one.std_error)
+
+
 def test_every_point_and_scheme_equals_its_held_block_estimate(monkeypatch):
     """Every K and scheme of one drawn_estimates call, over several chunks and at any worker count,
     equals estimates over sample_realizations at that K to the bit."""

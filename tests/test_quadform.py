@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from scipy.special import gammainc, gammaln
 
 from lagpc import cli, quadform
@@ -433,8 +434,19 @@ def test_lgamma_matches_scipy_on_the_alzer_domain():
 
 
 def test_legendre_rule_integrates_polynomials_to_the_last_digits():
-    """_gammainc's 32-node rule integrates x^k, k <= 62, within 6e-15 relative (numpy's own weights
-    miss by up to 2.5e-14 there)."""
-    x, w = quadform._legendre_rule()
-    for k in range(0, 63, 2):
-        assert abs(np.sum(w * x ** k) * (k + 1) / 2.0 - 1.0) < 6e-15, k
+    """The n-node rule integrates x^k, k < 2n, within tol relative: _gammainc's 32 nodes within 6e-15 and
+    the fast target's 96 and 192 within 1e-14 and 8e-14, where numpy's leggauss misses by up to 2.5e-14,
+    3.8e-13 and 3.7e-12.  At high k the sum rests on the few edge nodes, whose weights are the least exact."""
+    for n, tol in ((32, 6e-15), (96, 1e-14), (192, 8e-14)):
+        x, w = quadform.legendre_rule(n)
+        for k in range(0, 2 * n, 2):
+            assert abs(np.sum(w * x ** k) * (k + 1) / 2.0 - 1.0) < tol, (n, k)
+
+
+def test_legendre_rule_nodes_lie_within_2_ulps_of_numpys():
+    """The Newton nodes against numpy's leggauss (the companion matrix's eigenvalues, then one Newton step),
+    odd n and n = 1 included; the rule is built once per n."""
+    for n in (1, 2, 3, 7, 32, 33, 96, 192):
+        x, want = quadform.legendre_rule(n)[0], leggauss(n)[0]
+        assert np.all(np.abs(x - want) <= 2.0 * np.spacing(np.abs(want))), n
+    assert quadform.legendre_rule(96) is quadform.legendre_rule(96)
