@@ -18,6 +18,7 @@ from numpy.random import Generator, Philox
 
 _UNIT_TOL = 1e-6
 _NDTRI_PIECE = 1 << 15  # values per cache-sized piece in _ndtri
+PIECE = 1 << 14  # realizations per cache-sized piece of the per-sample passes over a block
 
 # Cephes ndtri: y + y P0/Q0 at y - 1/2 (of its square) for |y - 1/2| <= 1/2 - e^-2, else x - log(x)/x - P/Q
 # (of 1/x), x = sqrt(-2 log y), P1/Q1 below x = 8, P2/Q2 above; highest power first, Q monic (1 x = x).
@@ -173,11 +174,16 @@ def standard_normals(n: int, seed: int, start: int = 0) -> np.ndarray:
 
 def realizations(stats: ChannelStats, z: np.ndarray) -> ChannelRealization:
     """The realizations of standard_normals z at these link statistics: sd * z + mu per link, with
-    z's 8 normals per row read as 4 complex numbers."""
+    z's 8 normals per row read as 4 complex numbers.  The links are the contiguous rows of one (4, n)
+    array, written PIECE realizations at a time so that each piece of z is read from the cache."""
     sd = np.sqrt(np.array([stats.var11, stats.var12, stats.var21, stats.var22]) / 2.0)
-    h = np.multiply(sd, z.view(complex))
-    h += np.array([stats.mu11, stats.mu12, stats.mu21, stats.mu22])
-    return ChannelRealization(*h.T)
+    mu = np.array([stats.mu11, stats.mu12, stats.mu21, stats.mu22])
+    zc, h = z.view(complex), np.empty((4, len(z)), dtype=complex)
+    for lo in range(0, len(z), PIECE):
+        for k, row in enumerate(h[:, lo : lo + PIECE]):
+            np.multiply(sd[k], zc[lo : lo + PIECE, k], out=row)
+            row += mu[k]
+    return ChannelRealization(*h)
 
 
 def sample_realizations(stats: ChannelStats, n: int, seed: int, start: int = 0) -> ChannelRealization:

@@ -383,8 +383,10 @@ def _codec_error_rate(scenario: LatticeScenario, scheme: str, i: int, pw: PowerC
         msgs[t] = rng.integers(pair.codebook_size)
         rng.random(out=u[t])
         rng.standard_normal(out=w[t])
-    h = mu + sd * ((g[:, :4] + 1j * g[:, 4:]) / np.sqrt(2.0))
-    r = ChannelRealization(*h.T)
+    h = np.empty((4, n), dtype=complex)  # one contiguous row per link, as channel.realizations
+    for k, row in enumerate(h):
+        row[...] = mu[k] + sd[k] * ((g[:, k] + 1j * g[:, 4 + k]) / np.sqrt(2.0))
+    r = ChannelRealization(*h)
     hs = channel.effective_interference_gain(r, scenario.alpha1, pw)
     filters = build_filters(r, params, pw, s_power=None if interference_on else 0.0)
     if interference_on:

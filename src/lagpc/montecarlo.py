@@ -76,12 +76,27 @@ def _rates(r, stats, params, pw, schemes):
 
 def _sums(r, stats, params, pw, schemes, r_target):
     """Per scheme, (sum, sum of squares, count below r_target) of its rates over the block r, one entry
-    per _CHUNK of it; with a target only the count is taken (the sums read 0), else only the sums."""
-    def part(rates):  # through map, so each scheme's rates go before the next scheme's are computed
-        return ((float(np.sum(rates)), float(np.sum(rates ** 2)), 0) if r_target is None
-                else (0.0, 0.0, int(np.count_nonzero(rates < r_target))))
-    chunks = range(0, len(r), _CHUNK)
-    return list(zip(*[list(map(part, _rates(r[lo : lo + _CHUNK], stats, params, pw, schemes))) for lo in chunks]))
+    per _CHUNK of it; with a target only the count is taken (the sums read 0), else only the sums.
+
+    The rates are computed channel.PIECE samples at a time, one cr_forms per piece serving every
+    scheme.  The counts are integers added per piece.  The rates of a chunk go into one chunk-long row
+    per scheme, which is summed whole, so every float sum is taken in the same order as over the chunk.
+    """
+    parts = []
+    for chunk in (r[lo : lo + _CHUNK] for lo in range(0, len(r), _CHUNK)):
+        pieces = [(lo, chunk[lo : lo + channel.PIECE]) for lo in range(0, len(chunk), channel.PIECE)]
+        if r_target is None:
+            rates = np.empty((len(schemes), len(chunk)))
+            for lo, piece in pieces:
+                for row, x in zip(rates[:, lo : lo + len(piece)], _rates(piece, stats, params, pw, schemes)):
+                    row[...] = x
+            parts.append([(float(np.sum(x)), float(np.sum(np.square(x, out=x))), 0) for x in rates])
+        else:
+            below = np.zeros(len(schemes), dtype=np.int64)
+            for _, piece in pieces:
+                below += [np.count_nonzero(x < r_target) for x in _rates(piece, stats, params, pw, schemes)]
+            parts.append([(0.0, 0.0, int(b)) for b in below])
+    return list(zip(*parts))
 
 
 def _estimate(parts, n: int, r_target: float | None) -> McEstimate:
@@ -177,8 +192,8 @@ def brute_force_alpha1_fast(
     if grid_n < 50:
         raise ValueError("grid_n too coarse")
     forms = a, b, c = channel.primary_forms(r, pw)
-    terms = 1.0 + (a + np.abs(b) * np.sqrt(pw.Pc) + c * pw.Pc) / pw.noise_p
-    guard = (3.0 * len(r) + 70.0) * 2.0 ** -53 * float(np.mean(terms))
+    mean_term = float(np.mean(1.0 + (a + np.abs(b) * np.sqrt(pw.Pc) + c * pw.Pc) / pw.noise_p))  # no n-long term kept
+    guard = (3.0 * len(r) + 70.0) * 2.0 ** -53 * mean_term
     for block in np.split(np.linspace(0.0, 1.0, grid_n), range(_SCAN_BLOCK, grid_n, _SCAN_BLOCK)):
         (_, sig_lo, _), (_, sig_hi, den) = _alpha1_scan(forms, pw, block[[0, -1]])
         if float(np.mean(np.log2(1.0 + np.maximum(sig_lo, sig_hi) / den))) + guard < r_target:
@@ -198,51 +213,54 @@ def _outage_counts(r: channel.ChannelRealization, pw: PowerConfig, r_p: float, g
     - e_d) of a root (e_d bounds the disc's rounding), and the computed roots are off by under
     rho |root|, rho = e_d / (disc - e_d) + 4u.  Samples with a grid amp inside that guard or near
     tangency (h12 = 0 gives disc = 0) are rescored with the scan's own expression.
+
+    The intervals are found and counted channel.PIECE samples at a time, and the integer counts add.
+    A piece's reach (its largest guard) is at most the block's and at least each of its samples' own
+    guard, so every sample with a grid amp inside its guard is still rescored, and the counts stay exact.
     """
-    a, b, c = channel.primary_forms(r, pw)
-    amps = np.sqrt(np.linspace(0.0, 1.0, grid_n) * pw.Pc)
     u, big_t, t = 2.0 ** -53, 2.0 ** r_p, 2.0 ** r_p - 1.0
-    qa, qc = c * big_t, a - t * (c * pw.Pc + pw.noise_p)
-    eps = 64.0 * u * (a + np.abs(b) * amps[-1] + (1.0 + abs(t)) * (2.0 * c * pw.Pc + pw.noise_p))
-    del a, c  # the n-long arrays are dropped as they are used, to keep this stage's peak low
-    e_d = 4.0 * u * (b * b + 4.0 * np.abs(qa * qc))
-    disc = b * b - 4.0 * qa * qc
-    redo = np.abs(disc) <= 8.0 * (e_d + qa * eps)
-    disc[redo | (disc < 0.0)] = np.nan  # no interval to count: nan sorts past every amp
-    w = np.sqrt(disc)
-    np.copysign(w, b, out=w)
-    w += b
-    w *= -0.5
-    del b
-    ends = np.empty((2, len(r)))  # (lo, hi)
-    np.divide(w, qa, out=ends[1])
-    np.divide(qc, w, out=w)
-    np.minimum(ends[1], w, out=ends[0])
-    np.maximum(ends[1], w, out=ends[1])
-    del w, qa, qc
-    # the guard grows with |end|, so each sample's largest is at its end farther from 0
-    disc -= e_d
-    guard = np.divide(e_d, disc, out=e_d)
-    guard += 4.0 * u
-    guard *= 2.0
-    guard *= np.fmax(np.abs(ends[0]), np.abs(ends[1]))
-    eps *= 2.0
-    eps /= np.sqrt(disc, out=disc)
-    guard += eps
-    reach = np.nanmax(guard, initial=0.0)  # an end inside its guard of an amp is within reach of it
-    del guard, eps, disc
-    srt = np.sort(ends, axis=1)
-    counts = np.searchsorted(srt[0], amps) - np.searchsorted(srt[1], amps, side="right")
-    near = []
-    for e in srt:  # the ends within reach of an amp: each amp's window starts where the last ended (amps ascend)
-        lo, hi = np.searchsorted(e, amps - reach), np.searchsorted(e, amps + reach, "right")
-        lo[1:] = np.maximum(lo[1:], hi[:-1])
-        size = np.maximum(hi - lo, 0)
-        near.append(e[np.arange(size.sum()) + np.repeat(lo - np.cumsum(size) + size, size)])
-    redo |= np.isin(ends, np.concatenate(near)).any(axis=0)
+    amps = np.sqrt(np.linspace(0.0, 1.0, grid_n) * pw.Pc)
+    counts, redo = np.zeros(grid_n, dtype=np.intp), np.zeros(len(r), dtype=bool)
+    for lo in range(0, len(r), channel.PIECE):
+        a, b, c = channel.primary_forms(r[lo : lo + channel.PIECE], pw)
+        qa, qc = c * big_t, a - t * (c * pw.Pc + pw.noise_p)
+        eps = 64.0 * u * (a + np.abs(b) * amps[-1] + (1.0 + abs(t)) * (2.0 * c * pw.Pc + pw.noise_p))
+        e_d = 4.0 * u * (b * b + 4.0 * np.abs(qa * qc))
+        disc = b * b - 4.0 * qa * qc
+        rescore = np.abs(disc) <= 8.0 * (e_d + qa * eps)  # near tangency, then each end near an amp
+        disc[rescore | (disc < 0.0)] = np.nan  # no interval to count: nan sorts past every amp
+        w = np.sqrt(disc)
+        np.copysign(w, b, out=w)
+        w += b
+        w *= -0.5
+        ends = np.empty((2, len(w)))  # (lo, hi)
+        np.divide(w, qa, out=ends[1])
+        np.divide(qc, w, out=w)
+        np.minimum(ends[1], w, out=ends[0])
+        np.maximum(ends[1], w, out=ends[1])
+        # the guard grows with |end|, so each sample's largest is at its end farther from 0
+        disc -= e_d
+        guard = np.divide(e_d, disc, out=e_d)
+        guard += 4.0 * u
+        guard *= 2.0
+        guard *= np.fmax(np.abs(ends[0]), np.abs(ends[1]))
+        eps *= 2.0
+        eps /= np.sqrt(disc, out=disc)
+        guard += eps
+        reach = np.nanmax(guard, initial=0.0)  # an end inside its guard of an amp is within reach of it
+        srt = np.sort(ends, axis=1)
+        counts += np.searchsorted(srt[0], amps) - np.searchsorted(srt[1], amps, side="right")
+        near = []
+        for e in srt:  # the ends within reach of an amp: each amp's window starts where the last ended
+            first, last = np.searchsorted(e, amps - reach), np.searchsorted(e, amps + reach, "right")
+            first[1:] = np.maximum(first[1:], last[:-1])
+            size = np.maximum(last - first, 0)
+            near.append(e[np.arange(size.sum()) + np.repeat(first - np.cumsum(size) + size, size)])
+        rescore |= np.isin(ends, np.concatenate(near)).any(axis=0)
+        counts -= np.sum((ends[0, rescore, None] < amps) & (amps < ends[1, rescore, None]), axis=0)
+        redo[lo : lo + channel.PIECE] = rescore
     if not redo.any():
         return counts
-    counts -= np.sum((ends[0, redo, None] < amps) & (amps < ends[1, redo, None]), axis=0)
     again = _alpha1_scan(channel.primary_forms(r[redo], pw), pw, np.linspace(0.0, 1.0, grid_n))
     return counts + [np.count_nonzero(1.0 + sig / den < big_t) for _, sig, den in again]
 

@@ -1,7 +1,7 @@
 """Reference routes that only the tests use, shared by several test modules."""
 import numpy as np
 
-from lagpc import design_fast, design_slow, lattice
+from lagpc import channel, design_fast, design_slow, lattice, montecarlo
 from lagpc.channel import effective_interference_gain
 
 
@@ -51,3 +51,60 @@ def sequential_alpha2_slow(stats, alpha1, pw, r_cr, method="gamma", grid_n=41, m
         if not moved:
             step /= 2.0
     return complex(best), float(best_val)
+
+
+def whole_sums(r, stats, params, pw, schemes, r_target):
+    """montecarlo._sums over whole _CHUNKs: every scheme's rates of a chunk from one cr_forms call
+    over all of it, summed (or counted) as they come."""
+    def part(rates):  # through map, so each scheme's rates go before the next scheme's are computed
+        return ((float(np.sum(rates)), float(np.sum(rates ** 2)), 0) if r_target is None
+                else (0.0, 0.0, int(np.count_nonzero(rates < r_target))))
+    chunks = range(0, len(r), montecarlo._CHUNK)
+    return list(zip(*[list(map(part, montecarlo._rates(r[lo : lo + montecarlo._CHUNK], stats, params, pw, schemes)))
+                      for lo in chunks]))
+
+
+def whole_outage_counts(r, pw, r_p, grid_n):
+    """montecarlo._outage_counts over the whole block at once: one reach, the largest guard of all
+    samples, and one sort of all the interval ends."""
+    a, b, c = channel.primary_forms(r, pw)
+    amps = np.sqrt(np.linspace(0.0, 1.0, grid_n) * pw.Pc)
+    u, big_t, t = 2.0 ** -53, 2.0 ** r_p, 2.0 ** r_p - 1.0
+    qa, qc = c * big_t, a - t * (c * pw.Pc + pw.noise_p)
+    eps = 64.0 * u * (a + np.abs(b) * amps[-1] + (1.0 + abs(t)) * (2.0 * c * pw.Pc + pw.noise_p))
+    e_d = 4.0 * u * (b * b + 4.0 * np.abs(qa * qc))
+    disc = b * b - 4.0 * qa * qc
+    redo = np.abs(disc) <= 8.0 * (e_d + qa * eps)
+    disc[redo | (disc < 0.0)] = np.nan
+    w = np.sqrt(disc)
+    np.copysign(w, b, out=w)
+    w += b
+    w *= -0.5
+    ends = np.empty((2, len(r)))
+    np.divide(w, qa, out=ends[1])
+    np.divide(qc, w, out=w)
+    np.minimum(ends[1], w, out=ends[0])
+    np.maximum(ends[1], w, out=ends[1])
+    disc -= e_d
+    guard = np.divide(e_d, disc, out=e_d)
+    guard += 4.0 * u
+    guard *= 2.0
+    guard *= np.fmax(np.abs(ends[0]), np.abs(ends[1]))
+    eps *= 2.0
+    eps /= np.sqrt(disc, out=disc)
+    guard += eps
+    reach = np.nanmax(guard, initial=0.0)
+    srt = np.sort(ends, axis=1)
+    counts = np.searchsorted(srt[0], amps) - np.searchsorted(srt[1], amps, side="right")
+    near = []
+    for e in srt:
+        lo, hi = np.searchsorted(e, amps - reach), np.searchsorted(e, amps + reach, "right")
+        lo[1:] = np.maximum(lo[1:], hi[:-1])
+        size = np.maximum(hi - lo, 0)
+        near.append(e[np.arange(size.sum()) + np.repeat(lo - np.cumsum(size) + size, size)])
+    redo |= np.isin(ends, np.concatenate(near)).any(axis=0)
+    if not redo.any():
+        return counts
+    counts -= np.sum((ends[0, redo, None] < amps) & (amps < ends[1, redo, None]), axis=0)
+    again = montecarlo._alpha1_scan(channel.primary_forms(r[redo], pw), pw, np.linspace(0.0, 1.0, grid_n))
+    return counts + [np.count_nonzero(1.0 + sig / den < big_t) for _, sig, den in again]

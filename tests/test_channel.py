@@ -134,6 +134,21 @@ def test_realizations_of_standard_normals_are_the_sampled_stream(k_db):
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+@pytest.mark.parametrize("k_db", [0.0, 10.0, 40.0])
+def test_realizations_are_contiguous_rows_of_the_strided_build(k_db):
+    """Each link is a C-contiguous row, also of a slice, with the bits of the strided (n, 4) build
+    (sd * z.view(complex) + mu).T, over more than two pieces with a short last one."""
+    stats = ChannelStats.from_k_factor(k_db)
+    z = channel.standard_normals(2 * channel.PIECE + 9, seed=21, start=5)
+    sd = np.sqrt(np.array([stats.var11, stats.var12, stats.var21, stats.var22]) / 2.0)
+    want = (sd * z.view(complex) + np.array([stats.mu11, stats.mu12, stats.mu21, stats.mu22])).T
+    r = channel.realizations(stats, z)
+    links = (r.h11, r.h12, r.h21, r.h22)
+    assert all(got.tobytes() == row.tobytes() for got, row in zip(links, want, strict=True))
+    for part in (r, r[7 : channel.PIECE + 40], channel.sample_realizations(stats, 50, seed=2)):
+        assert all(h.flags.c_contiguous for h in (part.h11, part.h12, part.h21, part.h22))
+
+
 def test_sample_realizations_deterministic_and_seed_sensitive():
     stats = ChannelStats.from_k_factor(0.0)
     a = channel.sample_realizations(stats, 64, seed=4)

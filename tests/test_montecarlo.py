@@ -14,6 +14,7 @@ from lagpc.montecarlo import (
     drawn_estimates,
     scheme_rates,
 )
+from oracles import whole_outage_counts, whole_sums
 
 PW = PowerConfig(10.0, 10.0)
 STATS = ChannelStats.from_k_factor(10.0)
@@ -374,9 +375,10 @@ def _scan_value(h11, h12, a1):
     return 1.0 + (a + b * amp + c * amp ** 2) / (c * (1.0 - a1) * PW.Pc + PW.noise_p)
 
 
-def test_outage_counts_on_constructed_edge_samples(monkeypatch):
-    """Samples whose outage interval ends exactly on a grid amp, samples at and
-    near tangency, and samples with h12 = 0 are counted as the scan counts them."""
+def _edge_samples():
+    """(h11, h12, core) of constructed samples for _outage_counts at r_p = 2 on the 201-point grid; the
+    mask core picks 17 of them: the 5 with h12 = 0, the 3 exact tangents and the 9 on-grid ends nearest
+    to grid amp 120."""
     r_p, grid_n = 2.0, 201
     big_t, lin = 2.0 ** r_p, np.linspace(0.0, 1.0, grid_n)
     # an end on grid amp 120: 1 + sig/den == 2^r_p there, in the scan's own arithmetic
@@ -397,6 +399,19 @@ def test_outage_counts_on_constructed_edge_samples(monkeypatch):
     no_cross = np.array([0.1, 0.5, np.sqrt(0.3), 1.0, 2.0]) + 0j  # h12 = 0: outage iff |h11|^2 Pp < 3
     edge = np.concatenate([on_grid, tangent, no_cross])
     h12 = np.concatenate([np.ones(len(on_grid) + len(tangent)), np.zeros(len(no_cross))]) + 0j
+    core = np.zeros(len(edge), dtype=bool)
+    core[36:45] = True  # on_grid's middle 9
+    core[len(on_grid) + len(nudges) * np.arange(0, 6, 2)] = True  # nudge 0 at each k
+    core[-len(no_cross) :] = True
+    return edge, h12, core
+
+
+def test_outage_counts_on_constructed_edge_samples(monkeypatch):
+    """Samples whose outage interval ends exactly on a grid amp, samples at and
+    near tangency, and samples with h12 = 0 are counted as the scan counts them."""
+    r_p = 2.0
+    edge, h12, _ = _edge_samples()
+    no_cross = np.count_nonzero(h12 == 0)
     rand = channel.sample_realizations(STATS, 5000, 1)
     zeros = np.zeros(len(rand) + len(edge))
     h11, h12 = np.concatenate([rand.h11, edge]), np.concatenate([rand.h12, h12])
@@ -404,7 +419,44 @@ def test_outage_counts_on_constructed_edge_samples(monkeypatch):
     rescored = _spy_rescoring(monkeypatch)
     for p_out in (0.05, 0.2, 0.5):
         _outage_counts_match(r, r_p, p_out)
-    assert min(rescored) >= len(no_cross) + 1  # the h12 = 0 samples and the tangent one at least
+    assert min(rescored) >= no_cross + 1  # the h12 = 0 samples and the tangent one at least
+
+
+@pytest.mark.parametrize("k_db", [0.0, 10.0])
+def test_pieced_outage_counts_equal_the_whole_block(k_db, monkeypatch):
+    """_outage_counts, piece by piece, equals the whole-block count over three pieces and a short last
+    one of 17 samples, which holds the core edge samples; the other edge samples end the third piece."""
+    edge, h12, core = _edge_samples()
+    n = 3 * channel.PIECE + 17
+    rand = channel.sample_realizations(ChannelStats.from_k_factor(k_db), n - len(edge), 4)
+    h11 = np.concatenate([rand.h11, edge[~core], edge[core]])
+    h12 = np.concatenate([rand.h12, h12[~core], h12[core]])
+    zeros = np.zeros(n, dtype=complex)
+    r = channel.ChannelRealization(h11, h12, zeros, zeros)
+    assert len(r[3 * channel.PIECE :]) == core.sum() == 17
+    rescored = _spy_rescoring(monkeypatch)
+    for r_p, grid_n in ((2.0, 201), (2.0, 31), (SLOW_TARGETS[k_db][0], 201)):
+        counts = montecarlo._outage_counts(r, PW, r_p, grid_n)
+        assert counts.tolist() == whole_outage_counts(r, PW, r_p, grid_n).tolist()
+    assert rescored[0] >= 6  # the h12 = 0 samples and an exact tangent at least, in the pieced call
+
+
+@pytest.mark.parametrize("k_db", [0.0, 10.0])
+def test_pieced_sums_equal_the_whole_chunks(k_db, monkeypatch):
+    """The rate sums and counts taken piece by piece, and the estimates from them, equal the whole-chunk
+    ones to the bit, over three pieces and a short last one, in one chunk and in chunks that end
+    inside a piece."""
+    stats = ChannelStats.from_k_factor(k_db)
+    r = channel.sample_realizations(stats, 3 * channel.PIECE + 17, 6)
+    schemes = ("la_gpc", "primary", "naive_dpc", "full_csit", "interference_as_noise")
+    for chunk in (montecarlo._CHUNK, 2 * channel.PIECE + 5):
+        monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+        for params in (DesignParams(0.5, 1.1 + 0.1j), DesignParams(1.0, 0j)):
+            for r_target in (None, 1.0, 3.0):
+                whole = whole_sums(r, stats, params, PW, schemes, r_target)
+                assert montecarlo._sums(r, stats, params, PW, schemes, r_target) == whole
+                got = montecarlo.estimates(r, stats, params, PW, schemes, r_target)
+                assert got == [montecarlo._estimate(parts, len(r), r_target) for parts in whole]
 
 
 def test_scheme_params_pick_each_design_point():
