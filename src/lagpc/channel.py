@@ -186,10 +186,10 @@ def realizations(stats: ChannelStats, z: np.ndarray) -> ChannelRealization:
     return ChannelRealization(*h)
 
 
-def sample_realizations(stats: ChannelStats, n: int, seed: int, start: int = 0) -> ChannelRealization:
+def sample_realizations(stats: ChannelStats, n: int, seed: int) -> ChannelRealization:
     """Draw ``n`` iid channel realizations, reproducibly: realizations of
-    standard_normals(n, seed, start)."""
-    return realizations(stats, standard_normals(n, seed, start))
+    standard_normals(n, seed)."""
+    return realizations(stats, standard_normals(n, seed))
 
 
 def effective_interference_gain(r: ChannelRealization, alpha1: float, pw: PowerConfig):

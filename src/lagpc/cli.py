@@ -97,10 +97,11 @@ def emit_plotdata(table: ResultTable, out_dir) -> list:
 # parsed value must pass.
 
 _MISSING = object()
+_COUNT_KEYS = ("n", "trials", "n_ergodic", "n_outage", "n_frames")  # what --samples sets
 
 
 def _is_num(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max  # no NaN or inf
 
 
 def _list_of(ok, convert, size=None):
@@ -512,7 +513,8 @@ def main(argv=None) -> int:
         p.add_argument("--config", help="JSON scenario file")
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--samples", type=int, help="override the sample/trial count")
+        if set(_COUNT_KEYS) & set(SCHEMAS[name]):
+            p.add_argument("--samples", type=int, help="override the sample/trial count")
     args = parser.parse_args(argv)
 
     try:
@@ -533,8 +535,8 @@ def main(argv=None) -> int:
             raw["figure"] = args.figure
         if args.seed is not None:
             raw["seed"] = args.seed
-        if args.samples is not None:
-            for key in ("n", "trials", "n_ergodic", "n_outage", "n_frames"):
+        if getattr(args, "samples", None) is not None:
+            for key in _COUNT_KEYS:
                 if key in SCHEMAS[args.command]:
                     raw[key] = args.samples
         cfg = validate_config(args.command, raw)

@@ -4,8 +4,8 @@ alpha1 comes from a one-sided tail bound on the interference-to-signal ratio
 seen by the primary receiver; the bound's constant r sharpens from 1 to 2/9
 when the ratio's density is believed unimodal-symmetric enough (high K) and
 the deviation multiplier is large enough.  alpha2 minimizes a moment-matched
-chi-square surrogate of the cognitive user's own outage, either through the
-regularized incomplete gamma itself or through its exponential lower bound.
+chi-square surrogate of the cognitive user's own outage, the regularized
+incomplete gamma at the matched threshold.
 """
 from __future__ import annotations
 
@@ -19,6 +19,7 @@ from .design_fast import InfeasibleDesignError, alpha1_root, alpha2_disc, cr_lin
 
 _SHARP_R = 2.0 / 9.0
 _MIN_DELTA_FOR_SHARP = 2.0 / np.sqrt(3.0)
+_GRID_N = 41  # alpha2 disc grid per side
 
 
 class SlowDesignResult(NamedTuple):
@@ -68,32 +69,26 @@ def solve_alpha1_slow(
     return root, r
 
 
-_OUTAGE = {"gamma": quadform.outage_gamma, "alzer": quadform.outage_alzer}
-
-
 def outage_surrogate(
     stats: ChannelStats,
     alpha1,
     alpha2,
     pw: PowerConfig,
     r_cr: float,
-    method: str = "gamma",
 ):
     """Chi-square-matched estimate of P(cognitive rate < r_cr).
 
     Arrays of alpha1 and/or alpha2 give an array of estimates, each element
     as the single point would: 0.0 where the matched threshold is nonpositive
     (every realization meets the target), 1.0 where the moment match is
-    undefined (a hopeless point), the gamma or Alzer tail otherwise.
+    undefined (a hopeless point), the gamma tail otherwise.
     """
-    if method not in _OUTAGE:
-        raise ValueError(f"unknown method {method!r}")
     E, threshold = cr_outage_form(alpha1, alpha2, pw, r_cr)
     shape = np.shape(threshold)
     threshold = np.reshape(threshold, -1)
     # always a stack, so an undefined match reads NaN instead of raising
     c2 = quadform.chi2_params(cr_links(stats), E.reshape(-1, 2, 2))
-    tail = np.where(np.isnan(c2.w), 1.0, _OUTAGE[method](c2, threshold))
+    tail = np.where(np.isnan(c2.w), 1.0, quadform.outage_gamma(c2, threshold))
     p = np.where(threshold <= 0, 0.0, tail).reshape(shape)
     return float(p) if p.ndim == 0 else p
 
@@ -103,8 +98,6 @@ def solve_alpha2_slow(
     alpha1: float,
     pw: PowerConfig,
     r_cr: float,
-    method: str = "gamma",
-    grid_n: int = 41,
 ) -> tuple[complex, float]:
     """(alpha2, its surrogate outage): the surrogate minimized over complex alpha2.
 
@@ -119,9 +112,9 @@ def solve_alpha2_slow(
         raise ValueError("r_cr must be positive")
 
     def obj(a2):
-        return outage_surrogate(stats, alpha1, a2, pw, r_cr, method)
+        return outage_surrogate(stats, alpha1, a2, pw, r_cr)
 
-    best, points, dist, step = alpha2_disc(stats, alpha1, pw, grid_n)  # best starts at the centre
+    best, points, dist, step = alpha2_disc(stats, alpha1, pw, _GRID_N)  # best starts at the centre
     best_val, best_dist = np.inf, 0.0
     # sequential: which of two tied points wins depends on the visiting order
     for a2, val, dst in zip(points.tolist(), obj(points).tolist(), dist.tolist()):
@@ -155,9 +148,8 @@ def design(
     r_p: float,
     p_out: float,
     r_cr: float,
-    method: str = "gamma",
 ) -> SlowDesignResult:
     """Both stages: protect the primary, then minimize own outage."""
     alpha1, r = solve_alpha1_slow(stats, pw, r_p, p_out)
-    alpha2, outage = solve_alpha2_slow(stats, alpha1, pw, r_cr, method=method)
+    alpha2, outage = solve_alpha2_slow(stats, alpha1, pw, r_cr)
     return SlowDesignResult(alpha1, alpha2, outage, r)

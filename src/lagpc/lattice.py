@@ -130,7 +130,6 @@ class NestedPair(NamedTuple):
     fine: Lattice
     coarse: Lattice
     q_nest: int
-    rate_bpcu: float
 
     @property
     def codebook_size(self) -> int:
@@ -149,7 +148,7 @@ def build_nested(q_nest: int) -> NestedPair:
     scale = np.sqrt(0.5 / E8_SECOND_MOMENT) / q_nest
     fine = Lattice.scaled_e8(scale)
     coarse = Lattice.scaled_e8(scale * q_nest)
-    return NestedPair(fine, coarse, q_nest, 2.0 * np.log2(q_nest))
+    return NestedPair(fine, coarse, q_nest)
 
 
 def message_to_digits(index, q: int) -> np.ndarray:
@@ -311,11 +310,9 @@ class ErrorRatePoint(NamedTuple):
     scheme: str
     error_rate: float
     ci95: float
-    trials: int
     theory_outage: float
     alpha1: float
     alpha2: complex
-    seed: int
 
 
 def codeword_error_sim(scenario: LatticeScenario) -> list[ErrorRatePoint]:
@@ -353,9 +350,8 @@ def codeword_error_sim(scenario: LatticeScenario) -> list[ErrorRatePoint]:
             params = montecarlo.scheme_params(which, stats, design, pw)
             p_err, ci = _codec_error_rate(scenario, s, i, pw, params, pair)
             points.append(ErrorRatePoint(
-                snr_db=float(snr), scheme=s, error_rate=p_err, ci95=ci, trials=scenario.trials,
+                snr_db=float(snr), scheme=s, error_rate=p_err, ci95=ci,
                 theory_outage=float(est.value), alpha1=params.alpha1, alpha2=complex(params.alpha2),
-                seed=scenario.seed,
             ))
     return [p for points in rows for p in points]
 

@@ -54,15 +54,9 @@ def scheme_params(which: str, stats: ChannelStats, params: DesignParams, pw: Pow
     raise ValueError(f"unknown scheme {which!r}")
 
 
-def scheme_rates(r: channel.ChannelRealization, stats: ChannelStats, params: DesignParams, pw: PowerConfig,
-                 which: str) -> np.ndarray:
-    """Per-realization rate of one scheme (or the primary user's rate): cr_rate at
-    scheme_params, except full_csit, whose precoder follows each realization."""
-    return next(_rates(r, stats, params, pw, (which,)))
-
-
 def _rates(r, stats, params, pw, schemes):
-    """scheme_rates of each of schemes in turn; the cr_rate schemes read one cr_forms call."""
+    """Per-realization rate of each of schemes (or of the primary user) in turn: cr_rate at scheme_params,
+    except full_csit, whose precoder follows each realization; the cr_rate schemes read one cr_forms call."""
     forms = None
     for which in schemes:
         if which in ("primary", "full_csit"):

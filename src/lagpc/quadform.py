@@ -29,7 +29,6 @@ import numpy as np
 
 _HERM_TOL = 1e-10  # on |A - A^H| per entry, relative to the entry where |A_ij| > 1
 _RULE_N = 32  # Gauss-Legendre nodes per _gammainc window
-_lgamma = np.vectorize(math.lgamma, otypes=[float])
 
 
 class DomainError(ValueError):
@@ -248,23 +247,6 @@ def outage_gamma(c2: Chi2Approx, threshold):
     """P(v*chi2(w) < threshold), regularized lower incomplete gamma."""
     threshold = np.asarray(threshold, dtype=float)
     p = _gammainc(c2.w / 2.0, threshold / (2.0 * c2.v))
-    return _value(np.where(threshold <= 0, 0.0, p))
-
-
-def alzer_s(w):
-    """Sharpness constant of the exponential lower bound on gammainc(w/2, .)."""
-    w = np.asarray(w, dtype=float)
-    if np.any(w <= 0):
-        raise DomainError("w must be positive")
-    return _value(np.where(w <= 2.0, 1.0, np.exp(-(2.0 / w) * _lgamma(1.0 + w / 2.0))))
-
-
-def outage_alzer(c2: Chi2Approx, threshold):
-    """Lower bound (1 - exp(-s x))^(w/2) on outage_gamma; exact at w = 2."""
-    threshold = np.asarray(threshold, dtype=float)
-    x = threshold / (2.0 * c2.v)
-    with np.errstate(invalid="ignore"):  # x < 0 is masked below
-        p = (1.0 - np.exp(-alzer_s(c2.w) * x)) ** (c2.w / 2.0)
     return _value(np.where(threshold <= 0, 0.0, p))
 
 

@@ -1,5 +1,6 @@
 """Reference routes that only the tests use, shared by several test modules."""
 import numpy as np
+from scipy.special import gammaln
 
 from lagpc import channel, design_fast, design_slow, lattice, montecarlo
 from lagpc.channel import effective_interference_gain
@@ -25,16 +26,16 @@ def achievable_rate(filters):
     return float(-1.0 - np.log2(filters.error_var))
 
 
-def sequential_alpha2_slow(stats, alpha1, pw, r_cr, method="gamma", grid_n=41, moves=None):
+def sequential_alpha2_slow(stats, alpha1, pw, r_cr, moves=None):
     """design_slow.solve_alpha2_slow with its coordinate descent scored one
     point per call, in the visiting order the batched descent reproduces.
     A list passed as moves receives each point the descent moves to."""
     moves = [] if moves is None else moves
 
     def obj(a2):
-        return design_slow.outage_surrogate(stats, alpha1, a2, pw, r_cr, method)
+        return design_slow.outage_surrogate(stats, alpha1, a2, pw, r_cr)
 
-    best, points, dist, step = design_fast.alpha2_disc(stats, alpha1, pw, grid_n)
+    best, points, dist, step = design_fast.alpha2_disc(stats, alpha1, pw, design_slow._GRID_N)
     best_val, best_dist = np.inf, 0.0
     for a2, val, dst in zip(points.tolist(), obj(points).tolist(), dist.tolist()):
         if val < best_val - 1e-15 or (abs(val - best_val) <= 1e-15 and dst < best_dist):
@@ -51,6 +52,22 @@ def sequential_alpha2_slow(stats, alpha1, pw, r_cr, method="gamma", grid_n=41, m
         if not moved:
             step /= 2.0
     return complex(best), float(best_val)
+
+
+def outage_alzer(c2, threshold):
+    """Alzer's lower bound (1 - exp(-s x))^(w/2) on quadform.outage_gamma, x = threshold / (2 v), with
+    s = 1 for w <= 2, else Gamma(1 + w/2)^(-2/w) (H. Alzer, Math. Comp. 66, 1997); exact at w = 2."""
+    w, x = np.asarray(c2.w, dtype=float), np.asarray(threshold, dtype=float) / (2.0 * c2.v)
+    s = np.where(w <= 2.0, 1.0, np.exp(-(2.0 / w) * gammaln(1.0 + w / 2.0)))
+    with np.errstate(invalid="ignore"):  # x < 0 is masked below
+        p = (1.0 - np.exp(-s * x)) ** (w / 2.0)
+    return np.where(x <= 0, 0.0, p)
+
+
+def scheme_rates(r, stats, params, pw, which):
+    """Per-realization rate of one scheme (or the primary user's rate): cr_rate at
+    montecarlo.scheme_params, except full_csit, whose precoder follows each realization."""
+    return next(montecarlo._rates(r, stats, params, pw, (which,)))
 
 
 def whole_sums(r, stats, params, pw, schemes, r_target):

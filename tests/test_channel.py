@@ -93,7 +93,7 @@ def test_sample_realizations_partition_independent():
     stats = ChannelStats.from_k_factor(3.0)
     whole = channel.sample_realizations(stats, 500, seed=9)
     first = channel.sample_realizations(stats, 180, seed=9)
-    rest = channel.sample_realizations(stats, 320, seed=9, start=180)
+    rest = channel.realizations(stats, channel.standard_normals(320, seed=9, start=180))
     np.testing.assert_array_equal(whole.h11[:180], first.h11)
     np.testing.assert_array_equal(whole.h22[180:], rest.h22)
 
@@ -113,7 +113,7 @@ def _oracle_sample(stats, n, seed, start, quantile=ndtri):
 def test_sample_realizations_match_the_copying_sampler():
     """The in-place draws equal the copying expression to the bit, from a nonzero start."""
     stats = ChannelStats.from_k_factor(3.0)
-    r = channel.sample_realizations(stats, 300, seed=11, start=37)
+    r = channel.realizations(stats, channel.standard_normals(300, seed=11, start=37))
     got = np.stack([r.h11, r.h12, r.h21, r.h22], axis=1)
     assert np.array_equal(got.view(np.uint64), _oracle_sample(stats, 300, 11, 37).view(np.uint64))
 

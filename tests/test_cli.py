@@ -173,6 +173,24 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("name,args,config,key", [
+    ("design-fast", [], {"k_db": [float("nan")], "r_target": 1}, "k_db"),
+    ("reproduce-figure", ["2"], {"k_db": [float("nan")]}, "k_db"),
+    ("lattice-sim", [], {"k_db": float("inf")}, "k_db"),
+    ("lattice-sim", [], {"k_db": 10 ** 400}, "k_db"),
+    ("lattice-sim", [], {"snr_db": [22, float("-inf")]}, "snr_db"),
+    ("design-fast", [], {"p_c": float("inf")}, "p_c"),
+    ("simulate-ergodic", [], {"alpha1": 0.5, "alpha2": [float("nan"), 0]}, "alpha2"),
+])
+def test_non_finite_numbers_are_config_errors(tmp_path, capsys, name, args, config, key):
+    """json reads NaN, Infinity, -Infinity and integers past the float range; the schema rejects them
+    and names the key."""
+    rc, out = _run(tmp_path, name, args=args, config=config)
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key}: expected")
+    assert not out.exists()
+
+
 def test_bad_worker_count_is_a_config_error(tmp_path, capsys, monkeypatch):
     for bad in ("abc", "0", "-3"):
         monkeypatch.setenv("LAGPC_WORKERS", bad)
@@ -376,6 +394,15 @@ def test_samples_and_seed_overrides(tmp_path):
     assert all(row[-1] == 7 for row in table.rows)
 
 
+@pytest.mark.parametrize("name", ["design-fast", "design-slow", "asymptotic-check"])
+def test_samples_is_an_option_only_where_a_count_is(tmp_path, capsys, name):
+    with pytest.raises(SystemExit) as exc:
+        _run(tmp_path, name, args=["--samples", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --samples 5" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_lattice_sim_command(tmp_path):
     cfg = {
         "k_db": 10,
@@ -399,9 +426,9 @@ def test_lattice_sim_draws_one_theory_block(tmp_path, monkeypatch):
     draws = []
     sample = channel.sample_realizations
 
-    def counting(stats, n, seed, start=0):
+    def counting(stats, n, seed):
         draws.append(n)
-        return sample(stats, n, seed, start)
+        return sample(stats, n, seed)
 
     monkeypatch.setattr(channel, "sample_realizations", counting)
     cfg = {

@@ -149,29 +149,18 @@ def test_surrogate_edge_branches():
     assert outage_surrogate(stats, 0.0, 0j, PW, -1.0) == 0.0
 
 
-def test_alzer_method_lands_near_gamma():
-    stats = ChannelStats.from_k_factor(10.0)
-    alpha1, _ = solve_alpha1_slow(stats, PW, 2.0, 0.01)
-    g, _ = solve_alpha2_slow(stats, alpha1, PW, 1.0)
-    a, outage = solve_alpha2_slow(stats, alpha1, PW, 1.0, method="alzer", grid_n=21)
-    assert outage == pytest.approx(outage_surrogate(stats, alpha1, a, PW, 1.0, "alzer"), rel=1e-12)
-    assert abs(a - g) < 0.1
-
-
 def test_solve_alpha2_validates():
     stats = ChannelStats.from_k_factor(10.0)
     with pytest.raises(ValueError):
         solve_alpha2_slow(stats, 1.0, PW, 1.0)
     with pytest.raises(ValueError):
         solve_alpha2_slow(stats, 0.5, PW, -1.0)
-    with pytest.raises(ValueError):
-        outage_surrogate(stats, 0.5, 0.5 + 0j, PW, 1.0, method="bogus")
 
 
 def test_array_surrogates_match_point_calls():
     """One call over an alpha2 array applies the three branches per element:
     0.0 at a nonpositive threshold, 1.0 where the moment match is undefined,
-    the gamma or Alzer tail otherwise."""
+    the gamma tail otherwise."""
     stats = ChannelStats.from_k_factor(10.0)
     alpha1, r_cr = 0.3, -1.0
     a2 = np.array([0.0, 0.9, 1.2, 5.0, 1.5 + 0.5j, 0.3, 2.0, 50.0, 3.0])
@@ -180,18 +169,17 @@ def test_array_surrogates_match_point_calls():
         E, _ = cr_outage_form(alpha1, a2[i], PW, r_cr)
         with pytest.raises(quadform.DomainError):
             quadform.chi2_params(cr_links(stats), E)
-    for method in ("gamma", "alzer"):
-        got = outage_surrogate(stats, alpha1, a2, PW, r_cr, method)
-        want = [outage_surrogate(stats, alpha1, complex(a), PW, r_cr, method) for a in a2]
-        assert got.shape == a2.shape
-        for i, (g, w) in enumerate(zip(got, want)):
-            if i in (0, 5):
-                assert g == w == 0.0
-            elif i in undefined:
-                assert g == w == 1.0
-            else:
-                assert 0.0 < w < 1.0
-                assert g == w
+    got = outage_surrogate(stats, alpha1, a2, PW, r_cr)
+    want = [outage_surrogate(stats, alpha1, complex(a), PW, r_cr) for a in a2]
+    assert got.shape == a2.shape
+    for i, (g, w) in enumerate(zip(got, want)):
+        if i in (0, 5):
+            assert g == w == 0.0
+        elif i in undefined:
+            assert g == w == 1.0
+        else:
+            assert 0.0 < w < 1.0
+            assert g == w
 
 
 def test_stacked_surrogate_checks_alpha1_once(monkeypatch):
@@ -232,8 +220,7 @@ def test_stack_elements_equal_point_calls_bit_for_bit():
         stats = ChannelStats.from_k_factor(k_db)
         alpha1, _ = solve_alpha1_slow(stats, PW, 2.0, 0.01)
         disc = alpha2_disc(stats, alpha1, PW, 41)[1]
-        for method in ("gamma", "alzer"):
-            check(lambda a2: outage_surrogate(stats, alpha1, a2, PW, r_cr, method), disc, complex)
+        check(lambda a2: outage_surrogate(stats, alpha1, a2, PW, r_cr), disc, complex)
         check(lambda a1: ratio_stats(stats, a1, PW).mean, grid, float)
         check(lambda a1: ratio_stats(stats, a1, PW).std, grid, float)
         check(lambda a1: primary_rate_surrogate(stats, a1, PW), grid, float)
@@ -264,9 +251,9 @@ def _descent_cases():
 def test_batched_descent_equals_the_sequential_oracle():
     """One surrogate call per move returns exactly the (alpha2, outage) of the
     descent that scores one point per call."""
-    for (stats, alpha1, pw, r_cr), method in product(_descent_cases(), ("gamma", "alzer")):
-        want = sequential_alpha2_slow(stats, alpha1, pw, r_cr, method)
-        assert solve_alpha2_slow(stats, alpha1, pw, r_cr, method) == want, (stats, alpha1, pw, r_cr, method)
+    for stats, alpha1, pw, r_cr in _descent_cases():
+        want = sequential_alpha2_slow(stats, alpha1, pw, r_cr)
+        assert solve_alpha2_slow(stats, alpha1, pw, r_cr) == want, (stats, alpha1, pw, r_cr)
 
 
 def test_descent_picks_equal_those_on_scipys_gammainc(monkeypatch):

@@ -12,9 +12,8 @@ from lagpc.montecarlo import (
     brute_force_alpha1_outage,
     brute_force_alpha2,
     drawn_estimates,
-    scheme_rates,
 )
-from oracles import whole_outage_counts, whole_sums
+from oracles import scheme_rates, whole_outage_counts, whole_sums
 
 PW = PowerConfig(10.0, 10.0)
 STATS = ChannelStats.from_k_factor(10.0)
@@ -583,7 +582,7 @@ def test_bounded_disc_search_at_alpha1_one():
             for r_cr in (None, 1.0):
                 pick = brute_force_alpha2(r, stats, 1.0, PW, r_cr=r_cr, grid_n=grid_n)
                 assert pick == 0j
-                rates = montecarlo.scheme_rates(r, stats, DesignParams(1.0, pick), PW, "la_gpc")
+                rates = scheme_rates(r, stats, DesignParams(1.0, pick), PW, "la_gpc")
                 np.testing.assert_array_equal(rates, np.zeros(len(r)))
 
 

@@ -255,30 +255,6 @@ def test_outage_gamma_nonpositive_threshold():
     assert quadform.outage_gamma(c2, -3.0) == 0.0
 
 
-def test_alzer_bound_never_exceeds_gamma():
-    """Exponential surrogate is a true lower-tail lower bound."""
-    rng = np.random.default_rng(10)
-    ws = rng.uniform(0.2, 12.0, size=100)
-    xs = rng.uniform(0.0, 20.0, size=100)
-    worst = 0.0
-    for w in ws:
-        c2 = Chi2Approx(v=1.0, w=w)
-        for x in xs:
-            a = quadform.outage_alzer(c2, x)
-            gexact = gammainc(w / 2.0, x / 2.0)
-            worst = max(worst, a - gexact)
-    assert worst <= 1e-12
-
-
-def test_alzer_s_constant():
-    assert quadform.alzer_s(2.0) == pytest.approx(1.0)
-    assert quadform.alzer_s(1.0) == pytest.approx(1.0)
-    # above two degrees of freedom the sharpened constant kicks in
-    w = 6.0
-    assert quadform.alzer_s(w) == pytest.approx(np.exp(-(2.0 / w) * gammaln(1.0 + w / 2.0)))
-    assert quadform.alzer_s(w) < 1.0
-
-
 def test_cantelli_threshold_value():
     rm = quadform.RatioMoments(mean=0.2, std=0.05)
     r = 2.0 / 9.0
@@ -422,15 +398,6 @@ def test_gammainc_masks_and_edges_match_scipy():
     assert [quadform.outage_gamma(Chi2Approx(0.5, wi), ti) for wi, ti in zip(w[1:], threshold[1:])] == got[1:].tolist()
     assert quadform._gammainc(3.0, 150.0) == 1.0 and quadform._gammainc(30.0, 1e4) == 1.0
     assert quadform._gammainc(3.0, 0.0) == 0.0 and np.isnan(quadform._gammainc(-1.0, 2.0))
-
-
-def test_lgamma_matches_scipy_on_the_alzer_domain():
-    """math.lgamma per element against scipy's gammaln at 1 + w/2 for w in (2, 1.6e8] (the shapes
-    the slow designs reach): within 8 ulps of max(1, |gammaln|), so alzer_s within 2e-14."""
-    w = np.geomspace(2.0 + 1e-12, 1.6e8, 100001)
-    got, want = quadform._lgamma(1.0 + w / 2.0), gammaln(1.0 + w / 2.0)
-    assert np.all(np.abs(got - want) <= 8.0 * _EPS * np.maximum(1.0, np.abs(want)))
-    np.testing.assert_allclose(quadform.alzer_s(w), np.exp(-(2.0 / w) * want), rtol=2e-14, atol=0.0)
 
 
 def test_legendre_rule_integrates_polynomials_to_the_last_digits():
