@@ -241,11 +241,20 @@ def primary_forms(r: ChannelRealization, pw: PowerConfig):
     return np.abs(r.h11) ** 2 * pw.Pp, 2.0 * np.real(np.conj(r.h11) * r.h12) * np.sqrt(pw.Pp), np.abs(r.h12) ** 2
 
 
-def primary_sinr(forms, alpha1: float, pw: PowerConfig):
-    """(signal, interference plus noise) of the primary link at alpha1, from primary_forms."""
+def primary_sinr(forms, alpha1: float, pw: PowerConfig, out=None):
+    """(signal, interference plus noise) of the primary link at alpha1, from primary_forms: a + b amp + c
+    amp^2 and c (1 - alpha1) Pc + noise_p, written into the two arrays of out (two new ones if None)."""
     a, b, c = forms
     amp = np.sqrt(alpha1 * pw.Pc)
-    return a + b * amp + c * amp ** 2, c * (1.0 - alpha1) * pw.Pc + pw.noise_p
+    sig, den = (np.empty_like(a), np.empty_like(a)) if out is None else out
+    np.multiply(c, amp ** 2, out=den)  # c amp^2 in den's place until den is due
+    np.multiply(b, amp, out=sig)
+    sig += a
+    sig += den
+    np.multiply(c, 1.0 - alpha1, out=den)
+    den *= pw.Pc
+    den += pw.noise_p
+    return sig, den
 
 
 def primary_rate(r: ChannelRealization, alpha1: float, pw: PowerConfig):

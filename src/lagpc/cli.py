@@ -131,7 +131,17 @@ def _among(options):
     return (lambda x: x in options, f"must be among {sorted(map(str, options))}")
 
 
-_K_GRID = ("num_list", tuple(SLOW_TARGETS), None)
+def _k_factor_fits(k_db):
+    """Whether the linear K-factor 10^(K/10) that ChannelStats.from_k_factor takes is a float."""
+    try:
+        10.0 ** (k_db / 10.0)
+    except OverflowError:
+        return False
+    return True
+
+
+_K_DB = (_k_factor_fits, "10^(K/10) overflows; must be below about 3082.55 dB")
+_K_GRID = ("num_list", tuple(SLOW_TARGETS), _K_DB)
 _POWER_FIELDS = {key: ("number", default, _POSITIVE) for key, default in
                  (("p_c", 10.0), ("p_p", 10.0), ("noise_p", 1.0), ("noise_s", 1.0))}
 _SEED = ("int", 0, (lambda x: x >= 0, "must be nonnegative"))
@@ -164,7 +174,7 @@ SCHEMAS = {
     },
     "lattice-sim": {
         "seed": _SEED,
-        "k_db": ("number", 10.0, None),
+        "k_db": ("number", 10.0, _K_DB),
         "rate": ("number", 2.0, _among((2.0, 4.0))),
         "snr_db": ("num_list", (22.0, 24.0, 26.0), None),
         "trials": ("int", 3000, _AT_LEAST_1),
@@ -176,7 +186,7 @@ SCHEMAS = {
     },
     "asymptotic-check": {
         **_COMMON_FIELDS,
-        "k_db": ("num_list", (0.0, 10.0, 20.0, 30.0, 40.0), None),
+        "k_db": ("num_list", (0.0, 10.0, 20.0, 30.0, 40.0), _K_DB),
         "modes": ("str_list", ("fast", "slow"), _among(("fast", "slow"))),
         "slow_p_out": ("number", 0.1, _OPEN_UNIT),
         "slow_r_cr": ("number", 1.0, _POSITIVE),
@@ -184,7 +194,7 @@ SCHEMAS = {
     "reproduce-figure": {
         **_COMMON_FIELDS,
         "figure": ("int", _MISSING, (lambda x: 2 <= x <= 8, "must be 2..8")),
-        "k_db": ("num_list", None, None),
+        "k_db": ("num_list", None, _K_DB),
         "n_ergodic": ("int", 10 ** 5, _AT_LEAST_1),
         "n_outage": ("int", 10 ** 6, _AT_LEAST_1),
         "bf_grid_n": ("int", 61, (lambda x: x >= 3, "must be at least 3")),

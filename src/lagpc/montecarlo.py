@@ -166,9 +166,17 @@ def estimates(r: channel.ChannelRealization, stats, params, pw, schemes, r_targe
     return [_estimate(parts, len(r), r_target) for parts in _sums(r, stats, params, pw, schemes, r_target)]
 
 
-def _alpha1_scan(forms, pw: PowerConfig, alpha1s):
-    """(alpha1, signal, interference plus noise) of the primary link at each of alpha1s in turn."""
-    return ((float(a1), *channel.primary_sinr(forms, a1, pw)) for a1 in alpha1s)
+def _alpha1_scan(forms, pw: PowerConfig, alpha1s, out=None):
+    """(alpha1, signal, interference plus noise) of the primary link at each of alpha1s in turn, from
+    channel.primary_sinr; given out, every pair is written into its two arrays and holds until the next."""
+    return ((float(a1), *channel.primary_sinr(forms, a1, pw, out)) for a1 in alpha1s)
+
+
+def _mean_rate(sig, den, out) -> float:
+    """The mean of log2(1 + sig/den), the primary rate, written into out on the way."""
+    np.divide(sig, den, out=out)
+    out += 1.0
+    return float(np.mean(np.log2(out, out=out)))
 
 
 def brute_force_alpha1_fast(
@@ -182,18 +190,28 @@ def brute_force_alpha1_fast(
     of its value (u = 2^-53, S = a + |b| sqrt(Pc) + c Pc), so with 4 ulp of log2 a rate or bound errs
     by under 32u (1 + S/noise_p), and two means of n rates below 1.5 S/noise_p and a sum add (3n + 2)
     u mean(1 + S/noise_p): guard = (3n + 70) u mean(1 + S/noise_p), rounded up.
+
+    Every scanned alpha1 and every bound is written into three n-long arrays made once per search: the
+    scan's sig and den, and the rates (or the bound's larger sig, copied out of the scan before the block's
+    last alpha1 overwrites it).  sig and den come from channel.primary_sinr as primary_rate's do, and each
+    mean is one np.mean over the n rates, so the guard holds as derived and every rate has primary_rate's
+    bits.
     """
     if grid_n < 50:
         raise ValueError("grid_n too coarse")
     forms = a, b, c = channel.primary_forms(r, pw)
     mean_term = float(np.mean(1.0 + (a + np.abs(b) * np.sqrt(pw.Pc) + c * pw.Pc) / pw.noise_p))  # no n-long term kept
     guard = (3.0 * len(r) + 70.0) * 2.0 ** -53 * mean_term
+    sig, den, rate = (np.empty(len(r)) for _ in range(3))
     for block in np.split(np.linspace(0.0, 1.0, grid_n), range(_SCAN_BLOCK, grid_n, _SCAN_BLOCK)):
-        (_, sig_lo, _), (_, sig_hi, den) = _alpha1_scan(forms, pw, block[[0, -1]])
-        if float(np.mean(np.log2(1.0 + np.maximum(sig_lo, sig_hi) / den))) + guard < r_target:
+        ends = _alpha1_scan(forms, pw, block[[0, -1]], (sig, den))
+        np.copyto(rate, next(ends)[1])  # sig at the block's first alpha1, before its last overwrites it
+        _, sig_hi, den_hi = next(ends)
+        np.maximum(rate, sig_hi, out=rate)
+        if _mean_rate(rate, den_hi, rate) + guard < r_target:
             continue
-        for a1, sig, den in _alpha1_scan(forms, pw, block):
-            if float(np.mean(np.log2(1.0 + sig / den))) >= r_target:
+        for a1, s, d in _alpha1_scan(forms, pw, block, (sig, den)):
+            if _mean_rate(s, d, rate) >= r_target:
                 return a1
     raise InfeasibleDesignError("no grid alpha1 meets the ergodic target")
 
@@ -272,27 +290,51 @@ def brute_force_alpha1_outage(
 
 
 def _disc_scorer(r, alpha1, pw, a2, r_cr=None):
-    """(forms, base, score) of the alpha2 points a2 over r.
+    """(key, score) of the alpha2 points a2, the whole disc, over r.
 
     score(lo) is the MC ergodic CR rate, or with r_cr minus the MC CR outage, at each point of a2[lo : lo
     + _DISC_ROWS].  The rate is log2(signal / det) per sample (channel.cr_forms), base the mean of
     log2(signal) (with r_cr, the limit: out where det exceeds it), and the dets of a block are one (points
     x 4) @ (4 x samples) product, forms = (A, B, -2 Re C, 2 Im C).
+
+    key(lo, size) is brute_force_alpha2's bound on every score of a2[lo : lo + size], inf where its ergodic
+    guard fails.  Every key is written into the same three n-long arrays.
     """
     signal, a, b, c = channel.cr_forms(r, alpha1, pw)
     forms = np.stack([a, b, -2.0 * c.real, 2.0 * c.imag])
     rows = np.stack([np.ones(len(a2)), np.abs(a2) ** 2, a2.real, a2.imag], axis=1)
     buf = np.empty((_DISC_ROWS, len(r)))  # every block's dets, so no block maps fresh pages
+    a, b, f2, f3 = forms
+    u, m = 2.0 ** -53, pw.noise_s * (1.0 - alpha1) * pw.Pc
+    re, im = np.abs(a2.real).max(), np.abs(a2.imag).max()
+    terms = a + b * (re * re + im * im) + np.abs(f2) * re + np.abs(f3) * im
+    vx, vy = -0.5 * f2 / b, -0.5 * f3 / b  # the paraboloid's vertex
+    x, y, t = (np.empty(len(r)) for _ in range(3))
 
     def dets(lo):
         block = rows[lo : lo + _DISC_ROWS]
         return np.matmul(block, forms, out=buf[: len(block)])
 
+    def least_det(lo, size):  # d: a + x (b x + f2) + y (b y + f3) at the vertex clamped to the points' rectangle
+        pts = a2[lo : lo + size]
+        np.clip(vx, pts.real.min(), pts.real.max(), out=x)
+        np.clip(vy, pts.imag.min(), pts.imag.max(), out=y)
+        np.multiply(x, np.add(np.multiply(b, x, out=t), f2, out=t), out=x)
+        np.multiply(y, np.add(np.multiply(b, y, out=t), f3, out=t), out=y)
+        np.add(x, a, out=x)
+        return np.add(x, y, out=x)
+
     if r_cr is not None:
         limit = signal * 2.0 ** -r_cr  # rate < r_cr  <=>  det > limit
-        return forms, limit, lambda lo: -np.mean(dets(lo) > limit, axis=1)
+        out = limit + 36.0 * u * terms  # d above this: the sample is out at every point of the rectangle
+        return lambda lo, size: -np.mean(least_det(lo, size) > out), lambda lo: -np.mean(dets(lo) > limit, axis=1)
     base = float(np.mean(np.log2(signal)))
-    return forms, base, lambda lo: base - np.mean(np.log2(d := dets(lo), out=d), axis=1)
+    guard = (2.0 * len(r) + 128.0) * u * (abs(np.log2(m)) + float(np.mean(terms)) / m + 1.0 + abs(base))
+    if 68.0 * u * terms.max() <= m:
+        key = lambda lo, size: base - float(np.mean(np.log2(d := least_det(lo, size), out=d))) + guard
+    else:
+        key = lambda lo, size: np.inf
+    return key, lambda lo: base - np.mean(np.log2(d := dets(lo), out=d), axis=1)
 
 
 def brute_force_alpha2(r: channel.ChannelRealization, stats: ChannelStats, alpha1: float, pw: PowerConfig,
@@ -304,46 +346,42 @@ def brute_force_alpha2(r: channel.ChannelRealization, stats: ChannelStats, alpha
     comparable; the first point (dre-major) with the best score wins.  At
     alpha1 = 1 no own signal is left to precode: 0j, unscored (as alpha2_fast).
 
-    Only blocks of _BOUND_ROWS points that can win are scored: det is a paraboloid in a2 (B > 0), at
-    least d, its value at the vertex clamped to the block's bounding rectangle, so no ergodic score there
-    exceeds base - mean log2 d, nor an outage score -(samples with d > limit + g)/n.  Blocks go in
-    descending order of that bound (plus the ergodic guard) until the next is below the best score.  The
-    product and d err by under 17u T (u = 2^-53; T = A + B (max re^2 + max im^2) + |f2| max |re| + |f3|
-    max |im| on the disc, forms = (A, B, f2, f3)).  Ergodic guard: det >= m = noise_s sigma2 (Cauchy-
-    Schwarz), so log2 det errs by 100u T/m if 68u T <= m (else every block is scored), plus 4 ulp; with
-    |log2 det| <= |log2 m| + T/m + 1, two means of n terms and three roundings, guard = (2n + 128) u (|log2
-    m| + mean T/m + 1 + |base|), rounded up.  g: the computed vertex is within u |vertex|, so its clamp
-    moves only if |vertex| < (1 + 2u) max |re| (|im|), by a step that raises the paraboloid under 2u^2 T;
-    a scored det exceeds d - 34u T - 2u^2 T.  d > limit + g gives limit < (1 + 17u) T, so rounding g (T
-    has 6 roundings) and limit + g loses under u T + 310u^2 T: g = 36u T.
+    Only det products that can win are scored, found by one key at two levels: blocks of _BOUND_ROWS
+    points, then the _DISC_ROWS-point products of each block that can win.  A key bounds the scores of
+    its points: det is a paraboloid in a2 (B > 0), at least d, its value at the vertex clamped to the
+    points' bounding rectangle, so no ergodic score there exceeds base - mean log2 d, nor an outage score
+    -(samples with d > limit + g)/n.  At each level the keys (the ergodic ones plus the guard) go in
+    descending order until the next is below the best score, so every point that ties the best is scored,
+    the full scan's point wins, and each scored product keeps its bits.  The product and d err by under
+    17u T (u = 2^-53; T = A + B (max re^2 + max im^2) + |f2| max |re| + |f3| max |im| on the disc, forms =
+    (A, B, f2, f3)).  Ergodic guard: det >= m = noise_s sigma2 (Cauchy-Schwarz), so log2 det errs by 100u
+    T/m if 68u T <= m (else every key is inf and every product scored), plus 4 ulp; with |log2 det| <=
+    |log2 m| + T/m + 1, two means of n terms and three roundings, guard = (2n + 128) u (|log2 m| + mean
+    T/m + 1 + |base|), rounded up.  g: the computed vertex is within u |vertex|, so its clamp moves only
+    if |vertex| < (1 + 2u) max |re| (|im|), by a step that raises the paraboloid under 2u^2 T; a scored
+    det exceeds d - 34u T - 2u^2 T.  d > limit + g gives limit < (1 + 17u) T, so rounding g (T has 6
+    roundings) and limit + g loses under u T + 310u^2 T: g = 36u T.  T is taken over the whole disc, so
+    these derivations hold for any rectangle inside it, a block's or a product's, with the same guards.
+    Every key is written into three n-long arrays, and every product's dets into one, made once per search.
     """
     if grid_n < 3:
         raise ValueError("grid_n too coarse: no grid point inside the disc")
     if alpha1 == 1.0:
         return 0j
     a2 = design_fast.alpha2_disc(stats, alpha1, pw, grid_n)[1]
-    (a, b, f2, f3), ref, score = _disc_scorer(r, alpha1, pw, a2, r_cr)  # ref: base, or the outage limit
-    u, m = 2.0 ** -53, pw.noise_s * (1.0 - alpha1) * pw.Pc
-    re, im = np.abs(a2.real).max(), np.abs(a2.imag).max()
-    terms = a + b * (re * re + im * im) + np.abs(f2) * re + np.abs(f3) * im
-    starts = range(0, len(a2), _BOUND_ROWS)
-    keys = np.full(len(starts), np.inf)  # per block: a bound on its scores
-    if r_cr is not None:
-        out = ref + 36.0 * u * terms  # d above this: the sample is out at every point of the block
-        bound = lambda d: -np.mean(d > out)
-    else:
-        guard = (2.0 * len(r) + 128.0) * u * (abs(np.log2(m)) + float(np.mean(terms)) / m + 1.0 + abs(ref))
-        bound = lambda d: ref - float(np.mean(np.log2(d))) + guard
-    vx, vy = -0.5 * f2 / b, -0.5 * f3 / b  # the paraboloid's vertex
-    for k, lo in enumerate(starts if r_cr is not None or 68.0 * u * terms.max() <= m else ()):
-        pts = a2[lo : lo + _BOUND_ROWS]
-        x = np.clip(vx, pts.real.min(), pts.real.max())
-        y = np.clip(vy, pts.imag.min(), pts.imag.max())
-        keys[k] = bound(a + x * (b * x + f2) + y * (b * y + f3))
+    key, score = _disc_scorer(r, alpha1, pw, a2, r_cr)
     scores = np.full(len(a2), -np.inf)  # -inf at every point left unscored
-    for k in np.argsort(-keys, kind="stable"):
-        if keys[k] < np.fmax.reduce(scores):  # the best score so far; fmax passes over NaN
-            break
-        for lo in range(starts[k], min(starts[k] + _BOUND_ROWS, len(a2)), _DISC_ROWS):
+
+    # a generator, not a closure that calls itself: that would be a reference cycle holding the forms and
+    # arrays of _disc_scorer until the cyclic GC ran, and the process would grow by them at every search
+    def winnable(starts, size):  # the size-point blocks at starts, in descending key order while one can win
+        keys = np.array([key(lo, size) for lo in starts])
+        for k in np.argsort(-keys, kind="stable"):
+            if keys[k] < np.fmax.reduce(scores):  # the best score so far; fmax passes over NaN
+                return
+            yield starts[k]
+
+    for block in winnable(range(0, len(a2), _BOUND_ROWS), _BOUND_ROWS):
+        for lo in winnable(range(block, min(block + _BOUND_ROWS, len(a2)), _DISC_ROWS), _DISC_ROWS):
             scores[lo : lo + _DISC_ROWS] = score(lo)
     return complex(a2[np.nanargmax(scores)])

@@ -125,3 +125,21 @@ def whole_outage_counts(r, pw, r_p, grid_n):
     counts -= np.sum((ends[0, redo, None] < amps) & (amps < ends[1, redo, None]), axis=0)
     again = montecarlo._alpha1_scan(channel.primary_forms(r[redo], pw), pw, np.linspace(0.0, 1.0, grid_n))
     return counts + [np.count_nonzero(1.0 + sig / den < big_t) for _, sig, den in again]
+
+
+def block_bound_alpha2(r, stats, alpha1, pw, r_cr, grid_n, scored):
+    """montecarlo.brute_force_alpha2 with its keys at one level: every product of each block of _BOUND_ROWS
+    points that can win is scored, the blocks in descending key order.  The start of every product scored is
+    appended to scored."""
+    a2 = design_fast.alpha2_disc(stats, alpha1, pw, grid_n)[1]
+    key, score = montecarlo._disc_scorer(r, alpha1, pw, a2, r_cr)
+    starts = range(0, len(a2), montecarlo._BOUND_ROWS)
+    keys = np.array([key(lo, montecarlo._BOUND_ROWS) for lo in starts])
+    scores = np.full(len(a2), -np.inf)
+    for k in np.argsort(-keys, kind="stable"):
+        if keys[k] < np.fmax.reduce(scores):
+            break
+        for lo in range(starts[k], min(starts[k] + montecarlo._BOUND_ROWS, len(a2)), montecarlo._DISC_ROWS):
+            scores[lo : lo + montecarlo._DISC_ROWS] = score(lo)
+            scored.append(lo)
+    return complex(a2[np.nanargmax(scores)])

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import lagpc
+from lagpc.channel import ChannelStats
 from lagpc.cli import (
     FIXED_COLUMNS,
     ConfigError,
@@ -189,6 +190,29 @@ def test_non_finite_numbers_are_config_errors(tmp_path, capsys, name, args, conf
     assert rc == 2
     assert capsys.readouterr().err.startswith(f"config error: {key}: expected")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name,config", [
+    ("design-fast", {"r_target": 1}),
+    ("design-slow", {"r_p": 2, "p_out_p": 0.01, "r_cr": 1}),
+    ("simulate-ergodic", {"n": 100}),
+    ("simulate-outage", {"n": 100, "r_target": 1}),
+    ("lattice-sim", {"trials": 1, "theory_n": 100}),
+    ("asymptotic-check", {}),
+    ("reproduce-figure", {"figure": 3, "n_ergodic": 100, "bf_mc_n": 100, "bf_grid_n": 3}),
+])
+def test_k_past_the_float_range_is_a_config_error(tmp_path, capsys, name, config):
+    """A K whose 10^(K/10) overflows is a config error naming k_db on every command that reads k_db; a
+    large negative K underflows to Rayleigh fading and stays valid."""
+    scalar = name == "lattice-sim"
+    for i, k_db in enumerate((3083, 4000, 10 ** 300)):
+        rc, out = _run(tmp_path / str(i), name, config={**config, "k_db": k_db if scalar else [0, k_db]})
+        assert rc == 2
+        assert capsys.readouterr().err == "config error: k_db: 10^(K/10) overflows; must be below about 3082.55 dB\n"
+        assert not out.exists()
+    for k_db in (3082.5, -4000):
+        assert validate_config(name, {**config, "k_db": k_db})["k_db"] == (k_db if scalar else (k_db,))
+    assert ChannelStats.from_k_factor(-4000) == ChannelStats.from_k_factor(-np.inf)
 
 
 def test_bad_worker_count_is_a_config_error(tmp_path, capsys, monkeypatch):

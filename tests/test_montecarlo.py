@@ -13,7 +13,7 @@ from lagpc.montecarlo import (
     brute_force_alpha2,
     drawn_estimates,
 )
-from oracles import scheme_rates, whole_outage_counts, whole_sums
+from oracles import block_bound_alpha2, scheme_rates, whole_outage_counts, whole_sums
 
 PW = PowerConfig(10.0, 10.0)
 STATS = ChannelStats.from_k_factor(10.0)
@@ -107,7 +107,7 @@ def _oracle_alpha2(r, stats, alpha1, pw, r_cr, grid_n):
 
 def _disc_scores(r, alpha1, pw, a2, r_cr=None):
     """The full scan of the disc: every aligned _DISC_ROWS block of a2 scored in turn."""
-    score = montecarlo._disc_scorer(r, alpha1, pw, a2, r_cr)[2]
+    score = montecarlo._disc_scorer(r, alpha1, pw, a2, r_cr)[1]
     return np.concatenate([score(lo) for lo in range(0, len(a2), montecarlo._DISC_ROWS)])
 
 
@@ -283,11 +283,14 @@ def test_brute_force_alpha1_fast():
 
 
 def test_primary_rate_is_the_scans_rate_bit_for_bit():
-    """channel.primary_rate equals the alpha1 scan's log2(1 + sig/den) at every grid alpha1, so
-    figure 2's full_search row, the mean rate at the searched alpha1, meets the target it was searched for."""
+    """channel.primary_rate equals the alpha1 scan's log2(1 + sig/den) at every grid alpha1, with the scan
+    writing every step into the same two arrays, so figure 2's full_search row, the mean rate at the
+    searched alpha1, meets the target it was searched for."""
     for k_db in (0.0, 5.0, 10.0, 15.0):
         r = channel.sample_realizations(ChannelStats.from_k_factor(k_db), 2 * 10 ** 4, 5)
-        for a1, sig, den in montecarlo._alpha1_scan(channel.primary_forms(r, PW), PW, np.linspace(0.0, 1.0, 201)):
+        scan = montecarlo._alpha1_scan(channel.primary_forms(r, PW), PW, np.linspace(0.0, 1.0, 201),
+                                       tuple(np.empty((2, len(r)))))
+        for a1, sig, den in scan:
             assert (channel.primary_rate(r, a1, PW) == np.log2(1.0 + sig / den)).all()
     rows = {(row.k_db, row.scheme): row.value for row in figure_rows(2, PW, n_ergodic=2 * 10 ** 4, seed=5)}
     for k_db in SLOW_TARGETS:  # the default K grid
@@ -572,6 +575,23 @@ def test_bounded_alpha1_scan_on_constructed_targets():
                     search(r, PW, target, grid_n)
 
 
+def test_alpha1_bound_where_the_rate_first_falls():
+    """Where the primary rate first falls as alpha1 grows (h12 near -h11 / 2, so the relayed signal cancels
+    part of the direct one), a block's larger sig is at its first alpha1, which the bound reads from the
+    same scan as the last alpha1's sig and den: a target at any grid point's mean picks the full scan's
+    alpha1, and one at the first mean picks alpha1 = 0 though the first block's last rate is below it."""
+    z = channel.sample_realizations(STATS, 10 ** 4 + 7, 9)
+    h11 = 1.0 + 0.1 * z.h11
+    zeros = np.zeros(len(h11), dtype=complex)
+    r = channel.ChannelRealization(h11, -0.5 * h11 + 0.1 * z.h12, zeros, zeros)
+    for grid_n in (50, 201):
+        grid, means = zip(*_oracle_alpha1_means(r, PW, grid_n))
+        assert means[-1] > means[0] > means[montecarlo._SCAN_BLOCK - 1]  # falls over the first block, then rises
+        assert brute_force_alpha1_fast(r, PW, means[0], grid_n) == 0.0
+        for target in means:
+            assert brute_force_alpha1_fast(r, PW, target, grid_n) == grid[np.argmax(np.array(means) >= target)]
+
+
 def test_bounded_disc_search_at_alpha1_one():
     """At alpha1 = 1 no own signal is left to precode: both objectives pick 0j
     without scoring, as alpha2_fast does, and la_gpc's rates there are zeros."""
@@ -593,8 +613,8 @@ def test_scored_blocks_equal_the_full_scan_bit_for_bit(monkeypatch):
     scorer = montecarlo._disc_scorer
 
     def spy(*args):
-        forms, base, score = scorer(*args)
-        return forms, base, lambda lo: seen.setdefault(lo, score(lo))
+        key, score = scorer(*args)
+        return key, lambda lo: seen.setdefault(lo, score(lo))
 
     for k_db, alpha1 in ((0.0, 0.75), (10.0, 0.3)):
         stats = ChannelStats.from_k_factor(k_db)
@@ -614,6 +634,60 @@ def test_scored_blocks_equal_the_full_scan_bit_for_bit(monkeypatch):
             assert 0 < len(seen) < len(range(0, len(a2), rows))  # some blocks skipped
             full = _disc_scores(r, alpha1, PW, a2, r_cr)
             assert all(scores.tobytes() == full[lo : lo + rows].tobytes() for lo, scores in seen.items())
+
+
+def test_block_and_product_keys_bound_every_score_they_cover():
+    """Each block key and each product key, on its own bounding rectangle, is at least every full-scan score
+    of its points, for both objectives, on grids the block sizes do not divide, at the grid alpha1 and at
+    alpha1 = 0.99, where the ergodic guard is wide; somewhere a product's key is below its block's."""
+    n, block, rows = 10 ** 4 + 7, montecarlo._BOUND_ROWS, montecarlo._DISC_ROWS
+    finite = tighter = 0
+    for k_db in (0.0, 5.0, 10.0, 15.0):
+        stats = ChannelStats.from_k_factor(k_db)
+        r = channel.sample_realizations(stats, n, 8)
+        r_p, p_out, r_cr = SLOW_TARGETS[k_db]
+        grid_a1 = {None: brute_force_alpha1_fast(r, PW, design_fast.primary_target_ergodic(stats, PW)),
+                   r_cr: brute_force_alpha1_outage(r, PW, r_p, p_out)}
+        for objective, a1 in grid_a1.items():
+            for alpha1 in (0.3, 0.8, a1, 0.99):
+                for grid_n in (21, 61):
+                    a2 = design_fast.alpha2_disc(stats, alpha1, PW, grid_n)[1]
+                    key = montecarlo._disc_scorer(r, alpha1, PW, a2, objective)[0]
+                    full = _disc_scores(r, alpha1, PW, a2, objective)
+                    for lo in range(0, len(a2), block):
+                        outer = key(lo, block)
+                        assert not (full[lo : lo + block] > outer).any()
+                        for sub in range(lo, min(lo + block, len(a2)), rows):
+                            inner = key(sub, rows)
+                            assert not (full[sub : sub + rows] > inner).any()
+                            finite += np.isfinite(inner)
+                            tighter += inner < outer
+    assert finite > 0 and tighter > 0
+
+
+def test_product_keys_halve_the_scored_products(monkeypatch):
+    """At ergodic-sweep's sizes (figure 3 with n_ergodic 5 10^4, bf_grid_n 61 and bf_mc_n 10^4) the disc
+    searches score at most half the products that keys on whole blocks alone score, and pick their points."""
+    searches, scored = [], []
+    search, scorer = montecarlo.brute_force_alpha2, montecarlo._disc_scorer
+
+    def spy_search(*args, **kwargs):
+        searches.append((args, kwargs, search(*args, **kwargs)))
+        return searches[-1][2]
+
+    def spy_scorer(*args):
+        key, score = scorer(*args)
+        return key, lambda lo: scored.append(lo) or score(lo)
+
+    with monkeypatch.context() as m:
+        m.setattr(montecarlo, "brute_force_alpha2", spy_search)
+        m.setattr(montecarlo, "_disc_scorer", spy_scorer)
+        figure_rows(3, n_ergodic=5 * 10 ** 4, bf_grid_n=61, bf_mc_n=10 ** 4, seed=0)
+    block_only = []
+    for (r, stats, alpha1, pw, r_cr), kwargs, pick in searches:
+        assert block_bound_alpha2(r, stats, alpha1, pw, r_cr, kwargs["grid_n"], block_only) == pick
+    assert len(searches) == 4
+    assert 0 < 2 * len(scored) <= len(block_only)
 
 
 def test_shared_forms_estimates_equal_the_one_scheme_estimates():
