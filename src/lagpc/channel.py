@@ -19,6 +19,7 @@ from numpy.random import Generator, Philox
 _UNIT_TOL = 1e-6
 _NDTRI_PIECE = 1 << 15  # values per cache-sized piece in _ndtri
 PIECE = 1 << 14  # realizations per cache-sized piece of the per-sample passes over a block
+LINKS = (0, 1, 2, 3)  # h11, h12, h21, h22: the links a draw can hold
 
 # Cephes ndtri: y + y P0/Q0 at y - 1/2 (of its square) for |y - 1/2| <= 1/2 - e^-2, else x - log(x)/x - P/Q
 # (of 1/x), x = sqrt(-2 log y), P1/Q1 below x = 8, P2/Q2 above; highest power first, Q monic (1 x = x).
@@ -104,18 +105,19 @@ def _check_alpha1(alpha1):
 
 
 class ChannelRealization:
-    """One draw (or a vector of draws) of the four channel gains."""
+    """One draw (or a vector of draws) of the four channel gains; a link that was not drawn is None."""
 
     def __init__(self, h11, h12, h21, h22):
         self.h11, self.h12, self.h21, self.h22 = h11, h12, h21, h22
 
+    def _gains(self):
+        return self.h11, self.h12, self.h21, self.h22
+
     def __len__(self):
-        return np.size(self.h11)
+        return np.size(next(h for h in self._gains() if h is not None))
 
     def __getitem__(self, idx) -> "ChannelRealization":
-        return ChannelRealization(
-            self.h11[idx], self.h12[idx], self.h21[idx], self.h22[idx]
-        )
+        return ChannelRealization(*(None if h is None else h[idx] for h in self._gains()))
 
 
 def _polevl(x, coef, out=None):
@@ -155,41 +157,83 @@ def _ndtri(y):
     return y
 
 
-def standard_normals(n: int, seed: int, start: int = 0) -> np.ndarray:
-    """The (n, 8) standard normals behind realizations start .. start + n - 1 of the stream.
-
-    Counter-based: realization index ``start + i`` always consumes the same
-    8 uniforms regardless of how the index range is chunked, so partitioned
-    calls tile into the unchunked stream exactly.  They do not depend on the
-    link statistics, so one draw serves every K (see realizations).
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+def _uniforms(n: int, seed: int, start: int, piece: int = PIECE):
+    """(first index, its (m, 8) uniforms) per piece of realizations start .. start + n - 1 of the stream,
+    every piece filled into one buffer."""
     bitgen = Philox(key=seed)
     # 8 doubles per realization = 2 Philox counter increments.
     bitgen.advance(2 * start)
-    z = Generator(bitgen).random((n, 8))
+    gen, fill = Generator(bitgen), np.empty((min(n, piece), 8))
+    for lo in range(0, n, piece):
+        yield lo, gen.random(out=fill[: min(piece, n - lo)])
+
+
+def _columns(links) -> list:
+    """The columns of a realization's 8 normals that links read: re, then im, of each link in turn."""
+    return [c for k in links for c in (2 * k, 2 * k + 1)]
+
+
+def standard_normals(n: int, seed: int, start: int = 0, links=LINKS) -> np.ndarray:
+    """The (n, 2 len(links)) standard normals of links (indices into LINKS) behind realizations
+    start .. start + n - 1 of the stream: re, then im, of each link in turn.
+
+    Counter-based: realization index ``start + i`` always consumes the same
+    8 uniforms regardless of how the index range is chunked or which links
+    are read, so partitioned calls tile into the unchunked stream exactly and
+    a subset of links is those links' columns of the all-links draw.  They do
+    not depend on the link statistics, so one draw serves every K (see
+    realizations).  All four links are one fill of the stream; fewer are
+    filled PIECE realizations at a time, so that only their columns are held.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if tuple(links) == LINKS:
+        [(_, z)] = _uniforms(n, seed, start, piece=n)
+    else:
+        z = np.empty((n, 2 * len(links)))
+        for lo, u in _uniforms(n, seed, start):
+            np.take(u, _columns(links), axis=1, out=z[lo : lo + len(u)], mode="clip")  # in range: one copy
     return _ndtri(np.maximum(z, 2.0 ** -53, out=z))  # normals in place; guard ndtri(0) = -inf
 
 
-def realizations(stats: ChannelStats, z: np.ndarray) -> ChannelRealization:
-    """The realizations of standard_normals z at these link statistics: sd * z + mu per link, with
-    z's 8 normals per row read as 4 complex numbers.  The links are the contiguous rows of one (4, n)
-    array, written PIECE realizations at a time so that each piece of z is read from the cache."""
+def _write_gains(stats: ChannelStats, z: np.ndarray, links, h):
+    """sd * z + mu of each of links into the rows of h, with z's normals per row read as complex numbers."""
     sd = np.sqrt(np.array([stats.var11, stats.var12, stats.var21, stats.var22]) / 2.0)
     mu = np.array([stats.mu11, stats.mu12, stats.mu21, stats.mu22])
-    zc, h = z.view(complex), np.empty((4, len(z)), dtype=complex)
+    for k, col, row in zip(links, z.view(complex).T, h):
+        np.multiply(sd[k], col, out=row)
+        row += mu[k]
+
+
+def _realization(h, links) -> ChannelRealization:
+    """The realization whose link links[j] is the row h[j]; the links not drawn are None."""
+    gains = dict(zip(links, h))
+    return ChannelRealization(*(gains.get(k) for k in LINKS))
+
+
+def realizations(stats: ChannelStats, z: np.ndarray, links=LINKS) -> ChannelRealization:
+    """The realizations of standard_normals z of links at these link statistics: sd * z + mu per link.
+    The links are the contiguous rows of one (len(links), n) array, written PIECE realizations at a time
+    so that each piece of z is read from the cache."""
+    h = np.empty((len(links), len(z)), dtype=complex)
     for lo in range(0, len(z), PIECE):
-        for k, row in enumerate(h[:, lo : lo + PIECE]):
-            np.multiply(sd[k], zc[lo : lo + PIECE, k], out=row)
-            row += mu[k]
-    return ChannelRealization(*h)
+        _write_gains(stats, z[lo : lo + PIECE], links, h[:, lo : lo + PIECE])
+    return _realization(h, links)
 
 
-def sample_realizations(stats: ChannelStats, n: int, seed: int) -> ChannelRealization:
-    """Draw ``n`` iid channel realizations, reproducibly: realizations of
-    standard_normals(n, seed)."""
-    return realizations(stats, standard_normals(n, seed))
+def sample_realizations(stats: ChannelStats, n: int, seed: int, links=LINKS) -> ChannelRealization:
+    """Draw ``n`` iid channel realizations of links, reproducibly: realizations of
+    standard_normals(n, seed, links=links), to the bit.  Fewer than four links are drawn in one pass
+    per PIECE realizations (uniforms, normals, gains), so that no normals are held."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if tuple(links) == LINKS:
+        return realizations(stats, standard_normals(n, seed))
+    h, z = np.empty((len(links), n), dtype=complex), np.empty((min(n, PIECE), 2 * len(links)))
+    for lo, u in _uniforms(n, seed, 0):
+        piece = np.take(u, _columns(links), axis=1, out=z[: len(u)], mode="clip")
+        _write_gains(stats, _ndtri(np.maximum(piece, 2.0 ** -53, out=piece)), links, h[:, lo : lo + len(u)])
+    return _realization(h, links)
 
 
 def effective_interference_gain(r: ChannelRealization, alpha1: float, pw: PowerConfig):

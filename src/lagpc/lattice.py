@@ -321,23 +321,28 @@ def codeword_error_sim(scenario: LatticeScenario) -> list[ErrorRatePoint]:
     theory reference.
 
     Each SNR point draws every trial's randomness from its own stream in
-    trial order (channel, message, dither, interference, noise), then runs
-    the filters, the encoder and the decoder once on the (trials, 8) stack.
+    trial order (channel, message, dither, interference, noise), once per
+    draw shape: the schemes that put interference on the air share one draw,
+    no_interference, which draws none, another.  Each scheme then runs the
+    filters, the encoder and the decoder once on the (trials, 8) stack.
     The outage is scored on one block, the first theory_n realizations of
-    channel.sample_realizations at the scenario's K and seed, and one
-    montecarlo.estimates call (one cr_forms) scores every scheme's outage at
-    an SNR; the points come back scheme by scheme.
+    channel.sample_realizations at the scenario's K and seed, of the links
+    h21 and h22 that the outage reads, and one montecarlo.estimates call (one
+    cr_forms) scores every scheme's outage at an SNR; the points come back
+    scheme by scheme.
     """
     schemes = scenario.schemes
     q = int(round(2.0 ** (scenario.rate_bpcu / 2.0)))
     if 2.0 * np.log2(q) != scenario.rate_bpcu:
         raise ValueError("rate must be 2*log2(q) for integer q")
     stats = channel.ChannelStats.from_k_factor(scenario.k_db)
-    block = channel.sample_realizations(stats, scenario.theory_n, scenario.seed)
+    block = channel.sample_realizations(stats, scenario.theory_n, scenario.seed, links=(2, 3))
     pair = build_nested(q)
-    # no_interference puts no primary signal on the air, so its theory
-    # outage is full_csit's; each scheme transmits at montecarlo's scheme_params
-    # of its theory scheme, from la_gpc's design (alpha2 = 0 but for la_gpc)
+    # no_interference puts no primary signal on the air, so its theory outage is
+    # full_csit's and its receiver filter sees none (the as-noise receiver knows the
+    # interference power, it just cannot precode against the realization); each scheme
+    # transmits at montecarlo's scheme_params of its theory scheme, from la_gpc's
+    # design (alpha2 = 0 but for la_gpc)
     theory_which = ["full_csit" if s == "no_interference" else s for s in schemes]
     rows = [[] for _ in schemes]
     for i, snr in enumerate(scenario.snr_db):
@@ -346,9 +351,13 @@ def codeword_error_sim(scenario: LatticeScenario) -> list[ErrorRatePoint]:
         a2 = design_slow.solve_alpha2_slow(stats, scenario.alpha1, pw, scenario.rate_bpcu)[0]
         design = DesignParams(scenario.alpha1, a2)
         theory = montecarlo.estimates(block, stats, design, pw, theory_which, scenario.rate_bpcu)
+        draws = {}  # interference on the air -> the trials of that draw shape
         for s, which, est, points in zip(schemes, theory_which, theory, rows):
             params = montecarlo.scheme_params(which, stats, design, pw)
-            p_err, ci = _codec_error_rate(scenario, s, i, pw, params, pair)
+            on = s != "no_interference"
+            if on not in draws:
+                draws[on] = _trial_draws(scenario, stats, i, pair, on)
+            p_err, ci = _codec_error_rate(draws[on], on, pw, params, pair)
             points.append(ErrorRatePoint(
                 snr_db=float(snr), scheme=s, error_rate=p_err, ci95=ci,
                 theory_outage=float(est.value), alpha1=params.alpha1, alpha2=complex(params.alpha2),
@@ -356,14 +365,10 @@ def codeword_error_sim(scenario: LatticeScenario) -> list[ErrorRatePoint]:
     return [p for points in rows for p in points]
 
 
-def _codec_error_rate(scenario: LatticeScenario, scheme: str, i: int, pw: PowerConfig, params: DesignParams,
-                      pair) -> tuple[float, float]:
-    """(codeword error rate, its 95% half-width) of scheme at the scenario's i-th SNR."""
-    stats = channel.ChannelStats.from_k_factor(scenario.k_db)
-    # no_interference puts no primary signal on the air, so its receiver filter
-    # sees none; the as-noise receiver knows the interference power, it just
-    # cannot precode against the realization
-    interference_on = scheme != "no_interference"
+def _trial_draws(scenario: LatticeScenario, stats, i: int, pair: NestedPair, interference_on: bool) -> tuple:
+    """Every trial's randomness at the scenario's i-th SNR, drawn from its stream in trial order: the
+    channel (links h21 and h22 only), the messages, the folded dithers, the interference frames (zeros
+    when none is on the air) and the noise normals."""
     mu = np.array([stats.mu11, stats.mu12, stats.mu21, stats.mu22])
     sd = np.sqrt([stats.var11, stats.var12, stats.var21, stats.var22])
     n = scenario.trials
@@ -379,19 +384,24 @@ def _codec_error_rate(scenario: LatticeScenario, scheme: str, i: int, pw: PowerC
         msgs[t] = rng.integers(pair.codebook_size)
         rng.random(out=u[t])
         rng.standard_normal(out=w[t])
-    h = np.empty((4, n), dtype=complex)  # one contiguous row per link, as channel.realizations
-    for k, row in enumerate(h):
+    h = np.empty((2, n), dtype=complex)  # one contiguous row per link, as channel.realizations
+    for k, row in zip((2, 3), h):
         row[...] = mu[k] + sd[k] * ((g[:, k] + 1j * g[:, 4 + k]) / np.sqrt(2.0))
-    r = ChannelRealization(*h)
-    hs = channel.effective_interference_gain(r, scenario.alpha1, pw)
-    filters = build_filters(r, params, pw, s_power=None if interference_on else 0.0)
     if interference_on:
-        s_c = (w[:, :T_SYMBOLS] + 1j * w[:, T_SYMBOLS:N_DIM]) * np.sqrt(scenario.p_p / 2.0)
-        s_frame = s_c.view(float)
+        s_frame = ((w[:, :T_SYMBOLS] + 1j * w[:, T_SYMBOLS:N_DIM]) * np.sqrt(scenario.p_p / 2.0)).view(float)
     else:
         s_frame = np.zeros((n, N_DIM))
-    dither = _fold_dither(pair, u)
+    return ChannelRealization(None, None, *h), msgs, _fold_dither(pair, u), s_frame, w[:, -N_DIM:]
+
+
+def _codec_error_rate(trials: tuple, interference_on: bool, pw: PowerConfig, params: DesignParams, pair
+                      ) -> tuple[float, float]:
+    """(codeword error rate, its 95% half-width) of the _trial_draws trials at the design point params."""
+    r, msgs, dither, s_frame, noise = trials
+    n = len(msgs)
+    hs = channel.effective_interference_gain(r, params.alpha1, pw)
+    filters = build_filters(r, params, pw, s_power=None if interference_on else 0.0)
     x = encode(msgs, s_frame, dither, pair, params, pw)
-    y = _gain(r.h22, x) + _gain(hs, s_frame) + w[:, -N_DIM:] * np.sqrt(scenario.noise / 2.0)
+    y = _gain(r.h22, x) + _gain(hs, s_frame) + noise * np.sqrt(pw.noise_s / 2.0)
     p_err = np.count_nonzero(decode(y, filters, dither, pair) != msgs) / n
     return float(p_err), float(1.96 * np.sqrt(max(p_err * (1.0 - p_err), 1e-12) / n))

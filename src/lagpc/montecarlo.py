@@ -112,20 +112,30 @@ def _estimate(parts, n: int, r_target: float | None) -> McEstimate:
     return McEstimate(mean, float(np.sqrt(var / n)))
 
 
+def _links(schemes) -> tuple:
+    """The links (indices into channel.LINKS) that the rates of schemes read: h11 and h12 for the
+    primary user, h21 and h22 for each cognitive-radio scheme."""
+    return (0, 1) * ("primary" in schemes) + (2, 3) * any(which != "primary" for which in schemes)
+
+
 def _chunk_sums(points, pw, schemes, r_target, seed, chunks) -> list:
-    """Per (start, size) chunk of the stream, the _sums of each (stats, params) point: the chunk's normals
-    are drawn once and rescaled to one point's block at a time, each going before the next is built."""
+    """Per (start, size) chunk of the stream, the _sums of each (stats, params) point: the normals of the
+    links the schemes read are drawn once per chunk and rescaled to one point's block at a time, each
+    going before the next is built."""
+    links = _links(schemes)
+
     def point_sums(z):  # z goes before the next chunk's normals are drawn
-        return [_sums(channel.realizations(stats, z), stats, params, pw, schemes, r_target)
+        return [_sums(channel.realizations(stats, z, links), stats, params, pw, schemes, r_target)
                 for stats, params in points]
-    return [point_sums(channel.standard_normals(m, seed, lo)) for lo, m in chunks]
+    return [point_sums(channel.standard_normals(m, seed, lo, links)) for lo, m in chunks]
 
 
 def drawn_estimates(points, pw: PowerConfig, schemes, r_target: float | None, n: int, seed: int,
                     workers: int | None = None) -> list:
     """Per (stats, params) point, the estimate of each of schemes over the first n realizations of the
     stream at its stats (as estimates over sample_realizations(stats, n, seed), to the bit).  Each
-    _CHUNK's normals are drawn once for every point and scheme (common random numbers).
+    _CHUNK's normals are drawn once for every point and scheme (common random numbers), and only those
+    of the links the schemes read.
 
     Workers take whole chunks; a run of fewer than two chunks stays in
     process, where it is faster than starting a pool.

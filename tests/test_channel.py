@@ -149,6 +149,43 @@ def test_realizations_are_contiguous_rows_of_the_strided_build(k_db):
         assert all(h.flags.c_contiguous for h in (part.h11, part.h12, part.h21, part.h22))
 
 
+def _bits(h):
+    return np.asarray(h).view(np.uint64)
+
+
+@pytest.mark.parametrize("links", [(0, 1), (2, 3), (0, 1, 2, 3)])
+def test_link_subsets_are_the_full_draw_to_the_bit(links):
+    """A draw of some links holds, bit for bit, those links of the all-links draw, at one realization,
+    around one piece and over several pieces with a short last one, whole and tiled by start; the links
+    not drawn are None, and len() and slicing read the drawn ones."""
+    stats = ChannelStats.from_k_factor(7.0)
+    names = ("h11", "h12", "h21", "h22")
+    whole_n = 3 * channel.PIECE + 5
+    whole = channel.sample_realizations(stats, whole_n, seed=17)
+    for n in (1, channel.PIECE - 1, channel.PIECE + 3, whole_n):
+        drawn = channel.sample_realizations(stats, n, 17, links=links)
+        start = whole_n - n  # the last n of the whole draw, from their own start
+        tiled = channel.realizations(stats, channel.standard_normals(n, 17, start, links), links)
+        for k, name in enumerate(names):
+            if k in links:
+                assert np.array_equal(_bits(getattr(drawn, name)), _bits(getattr(whole, name)[:n]))
+                assert np.array_equal(_bits(getattr(tiled, name)), _bits(getattr(whole, name)[start:]))
+            else:
+                assert getattr(drawn, name) is None and getattr(tiled, name) is None
+        assert len(drawn) == len(tiled) == n
+        cut = slice(n // 3, n // 3 + 2)
+        sub = drawn[cut]
+        assert len(sub) == min(2, n - n // 3)
+        for name in (names[k] for k in links):
+            assert np.array_equal(_bits(getattr(sub, name)), _bits(getattr(whole, name)[:n][cut]))
+    # two calls tile one range: the second starts where the first ends, inside a piece
+    cut = channel.PIECE + 11
+    z = np.concatenate([channel.standard_normals(cut, 17, 0, links),
+                        channel.standard_normals(whole_n - cut, 17, cut, links)])
+    assert np.array_equal(z, channel.standard_normals(whole_n, 17, 0, links))
+    assert np.array_equal(z, channel.standard_normals(whole_n, 17)[:, channel._columns(links)])
+
+
 def test_sample_realizations_deterministic_and_seed_sensitive():
     stats = ChannelStats.from_k_factor(0.0)
     a = channel.sample_realizations(stats, 64, seed=4)

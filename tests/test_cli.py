@@ -367,16 +367,16 @@ def test_primary_outage_is_scored_at_r_p(tmp_path):
 
 
 def test_simulate_draws_each_chunk_once_for_every_k_and_scheme(tmp_path, monkeypatch):
-    """One draw of normals per chunk serves both K and all four schemes, with one cr_forms per
-    (chunk, K) for the three schemes that read it."""
+    """One draw of normals per chunk, of the links h21 and h22 that the schemes read, serves both K and
+    all four schemes, with one cr_forms per (chunk, K) for the three schemes that read it."""
     from lagpc import channel, montecarlo
 
     draws, forms = [], []
     normals, cr_forms = channel.standard_normals, channel.cr_forms
 
-    def counting(n, seed, start=0):
-        draws.append((start, n))
-        return normals(n, seed, start)
+    def counting(n, seed, start=0, links=channel.LINKS):
+        draws.append((start, n, tuple(links)))
+        return normals(n, seed, start, links)
 
     monkeypatch.delenv("LAGPC_WORKERS", raising=False)
     monkeypatch.setattr(montecarlo, "_CHUNK", 1000)
@@ -386,7 +386,7 @@ def test_simulate_draws_each_chunk_once_for_every_k_and_scheme(tmp_path, monkeyp
            "schemes": ["la_gpc", "full_csit", "naive_dpc", "interference_as_noise"]}
     rc, out = _run(tmp_path, "simulate-outage", config=cfg)
     assert rc == 0
-    assert draws == [(0, 1000), (1000, 1000)]
+    assert draws == [(0, 1000, (2, 3)), (1000, 1000, (2, 3))]
     assert forms == [1000] * 4  # (chunk, K) = (0, 5), (0, 10), (1, 5), (1, 10)
     assert len(_read_csv(out / "simulate-outage.csv").rows) == 8
 
@@ -450,9 +450,9 @@ def test_lattice_sim_draws_one_theory_block(tmp_path, monkeypatch):
     draws = []
     sample = channel.sample_realizations
 
-    def counting(stats, n, seed):
-        draws.append(n)
-        return sample(stats, n, seed)
+    def counting(stats, n, seed, links=channel.LINKS):
+        draws.append((n, tuple(links)))
+        return sample(stats, n, seed, links)
 
     monkeypatch.setattr(channel, "sample_realizations", counting)
     cfg = {
@@ -464,7 +464,7 @@ def test_lattice_sim_draws_one_theory_block(tmp_path, monkeypatch):
     }
     rc, out = _run(tmp_path, "lattice-sim", config=cfg)
     assert rc == 0
-    assert draws == [3000]  # one block for 2 schemes x 3 SNRs
+    assert draws == [(3000, (2, 3))]  # one block of h21 and h22, the links the outage reads, for 2 schemes x 3 SNRs
     table = _read_csv(out / "lattice-sim.csv")
     assert len(table.rows) == 12
 

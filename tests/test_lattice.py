@@ -584,6 +584,29 @@ def test_codeword_error_sim_matches_per_trial_reference(scheme):
     assert mixed >= 6  # points with right and wrong decisions both
 
 
+def test_codec_schemes_share_their_trial_draws(monkeypatch):
+    """The schemes of one draw shape share each SNR's trial draw, and a many-scheme run equals, point
+    for point, the one-scheme runs (which test_codeword_error_sim_matches_per_trial_reference holds
+    to the per-trial loop): two draws per SNR for all three schemes, one for the two on the air."""
+    draws = []
+    trial_draws = lat._trial_draws
+
+    def counting(scenario, stats, i, pair, interference_on):
+        draws.append((i, interference_on))
+        return trial_draws(scenario, stats, i, pair, interference_on)
+
+    monkeypatch.setattr(lat, "_trial_draws", counting)
+    kw = dict(k_db=5.0, rate_bpcu=2.0, snr_db=(12.0, 18.0), trials=80, seed=4, theory_n=3000)
+    together = lat.codeword_error_sim(lat.LatticeScenario(schemes=lat.SCHEMES, **kw))
+    assert sorted(draws) == [(0, False), (0, True), (1, False), (1, True)]
+    apart = [p for s in lat.SCHEMES for p in lat.codeword_error_sim(lat.LatticeScenario(schemes=(s,), **kw))]
+    assert together == apart
+    assert 0.0 < sum(p.error_rate for p in together) < len(together)
+    draws.clear()
+    lat.codeword_error_sim(lat.LatticeScenario(schemes=("la_gpc", "interference_as_noise"), **kw))
+    assert draws == [(0, True), (1, True)]
+
+
 def test_codeword_error_sim_determinism():
     sc = lat.LatticeScenario(
         k_db=10.0, rate_bpcu=2.0, snr_db=(24.0,), trials=150, seed=3, theory_n=20000

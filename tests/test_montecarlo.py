@@ -206,6 +206,32 @@ def test_every_point_and_scheme_equals_its_held_block_estimate(monkeypatch):
                 [[(e.value, e.std_error) for e in row] for row in want]
 
 
+def test_drawn_estimates_draw_only_the_links_their_schemes_read(monkeypatch):
+    """Over two chunks, the primary-only estimates draw h11 and h12 and the cognitive-radio ones h21 and
+    h22, each chunk once, and both equal estimates over the all-links sample_realizations to the bit."""
+    monkeypatch.setattr(montecarlo, "_CHUNK", channel.PIECE + 7)
+    n, seed = 2 * channel.PIECE - 100, 5
+    draws = []
+    normals = channel.standard_normals
+
+    def counting(n, seed, start=0, links=channel.LINKS):
+        draws.append((start, links))
+        return normals(n, seed, start, links)
+
+    monkeypatch.setattr(channel, "standard_normals", counting)
+    points = [(ChannelStats.from_k_factor(k), DesignParams(a1, a2))
+              for k, a1, a2 in ((0.0, 0.2, 0.5 + 0.1j), (15.0, 0.75, 1.26 + 0j))]
+    for schemes, links in ((("primary",), (0, 1)), (montecarlo.CR_SCHEMES, (2, 3))):
+        for r_target in (None, 1.0):
+            draws.clear()
+            got = drawn_estimates(points, PW, schemes, r_target, n, seed, workers=1)
+            assert draws == [(0, links), (montecarlo._CHUNK, links)]
+            want = [montecarlo.estimates(channel.sample_realizations(stats, n, seed), stats, params, PW, schemes,
+                                         r_target) for stats, params in points]
+            assert [[(e.value, e.std_error) for e in row] for row in got] == \
+                [[(e.value, e.std_error) for e in row] for row in want]
+
+
 def test_determinism_and_seed_sensitivity():
     a = _ergodic(n=3000, seed=5, workers=1)
     b = _ergodic(n=3000, seed=5, workers=1)
@@ -771,17 +797,24 @@ def test_figure_sweeps_match_the_public_estimators():
 
 
 def test_figure_sweep_draws_its_normals_once(monkeypatch):
-    """Every K's block is rescaled from one draw of normals, which every sampler call passes through."""
+    """Every K's block is rescaled from one draw of normals, which every sampler call passes through: of
+    all four links for figures 3 and 5, of the primary links h11 and h12 for figures 2 and 4."""
     draws = []
     normals = channel.standard_normals
 
-    def counting(n, seed, start=0):
-        draws.append(n)
-        return normals(n, seed, start)
+    def counting(n, seed, start=0, links=channel.LINKS):
+        draws.append((n, tuple(links)))
+        return normals(n, seed, start, links)
 
     monkeypatch.setattr(channel, "standard_normals", counting)
     figure_rows(3, k_grid=(5.0, 10.0), n_ergodic=4000, bf_grid_n=11, bf_mc_n=2000)
-    assert draws == [4000]
+    assert draws == [(4000, channel.LINKS)]
     draws.clear()
     figure_rows(5, k_grid=(5.0, 10.0), n_outage=20000, bf_grid_n=11, bf_mc_n=2000)
-    assert draws == [20000]
+    assert draws == [(20000, channel.LINKS)]
+    draws.clear()
+    figure_rows(2, k_grid=(5.0, 10.0), n_ergodic=4000)
+    assert draws == [(4000, (0, 1))]
+    draws.clear()
+    figure_rows(4, k_grid=(5.0, 10.0), n_outage=20000)
+    assert draws == [(20000, (0, 1))]
