@@ -20,6 +20,8 @@ _UNIT_TOL = 1e-6
 _NDTRI_PIECE = 1 << 15  # values per cache-sized piece in _ndtri
 PIECE = 1 << 14  # realizations per cache-sized piece of the per-sample passes over a block
 LINKS = (0, 1, 2, 3)  # h11, h12, h21, h22: the links a draw can hold
+PRIMARY_LINKS = (0, 1)  # h11, h12: the links primary_forms and primary_rate read
+CR_LINKS = (2, 3)  # h21, h22: the links cr_forms and cr_rate read
 
 # Cephes ndtri: y + y P0/Q0 at y - 1/2 (of its square) for |y - 1/2| <= 1/2 - e^-2, else x - log(x)/x - P/Q
 # (of 1/x), x = sqrt(-2 log y), P1/Q1 below x = 8, P2/Q2 above; highest power first, Q monic (1 x = x).
@@ -223,12 +225,10 @@ def realizations(stats: ChannelStats, z: np.ndarray, links=LINKS) -> ChannelReal
 
 def sample_realizations(stats: ChannelStats, n: int, seed: int, links=LINKS) -> ChannelRealization:
     """Draw ``n`` iid channel realizations of links, reproducibly: realizations of
-    standard_normals(n, seed, links=links), to the bit.  Fewer than four links are drawn in one pass
-    per PIECE realizations (uniforms, normals, gains), so that no normals are held."""
+    standard_normals(n, seed, links=links), to the bit, drawn in one pass per PIECE realizations
+    (uniforms, normals, gains), so that no normals are held."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if tuple(links) == LINKS:
-        return realizations(stats, standard_normals(n, seed))
     h, z = np.empty((len(links), n), dtype=complex), np.empty((min(n, PIECE), 2 * len(links)))
     for lo, u in _uniforms(n, seed, 0):
         piece = np.take(u, _columns(links), axis=1, out=z[: len(u)], mode="clip")

@@ -398,9 +398,8 @@ def _sweep_rows(cfg) -> list:
     # every K's targets are looked up before the first draw
     targets = {k: (None,) * 3 if ergodic else _slow_targets(k, cfg) for k in cfg["k_db"] or SLOW_TARGETS}
     # one draw of normals, rescaled to a block at each K: the estimates and the alpha1
-    # search read the block's first n realizations, the alpha2 search its first bf_mc_n;
-    # figures 2 and 4 read only the primary links, h11 and h12
-    links = (0, 1) if primary else channel.LINKS
+    # search read the block's first n realizations, the alpha2 search its first bf_mc_n
+    links = channel.PRIMARY_LINKS if primary else channel.LINKS
     z = channel.standard_normals(n if primary else max(n, bf_mc_n), seed, links=links)
     rows = []
     for k, (r_p, reference, r_cr) in targets.items():

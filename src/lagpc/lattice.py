@@ -336,7 +336,7 @@ def codeword_error_sim(scenario: LatticeScenario) -> list[ErrorRatePoint]:
     if 2.0 * np.log2(q) != scenario.rate_bpcu:
         raise ValueError("rate must be 2*log2(q) for integer q")
     stats = channel.ChannelStats.from_k_factor(scenario.k_db)
-    block = channel.sample_realizations(stats, scenario.theory_n, scenario.seed, links=(2, 3))
+    block = channel.sample_realizations(stats, scenario.theory_n, scenario.seed, links=channel.CR_LINKS)
     pair = build_nested(q)
     # no_interference puts no primary signal on the air, so its theory outage is
     # full_csit's and its receiver filter sees none (the as-noise receiver knows the
@@ -385,7 +385,7 @@ def _trial_draws(scenario: LatticeScenario, stats, i: int, pair: NestedPair, int
         rng.random(out=u[t])
         rng.standard_normal(out=w[t])
     h = np.empty((2, n), dtype=complex)  # one contiguous row per link, as channel.realizations
-    for k, row in zip((2, 3), h):
+    for k, row in zip(channel.CR_LINKS, h):
         row[...] = mu[k] + sd[k] * ((g[:, k] + 1j * g[:, 4 + k]) / np.sqrt(2.0))
     if interference_on:
         s_frame = ((w[:, :T_SYMBOLS] + 1j * w[:, T_SYMBOLS:N_DIM]) * np.sqrt(scenario.p_p / 2.0)).view(float)

@@ -115,7 +115,8 @@ def _estimate(parts, n: int, r_target: float | None) -> McEstimate:
 def _links(schemes) -> tuple:
     """The links (indices into channel.LINKS) that the rates of schemes read: h11 and h12 for the
     primary user, h21 and h22 for each cognitive-radio scheme."""
-    return (0, 1) * ("primary" in schemes) + (2, 3) * any(which != "primary" for which in schemes)
+    return (channel.PRIMARY_LINKS * ("primary" in schemes)
+            + channel.CR_LINKS * any(which != "primary" for which in schemes))
 
 
 def _chunk_sums(points, pw, schemes, r_target, seed, chunks) -> list:
