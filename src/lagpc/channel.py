@@ -132,12 +132,13 @@ def _polevl(x, coef, out=None):
     return out
 
 
-def _ndtri(y):
+def _ndtri(y, scratch=None):
     """The standard normal quantile of y, 0 < y < 1, in place: Cephes' ndtri (scipy's) step for step, so scipy's
     bits where np.log rounds as libm's; piece by cache-sized piece, the centre's formula over all of it, the
-    tails' on their values only."""
+    tails' on their values only.  scratch, three rows of at least min(y.size, _NDTRI_PIECE) values, is every
+    piece's scratch (a new one if None)."""
     flat = y.reshape(-1)
-    q, p, d = (np.empty(min(flat.size, _NDTRI_PIECE)) for _ in range(3))  # every piece's scratch
+    q, p, d = np.empty((3, min(flat.size, _NDTRI_PIECE))) if scratch is None else scratch
     for lo in range(0, flat.size, _NDTRI_PIECE):
         c = flat[lo : lo + _NDTRI_PIECE]
         tail = np.flatnonzero((c <= _EXP_M2) | (c > 1.0 - _EXP_M2))
@@ -159,15 +160,15 @@ def _ndtri(y):
     return y
 
 
-def _uniforms(n: int, seed: int, start: int, piece: int = PIECE):
-    """(first index, its (m, 8) uniforms) per piece of realizations start .. start + n - 1 of the stream,
+def _uniforms(n: int, seed: int, start: int, piece: int):
+    """The (m, 8) uniforms of each piece of realizations start .. start + n - 1 of the stream in turn,
     every piece filled into one buffer."""
     bitgen = Philox(key=seed)
     # 8 doubles per realization = 2 Philox counter increments.
     bitgen.advance(2 * start)
     gen, fill = Generator(bitgen), np.empty((min(n, piece), 8))
     for lo in range(0, n, piece):
-        yield lo, gen.random(out=fill[: min(piece, n - lo)])
+        yield gen.random(out=fill[: min(piece, n - lo)])
 
 
 def _columns(links) -> list:
@@ -185,17 +186,30 @@ def standard_normals(n: int, seed: int, start: int = 0, links=LINKS) -> np.ndarr
     a subset of links is those links' columns of the all-links draw.  They do
     not depend on the link statistics, so one draw serves every K (see
     realizations).  All four links are one fill of the stream; fewer are
-    filled PIECE realizations at a time, so that only their columns are held.
+    copied from its normal_pieces, so that only their columns are held.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if tuple(links) == LINKS:
-        [(_, z)] = _uniforms(n, seed, start, piece=n)
-    else:
+    if tuple(links) != LINKS:
         z = np.empty((n, 2 * len(links)))
-        for lo, u in _uniforms(n, seed, start):
-            np.take(u, _columns(links), axis=1, out=z[lo : lo + len(u)], mode="clip")  # in range: one copy
+        for lo, piece in zip(range(0, n, PIECE), normal_pieces(n, seed, start, links)):
+            z[lo : lo + len(piece)] = piece
+        return z
+    [z] = _uniforms(n, seed, start, n)
     return _ndtri(np.maximum(z, 2.0 ** -53, out=z))  # normals in place; guard ndtri(0) = -inf
+
+
+def normal_pieces(n: int, seed: int, start: int = 0, links=LINKS):
+    """standard_normals(n, seed, start, links) PIECE realizations at a time: its (m, 2 len(links)) pieces
+    in turn, which concatenate to it bit for bit.  Every piece is drawn into the same buffers, so a piece
+    holds until the next is drawn; only its links' columns of the stream's uniforms are turned into normals."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    m, cols = min(n, PIECE), _columns(links)
+    z, scratch = np.empty((m, len(cols))), np.empty((3, min(m * len(cols), _NDTRI_PIECE)))
+    for u in _uniforms(n, seed, start, PIECE):
+        piece = np.take(u, cols, axis=1, out=z[: len(u)], mode="clip")  # in range: one copy
+        yield _ndtri(np.maximum(piece, 2.0 ** -53, out=piece), scratch)  # guard ndtri(0) = -inf
 
 
 def _write_gains(stats: ChannelStats, z: np.ndarray, links, h):
@@ -213,11 +227,11 @@ def _realization(h, links) -> ChannelRealization:
     return ChannelRealization(*(gains.get(k) for k in LINKS))
 
 
-def realizations(stats: ChannelStats, z: np.ndarray, links=LINKS) -> ChannelRealization:
+def realizations(stats: ChannelStats, z: np.ndarray, links=LINKS, out=None) -> ChannelRealization:
     """The realizations of standard_normals z of links at these link statistics: sd * z + mu per link.
-    The links are the contiguous rows of one (len(links), n) array, written PIECE realizations at a time
-    so that each piece of z is read from the cache."""
-    h = np.empty((len(links), len(z)), dtype=complex)
+    The links are the contiguous rows of one (len(links), n) array (the first n columns of out, if given),
+    written PIECE realizations at a time so that each piece of z is read from the cache."""
+    h = np.empty((len(links), len(z)), dtype=complex) if out is None else out[:, : len(z)]
     for lo in range(0, len(z), PIECE):
         _write_gains(stats, z[lo : lo + PIECE], links, h[:, lo : lo + PIECE])
     return _realization(h, links)
@@ -225,32 +239,45 @@ def realizations(stats: ChannelStats, z: np.ndarray, links=LINKS) -> ChannelReal
 
 def sample_realizations(stats: ChannelStats, n: int, seed: int, links=LINKS) -> ChannelRealization:
     """Draw ``n`` iid channel realizations of links, reproducibly: realizations of
-    standard_normals(n, seed, links=links), to the bit, drawn in one pass per PIECE realizations
-    (uniforms, normals, gains), so that no normals are held."""
+    standard_normals(n, seed, links=links), to the bit, written from each of its normal_pieces in turn,
+    so that no normals are held."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    h, z = np.empty((len(links), n), dtype=complex), np.empty((min(n, PIECE), 2 * len(links)))
-    for lo, u in _uniforms(n, seed, 0):
-        piece = np.take(u, _columns(links), axis=1, out=z[: len(u)], mode="clip")
-        _write_gains(stats, _ndtri(np.maximum(piece, 2.0 ** -53, out=piece)), links, h[:, lo : lo + len(u)])
+    h = np.empty((len(links), n), dtype=complex)
+    for lo, z in zip(range(0, n, PIECE), normal_pieces(n, seed, links=links)):
+        _write_gains(stats, z, links, h[:, lo : lo + len(z)])
     return _realization(h, links)
 
 
-def effective_interference_gain(r: ChannelRealization, alpha1: float, pw: PowerConfig):
-    """Gain from the primary symbol to the CR receiver, direct plus relayed."""
-    return r.h21 + np.sqrt(alpha1 * pw.Pc / pw.Pp) * r.h22
+def effective_interference_gain(r: ChannelRealization, alpha1: float, pw: PowerConfig, out=None):
+    """Gain from the primary symbol to the CR receiver, direct plus relayed (written into out, if given)."""
+    return np.add(r.h21, np.multiply(np.sqrt(alpha1 * pw.Pc / pw.Pp), r.h22, out=out), out=out)
 
 
-def cr_forms(r: ChannelRealization, alpha1: float, pw: PowerConfig):
+def cr_forms(r: ChannelRealization, alpha1: float, pw: PowerConfig, out=None):
     """(signal, A, B, C) of the cognitive link: at alpha2 its rate is log2(signal / det) per sample,
-    det = A + |alpha2|^2 B - 2 Re(alpha2) Re(C) + 2 Im(alpha2) Im(C) the (U, Ys) covariance's determinant."""
+    det = A + |alpha2|^2 B - 2 Re(alpha2) Re(C) + 2 Im(alpha2) Im(C) the (U, Ys) covariance's determinant.
+    They are written into the four arrays of out, C's complex (new ones, of r's shape, if None)."""
+    if out is None:
+        shape = np.shape(r.h22)  # arrays even for one sample
+        out = (np.empty(shape), np.empty(shape), np.empty(shape), np.empty(shape, dtype=complex))
+    signal, a, b, c = out
     sigma2 = (1.0 - alpha1) * pw.Pc
-    hs = np.asarray(effective_interference_gain(r, alpha1, pw))  # an array even for one sample
-    h22_pow, hs_pow = np.abs(r.h22) ** 2, np.abs(hs) ** 2
-    signal = sigma2 * (h22_pow * sigma2 + hs_pow * pw.Pp + pw.noise_s)  # sigma2 * ys_pow
-    c = np.multiply(np.conj(hs, out=hs), r.h22, out=hs)  # C in hs's place; the operand order sets its bits
+    hs = effective_interference_gain(r, alpha1, pw, out=c)
+    h22_pow = np.square(np.abs(r.h22, out=b), out=b)  # each term in the place of the form it ends in
+    hs_pow = np.square(np.abs(hs, out=a), out=a)
+    h22_pow *= sigma2
+    hs_pow *= pw.Pp
+    np.add(h22_pow, hs_pow, out=signal)
+    signal += pw.noise_s
+    signal *= sigma2  # sigma2 * ys_pow
+    np.multiply(np.conj(hs, out=hs), r.h22, out=hs)  # C in hs's place; the operand order sets its bits
     c *= sigma2 * pw.Pp
-    return signal, sigma2 * (hs_pow * pw.Pp + pw.noise_s), pw.Pp * (h22_pow * sigma2 + pw.noise_s), c
+    hs_pow += pw.noise_s
+    hs_pow *= sigma2
+    h22_pow += pw.noise_s
+    h22_pow *= pw.Pp
+    return signal, a, b, c
 
 
 def cr_rate(r: ChannelRealization, p: DesignParams, pw: PowerConfig):
@@ -263,26 +290,38 @@ def cr_rate(r: ChannelRealization, p: DesignParams, pw: PowerConfig):
     return cr_forms_rate(cr_forms(r, p.alpha1, pw), p.alpha2)
 
 
-def cr_forms_rate(forms, alpha2):
+def cr_forms_rate(forms, alpha2, out=None):
     """cr_rate at alpha2 from the cr_forms of its alpha1, which it leaves as they are, so one cr_forms
-    call serves every alpha2 of that alpha1."""
+    call serves every alpha2 of that alpha1.  Given out, two arrays, the rate is written into the first
+    and the second is its scratch."""
     signal, a, b, c = forms
-    det = abs(alpha2) ** 2 * b
+    det, t = (None, None) if out is None else out
+    det = np.multiply(b, abs(alpha2) ** 2, out=det)
     det += a  # the bits of A + |alpha2|^2 B: addition commutes
-    det -= 2.0 * alpha2.real * c.real
-    det += 2.0 * alpha2.imag * c.imag
+    det -= np.multiply(c.real, 2.0 * alpha2.real, out=t)
+    det += np.multiply(c.imag, 2.0 * alpha2.imag, out=t)
     out = det if np.ndim(det) else None  # the rate in det's place, so the forms plus det are all it holds
     return np.log2(np.divide(signal, det, out=out), out=out)
 
 
-def full_csit_rate(r: ChannelRealization, alpha1: float, pw: PowerConfig):
-    """Rate of the cognitive user when its precoder follows each realization: no interference left."""
-    return np.log2(1.0 + np.abs(r.h22) ** 2 * ((1.0 - alpha1) * pw.Pc) / pw.noise_s)
+def full_csit_rate(r: ChannelRealization, alpha1: float, pw: PowerConfig, out=None):
+    """Rate of the cognitive user when its precoder follows each realization: no interference left.
+    Written into out, if given."""
+    g = np.square(np.abs(r.h22, out=out), out=out)
+    g = np.multiply(g, (1.0 - alpha1) * pw.Pc, out=out)
+    return np.log2(np.add(np.divide(g, pw.noise_s, out=out), 1.0, out=out), out=out)
 
 
-def primary_forms(r: ChannelRealization, pw: PowerConfig):
-    """(a, b, c): the primary signal power is a + b amp + c amp^2 at amp = sqrt(alpha1 Pc)."""
-    return np.abs(r.h11) ** 2 * pw.Pp, 2.0 * np.real(np.conj(r.h11) * r.h12) * np.sqrt(pw.Pp), np.abs(r.h12) ** 2
+def primary_forms(r: ChannelRealization, pw: PowerConfig, out=None):
+    """(a, b, c): the primary signal power is a + b amp + c amp^2 at amp = sqrt(alpha1 Pc).  Given out,
+    three arrays and a complex one for the cross term, they are written into its first three."""
+    a, b, c, cross = (None,) * 4 if out is None else out
+    cross = np.multiply(np.conj(r.h11, out=cross), r.h12, out=cross)
+    b = np.multiply(np.real(cross), 2.0, out=b)
+    b *= np.sqrt(pw.Pp)
+    a = np.square(np.abs(r.h11, out=a), out=a)
+    a *= pw.Pp
+    return a, b, np.square(np.abs(r.h12, out=c), out=c)
 
 
 def primary_sinr(forms, alpha1: float, pw: PowerConfig, out=None):
@@ -301,11 +340,13 @@ def primary_sinr(forms, alpha1: float, pw: PowerConfig, out=None):
     return sig, den
 
 
-def primary_rate(r: ChannelRealization, alpha1: float, pw: PowerConfig):
-    """Rate of the primary user under partial relaying (vectorized)."""
+def primary_rate(r: ChannelRealization, alpha1: float, pw: PowerConfig, out=None):
+    """Rate of the primary user under partial relaying (vectorized).  Given out, a primary_forms out and a
+    primary_sinr out, the forms and the sinr are written into them, and the rate into the sinr's first."""
     _check_alpha1(alpha1)
-    sig, den = primary_sinr(primary_forms(r, pw), alpha1, pw)
-    return np.log2(1.0 + sig / den)
+    forms_out, sinr_out = (None, None) if out is None else out
+    sig, den = primary_sinr(primary_forms(r, pw, forms_out), alpha1, pw, sinr_out)
+    return np.log2(np.add(np.divide(sig, den, out=sig), 1.0, out=sig), out=sig)
 
 
 def _outer(x, y):

@@ -393,27 +393,22 @@ def _sweep_rows(cfg) -> list:
        tables the no-interference reference carries the full_csit label.
     """
     pw, seed, fig = _power_config(cfg), cfg["seed"], cfg["figure"]
-    metric, ergodic, primary = _METRICS[fig], fig in (2, 3), fig in (2, 4)
-    n, bf_mc_n = cfg["n_ergodic"] if ergodic else cfg["n_outage"], cfg["bf_mc_n"]
-    # every K's targets are looked up before the first draw
-    targets = {k: (None,) * 3 if ergodic else _slow_targets(k, cfg) for k in cfg["k_db"] or SLOW_TARGETS}
-    # one draw of normals, rescaled to a block at each K: the estimates and the alpha1
-    # search read the block's first n realizations, the alpha2 search its first bf_mc_n
+    if fig in (4, 5):
+        return _outage_rows(cfg, pw, seed, fig)
+    metric, primary, n, bf_mc_n = _METRICS[fig], fig == 2, cfg["n_ergodic"], cfg["bf_mc_n"]
+    # one draw of normals, rescaled to a block at each K, whose float sums fix the rows' bits: the
+    # estimates and the alpha1 search read the block's first n realizations, the alpha2 search its first bf_mc_n
     links = channel.PRIMARY_LINKS if primary else channel.LINKS
     z = channel.standard_normals(n if primary else max(n, bf_mc_n), seed, links=links)
     rows = []
-    for k, (r_p, reference, r_cr) in targets.items():
+    for k in cfg["k_db"] or SLOW_TARGETS:
         stats = ChannelStats.from_k_factor(k)
         block = r = None  # the last K's block goes before the next is built
         block = channel.realizations(stats, z, links)
         r = block[:n]
-        if ergodic:
-            reference = design_fast.primary_target_ergodic(stats, pw)
-            des = design_fast.solve_alpha1_fast(stats, pw, reference)
-            bf_a1 = montecarlo.brute_force_alpha1_fast(r, pw, reference)
-        else:
-            des = design_slow.design(stats, pw, r_p, reference, r_cr)
-            bf_a1 = montecarlo.brute_force_alpha1_outage(r, pw, r_p, reference)
+        reference = design_fast.primary_target_ergodic(stats, pw)
+        des = design_fast.solve_alpha1_fast(stats, pw, reference)
+        bf_a1 = montecarlo.brute_force_alpha1_fast(r, pw, reference)
 
         def row(scheme, est, shown):
             return _row(k, scheme, metric, est.value, est.std_error, shown.alpha1, shown.alpha2, seed)
@@ -421,17 +416,75 @@ def _sweep_rows(cfg) -> list:
         if primary:
             for scheme, a1 in (("la_gpc", des.alpha1), ("full_search", bf_a1)):
                 p = DesignParams(a1, 0.0)
-                rows.append(row(scheme, montecarlo.estimates(r, stats, p, pw, ("primary",), r_p)[0], p))
+                rows.append(row(scheme, montecarlo.estimates(r, stats, p, pw, ("primary",))[0], p))
             rows.append(_row(k, "full_csit", metric, reference, 0.0, 0.0, 0j, seed))
             continue
-        # figure 3 prints the design's alpha2 on every row, figure 5 the alpha2 each scheme ran at
-        schemes = montecarlo.CR_SCHEMES if ergodic else _FIGURE5_ORDER
-        for scheme, est in zip(schemes, montecarlo.estimates(r, stats, des.params, pw, schemes, r_cr)):
-            shown = des.params if ergodic else montecarlo.scheme_params(scheme, stats, des.params, pw)
-            rows.append(row(scheme, est, shown))
-        bf_a2 = montecarlo.brute_force_alpha2(block[:bf_mc_n], stats, bf_a1, pw, r_cr, grid_n=cfg["bf_grid_n"])
+        # figure 3 prints the design's alpha2 on every row
+        schemes = montecarlo.CR_SCHEMES
+        for scheme, est in zip(schemes, montecarlo.estimates(r, stats, des.params, pw, schemes)):
+            rows.append(row(scheme, est, des.params))
+        bf_a2 = montecarlo.brute_force_alpha2(block[:bf_mc_n], stats, bf_a1, pw, None, grid_n=cfg["bf_grid_n"])
         p = DesignParams(bf_a1, bf_a2)
-        rows.append(row("full_search", montecarlo.estimates(r, stats, p, pw, ("la_gpc",), r_cr)[0], p))
+        rows.append(row("full_search", montecarlo.estimates(r, stats, p, pw, ("la_gpc",))[0], p))
+    return rows
+
+
+def _primary_pieces(n, seed, cr_head):
+    """The normals of h11 and h12 of realizations 0 .. n - 1 of the stream, a piece at a time; those of
+    realizations 0 .. len(cr_head) - 1 are drawn with all four links, whose uniforms are filled anyway, and
+    their h21 and h22 columns are written into cr_head on the way."""
+    head = len(cr_head)
+    for lo, z in zip(range(0, head, channel.PIECE), channel.normal_pieces(head, seed) if head else ()):
+        cr_head[lo : lo + len(z)] = z[:, 4:]
+        if lo < n:
+            yield z[: n - lo, :4]
+    if n > head:
+        yield from channel.normal_pieces(n - head, seed, head, channel.PRIMARY_LINKS)
+
+
+def _outage_rows(cfg, pw, seed, fig) -> list:
+    """Figure 4 or 5, piece-major: every value they print from the draw is an integer count, so
+    each piece of the draw is counted at every K and dropped, and no n-long block is held.
+
+    Pass 1 draws h11 and h12 and scans the primary outage over the alpha1 grid at each K; figure 4 also
+    counts its design row there and reads its full_search row from the scan.  Figure 5 keeps h21 and h22 of
+    the first bf_mc_n realizations for the alpha2 search, and pass 2 draws h21 and h22 to count the scheme
+    rows at the design point and the full_search row at the searched one."""
+    n, metric, primary = cfg["n_outage"], _METRICS[fig], fig == 4
+    # every K's targets are looked up before the first design, and every design is made before the first draw
+    points = [(k, ChannelStats.from_k_factor(k), *_slow_targets(k, cfg)) for k in cfg["k_db"] or SLOW_TARGETS]
+    designs = [design_slow.design(stats, pw, *targets).params for _, stats, *targets in points]
+    pass1 = []
+    for (_, stats, r_p, _, _), des in zip(points, designs):
+        counters = [montecarlo.OutageScan(pw, r_p, 201)]
+        if primary:  # figure 4's design row
+            counters.append(montecarlo.OutageCounts(stats, DesignParams(des.alpha1, 0.0), pw, ("primary",), r_p))
+        pass1.append((stats, counters))
+    cr_head = np.empty((0 if primary else cfg["bf_mc_n"], 4))
+    montecarlo.feed(_primary_pieces(n, seed, cr_head), channel.PRIMARY_LINKS, pass1)
+    rows, pass2 = [], []
+    for (k, stats, r_p, p_out, r_cr), des, (_, [scan, *counts]) in zip(points, designs, pass1):
+        bf_a1 = scan.alpha1(p_out)
+        if primary:
+            for scheme, est, a1 in (("la_gpc", *counts[0].estimates(), des.alpha1),
+                                    ("full_search", scan.estimate(bf_a1), bf_a1)):
+                rows.append(_row(k, scheme, metric, est.value, est.std_error, a1, 0.0, seed))
+            rows.append(_row(k, "full_csit", metric, p_out, 0.0, 0.0, 0j, seed))
+            continue
+        head = channel.realizations(stats, cr_head, channel.CR_LINKS)
+        bf_a2 = montecarlo.brute_force_alpha2(head, stats, bf_a1, pw, r_cr, grid_n=cfg["bf_grid_n"])
+        bf = DesignParams(bf_a1, bf_a2)
+        shown = [montecarlo.scheme_params(scheme, stats, des, pw) for scheme in _FIGURE5_ORDER] + [bf]
+        pass2.append((stats, [montecarlo.OutageCounts(stats, des, pw, _FIGURE5_ORDER, r_cr),
+                              montecarlo.OutageCounts(stats, bf, pw, ("la_gpc",), r_cr)], k, shown))
+    if primary:
+        return rows
+    cr_head = head = None
+    montecarlo.feed(channel.normal_pieces(n, seed, links=channel.CR_LINKS), channel.CR_LINKS, [p[:2] for p in pass2])
+    for _, (designed, searched), k, shown in pass2:
+        ests = designed.estimates() + searched.estimates()
+        for scheme, est, p in zip(_FIGURE5_ORDER + ("full_search",), ests, shown):
+            rows.append(_row(k, scheme, metric, est.value, est.std_error, p.alpha1, p.alpha2, seed))
     return rows
 
 

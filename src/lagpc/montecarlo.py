@@ -5,12 +5,16 @@ the statistical designs are compared against.
 every (stats, params) point's block, so every K and scheme reads the same
 counter-based stream (common random numbers), and no estimate depends on the
 chunking or the worker count.  `estimates` scores a block the caller holds.
+`feed` streams pieces of the draw through integer-count accumulators
+(`OutageCounts`, `OutageScan`) into the arrays of one `PieceWork`, so that no
+block is held.
 """
 from __future__ import annotations
 
 import functools
 import os
 import sys
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -54,18 +58,41 @@ def scheme_params(which: str, stats: ChannelStats, params: DesignParams, pw: Pow
     raise ValueError(f"unknown scheme {which!r}")
 
 
-def _rates(r, stats, params, pw, schemes):
+class PieceWork:
+    """The arrays that a piece of at most size realizations is written into, made once and reused by every
+    piece: its gains, its forms (a, b, c and the cross term of the primary link, or the cognitive link's
+    signal, A, B and C), a rate and its scratch, and OutageScan's interval arrays.  take(m) gives the first
+    m columns of each."""
+
+    def __init__(self, size: int):
+        self._gains = np.empty((2, size), dtype=complex)
+        self._complex = np.empty(size, dtype=complex)
+        self._floats = np.empty((16, size))
+        self._flags = np.empty((2, size), dtype=bool)
+
+    def take(self, m: int) -> SimpleNamespace:
+        floats = self._floats[:, :m]
+        return SimpleNamespace(gains=self._gains[:, :m], forms=(*floats[:3], self._complex[:m]),
+                               rate=tuple(floats[3:5]), scan=floats[5:], flags=self._flags[:, :m])
+
+
+def _rates(r, stats, params, pw, schemes, work=None):
     """Per-realization rate of each of schemes (or of the primary user) in turn: cr_rate at scheme_params,
-    except full_csit, whose precoder follows each realization; the cr_rate schemes read one cr_forms call."""
+    except full_csit, whose precoder follows each realization; the cr_rate schemes read one cr_forms call.
+    Given work (PieceWork.take of len(r)), every form and rate is written into its arrays, so each rate
+    holds until the next is computed."""
     forms = None
     for which in schemes:
-        if which in ("primary", "full_csit"):
-            yield (channel.primary_rate if which == "primary" else channel.full_csit_rate)(r, params.alpha1, pw)
+        if which == "primary":
+            forms = None  # given work, the primary forms are written where the cognitive link's were
+            yield channel.primary_rate(r, params.alpha1, pw, work and (work.forms, work.rate))
+        elif which == "full_csit":
+            yield channel.full_csit_rate(r, params.alpha1, pw, work and work.rate[0])
         elif params.alpha1 == 1.0:  # cr_rate's own rule
             yield channel.cr_rate(r, scheme_params(which, stats, params, pw), pw)
         else:
-            forms = forms or channel.cr_forms(r, params.alpha1, pw)
-            yield channel.cr_forms_rate(forms, scheme_params(which, stats, params, pw).alpha2)
+            forms = forms or channel.cr_forms(r, params.alpha1, pw, work and work.forms)
+            yield channel.cr_forms_rate(forms, scheme_params(which, stats, params, pw).alpha2, work and work.rate)
 
 
 def _sums(r, stats, params, pw, schemes, r_target):
@@ -227,37 +254,90 @@ def brute_force_alpha1_fast(
     raise InfeasibleDesignError("no grid alpha1 meets the ergodic target")
 
 
-def _outage_counts(r: channel.ChannelRealization, pw: PowerConfig, r_p: float, grid_n: int):
-    """Primary outages over r at each grid alpha1, exactly as the scan's 1 + sig/den < T counts them.
+class OutageScan:
+    """Primary outages at each alpha1 of a grid_n-point grid on [0, 1], exactly as the scan's 1 + sig/den
+    < T counts them, fed one piece of realizations at a time (add); the counts are integers that add, so
+    they do not depend on how the samples are grouped into pieces.
 
     A sample is out where q(amp) = cT amp^2 + b amp + a - t(c Pc + noise_p) < 0 (t = T - 1), on an
     open interval (lo, hi) of amp.  The scan and q round by under 20u S (u = 2^-53, S the term bound
     in eps), so only |q| <= eps sways the scan.  Off tangency those amps lie within 2 eps / sqrt(disc
     - e_d) of a root (e_d bounds the disc's rounding), and the computed roots are off by under
     rho |root|, rho = e_d / (disc - e_d) + 4u.  Samples with a grid amp inside that guard or near
-    tangency (h12 = 0 gives disc = 0) are rescored with the scan's own expression.
+    tangency (h12 = 0 gives disc = 0) are rescored with the scan's own expression, once all pieces are
+    in; their forms are all that is kept.  A piece's reach (its largest guard) is at least each of its
+    samples' own guard, so every sample with a grid amp inside its guard is rescored.  eps is widened by
+    max(1, R_P / 4) for estimate's sake (below); a wider eps only rescores more samples.
 
-    The intervals are found and counted channel.PIECE samples at a time, and the integer counts add.
-    A piece's reach (its largest guard) is at most the block's and at least each of its samples' own
-    guard, so every sample with a grid amp inside its guard is still rescored, and the counts stay exact.
+    Every interval array of a piece is written into the arrays of a PieceWork.
     """
-    u, big_t, t = 2.0 ** -53, 2.0 ** r_p, 2.0 ** r_p - 1.0
-    amps = np.sqrt(np.linspace(0.0, 1.0, grid_n) * pw.Pc)
-    counts, redo = np.zeros(grid_n, dtype=np.intp), np.zeros(len(r), dtype=bool)
-    for lo in range(0, len(r), channel.PIECE):
-        a, b, c = channel.primary_forms(r[lo : lo + channel.PIECE], pw)
-        qa, qc = c * big_t, a - t * (c * pw.Pc + pw.noise_p)
-        eps = 64.0 * u * (a + np.abs(b) * amps[-1] + (1.0 + abs(t)) * (2.0 * c * pw.Pc + pw.noise_p))
-        e_d = 4.0 * u * (b * b + 4.0 * np.abs(qa * qc))
-        disc = b * b - 4.0 * qa * qc
-        rescore = np.abs(disc) <= 8.0 * (e_d + qa * eps)  # near tangency, then each end near an amp
-        disc[rescore | (disc < 0.0)] = np.nan  # no interval to count: nan sorts past every amp
-        w = np.sqrt(disc)
+
+    def __init__(self, pw: PowerConfig, r_p: float, grid_n: int):
+        self.pw, self.r_p, self.grid = pw, r_p, np.linspace(0.0, 1.0, grid_n)
+        self.amps = np.sqrt(self.grid * pw.Pc)
+        self.n, self.base = 0, np.zeros(grid_n, dtype=np.intp)  # base: the counts of the samples not rescored
+        self._rescored = ([], [], [])  # their forms a, b, c, a piece at a time
+
+    def add(self, r: channel.ChannelRealization, work) -> None:
+        """Count the m realizations r (of h11 and h12 at least), with work a PieceWork.take(m)."""
+        forms = channel.primary_forms(r, self.pw, work.forms)
+        ends, rescore, reach = self._intervals(forms, work)
+        amps, srt = self.amps, work.scan[9:11]
+        np.copyto(srt, ends)
+        srt.sort(axis=1)
+        self.base += np.searchsorted(srt[0], amps) - np.searchsorted(srt[1], amps, side="right")
+        near = []
+        for e in srt:  # the ends within reach of an amp: each amp's window starts where the last ended
+            first, last = np.searchsorted(e, amps - reach), np.searchsorted(e, amps + reach, "right")
+            first[1:] = np.maximum(first[1:], last[:-1])
+            size = np.maximum(last - first, 0)
+            near.append(e[np.arange(size.sum()) + np.repeat(first - np.cumsum(size) + size, size)])
+        rescore |= np.isin(ends, np.concatenate(near)).any(axis=0)
+        self.base -= np.sum((ends[0, rescore, None] < amps) & (amps < ends[1, rescore, None]), axis=0)
+        for kept, x in zip(self._rescored, forms):
+            kept.append(x[rescore])
+        self.n += len(r)
+
+    def _intervals(self, forms, work):
+        """(ends, rescore, reach) of a piece of primary forms: each sample's outage interval (lo, hi) in amp,
+        nan where it has none; whether it is near tangency; and the piece's largest guard."""
+        (a, b, c), pw, amps, u, big_t = forms, self.pw, self.amps, 2.0 ** -53, 2.0 ** self.r_p
+        t = big_t - 1.0
+        qa, qc, eps, e_d, disc, w, tmp = work.scan[:7]
+        ends, (rescore, undefined) = work.scan[7:9], work.flags
+        np.multiply(c, big_t, out=qa)
+        np.multiply(c, pw.Pc, out=qc)
+        qc += pw.noise_p
+        np.subtract(a, np.multiply(qc, t, out=qc), out=qc)  # a - t (c Pc + noise_p)
+        np.multiply(c, 2.0, out=tmp)
+        tmp *= pw.Pc
+        tmp += pw.noise_p
+        tmp *= 1.0 + abs(t)
+        np.multiply(np.abs(b, out=eps), amps[-1], out=eps)
+        eps += a
+        eps += tmp
+        eps *= 64.0 * max(1.0, self.r_p / 4.0) * u  # 64u (a + |b| amp_max + (1 + |t|)(2 c Pc + noise_p))
+        np.multiply(qa, qc, out=tmp)
+        np.abs(tmp, out=tmp)
+        tmp *= 4.0
+        np.multiply(b, b, out=disc)
+        np.add(disc, tmp, out=e_d)
+        e_d *= 4.0 * u  # 4u (b^2 + 4 |qa qc|)
+        np.multiply(qa, 4.0, out=tmp)
+        tmp *= qc
+        disc -= tmp  # b^2 - 4 qa qc
+        np.multiply(qa, eps, out=tmp)
+        tmp += e_d
+        tmp *= 8.0
+        np.less_equal(np.abs(disc, out=w), tmp, out=rescore)  # near tangency, then each end near an amp
+        np.less(disc, 0.0, out=undefined)
+        undefined |= rescore
+        np.copyto(disc, np.nan, where=undefined)  # no interval to count: nan sorts past every amp
+        np.sqrt(disc, out=w)
         np.copysign(w, b, out=w)
         w += b
         w *= -0.5
-        ends = np.empty((2, len(w)))  # (lo, hi)
-        np.divide(w, qa, out=ends[1])
+        np.divide(w, qa, out=ends[1])  # (lo, hi)
         np.divide(qc, w, out=w)
         np.minimum(ends[1], w, out=ends[0])
         np.maximum(ends[1], w, out=ends[1])
@@ -266,26 +346,85 @@ def _outage_counts(r: channel.ChannelRealization, pw: PowerConfig, r_p: float, g
         guard = np.divide(e_d, disc, out=e_d)
         guard += 4.0 * u
         guard *= 2.0
-        guard *= np.fmax(np.abs(ends[0]), np.abs(ends[1]))
+        guard *= np.fmax(np.abs(ends[0], out=w), np.abs(ends[1], out=tmp), out=w)
         eps *= 2.0
         eps /= np.sqrt(disc, out=disc)
         guard += eps
-        reach = np.nanmax(guard, initial=0.0)  # an end inside its guard of an amp is within reach of it
-        srt = np.sort(ends, axis=1)
-        counts += np.searchsorted(srt[0], amps) - np.searchsorted(srt[1], amps, side="right")
-        near = []
-        for e in srt:  # the ends within reach of an amp: each amp's window starts where the last ended
-            first, last = np.searchsorted(e, amps - reach), np.searchsorted(e, amps + reach, "right")
-            first[1:] = np.maximum(first[1:], last[:-1])
-            size = np.maximum(last - first, 0)
-            near.append(e[np.arange(size.sum()) + np.repeat(first - np.cumsum(size) + size, size)])
-        rescore |= np.isin(ends, np.concatenate(near)).any(axis=0)
-        counts -= np.sum((ends[0, rescore, None] < amps) & (amps < ends[1, rescore, None]), axis=0)
-        redo[lo : lo + channel.PIECE] = rescore
-    if not redo.any():
-        return counts
-    again = _alpha1_scan(channel.primary_forms(r[redo], pw), pw, np.linspace(0.0, 1.0, grid_n))
-    return counts + [np.count_nonzero(1.0 + sig / den < big_t) for _, sig, den in again]
+        return ends, rescore, np.nanmax(guard, initial=0.0)  # an end inside its guard of an amp is within reach
+
+    def _rescored_forms(self):
+        return tuple(np.concatenate(kept) for kept in self._rescored)
+
+    def counts(self) -> np.ndarray:
+        """The outages at each grid alpha1 over every sample added: the scan's count."""
+        rescored = self._rescored_forms()
+        if not len(rescored[0]):
+            return self.base.copy()
+        again = _alpha1_scan(rescored, self.pw, self.grid)
+        return self.base + [np.count_nonzero(1.0 + sig / den < 2.0 ** self.r_p) for _, sig, den in again]
+
+    def alpha1(self, p_out: float) -> float:
+        """Smallest grid alpha1 whose outage over the samples added is within the budget p_out."""
+        fits = self.grid[self.counts() / self.n <= p_out]
+        if len(fits) == 0:
+            raise InfeasibleDesignError("no grid alpha1 meets the outage target")
+        return float(fits[0])
+
+    def estimate(self, alpha1: float) -> McEstimate:
+        """The estimate of P(primary_rate < R_P) at alpha1, a grid point, over the samples added, as estimates
+        scores it: each sample out where log2(1 + sig/den) < R_P, not where 1 + sig/den < T.
+
+        The two tests differ only on samples rescored.  A sample not rescored has |q| > eps at every grid
+        amp, and eps >= 64u T (2c Pc + noise_p) >= 64u T den, so with the scan's rounding its 1 + sig/den
+        lies over 44u T off T, and its log2 (within 4 ulp; T is 2^R_P within one) over 60u off R_P: more
+        than 4 ulp of log2 below R_P = 4, and above it eps widened by R_P / 4 puts log2 over (23 R_P -
+        32)u off R_P, still more.  So both tests agree on it, and the count is the base count at alpha1
+        plus the rescored samples' log2 count there.
+        """
+        sig, den = channel.primary_sinr(self._rescored_forms(), alpha1, self.pw)
+        below = np.count_nonzero(np.log2(1.0 + sig / den) < self.r_p) + self.base[self.grid == alpha1]
+        return _estimate([(0.0, 0.0, int(below[0]))], self.n, self.r_p)
+
+
+class OutageCounts:
+    """The outages of schemes at one design point, each scheme's rate below r_target counted one piece of
+    realizations at a time (add), as estimates' count: integers that add, so estimates() equals estimates
+    over the whole block whatever the pieces."""
+
+    def __init__(self, stats: ChannelStats, params: DesignParams, pw: PowerConfig, schemes, r_target: float):
+        self.point, self.r_target = (stats, params, pw, tuple(schemes)), r_target
+        self.n, self.below = 0, np.zeros(len(schemes), dtype=np.int64)
+
+    def add(self, r: channel.ChannelRealization, work) -> None:
+        """Count the m realizations r, with work a PieceWork.take(m)."""
+        for k, x in enumerate(_rates(r, *self.point, work)):
+            self.below[k] += np.count_nonzero(x < self.r_target)
+        self.n += len(r)
+
+    def estimates(self) -> list:
+        return [_estimate([(0.0, 0.0, int(b))], self.n, self.r_target) for b in self.below]
+
+
+def feed(pieces, links, points) -> None:
+    """Each of pieces (standard normals of links), rescaled to each (stats, counters) point in turn, fed to
+    every counter of that point: the pieces are drawn once for all points, and each point's realization of
+    a piece is written into the one PieceWork of this call, as is every form and rate of its counters."""
+    work = PieceWork(channel.PIECE)
+    for z in pieces:
+        piece = work.take(len(z))
+        for stats, counters in points:
+            r = channel.realizations(stats, z, links, out=piece.gains)
+            for counter in counters:
+                counter.add(r, piece)
+
+
+def _outage_scan(r: channel.ChannelRealization, pw: PowerConfig, r_p: float, grid_n: int) -> OutageScan:
+    """The OutageScan of the held block r, fed channel.PIECE samples at a time."""
+    scan, work = OutageScan(pw, r_p, grid_n), PieceWork(min(len(r), channel.PIECE))
+    for lo in range(0, len(r), channel.PIECE):
+        piece = r[lo : lo + channel.PIECE]
+        scan.add(piece, work.take(len(piece)))
+    return scan
 
 
 def brute_force_alpha1_outage(
@@ -294,10 +433,7 @@ def brute_force_alpha1_outage(
     """Smallest grid alpha1 whose MC primary outage over r is within the budget."""
     if grid_n < 2:
         raise ValueError("grid_n too coarse")
-    fits = np.linspace(0.0, 1.0, grid_n)[_outage_counts(r, pw, r_p, grid_n) / len(r) <= p_out]
-    if len(fits) == 0:
-        raise InfeasibleDesignError("no grid alpha1 meets the outage target")
-    return float(fits[0])
+    return _outage_scan(r, pw, r_p, grid_n).alpha1(p_out)
 
 
 def _disc_scorer(r, alpha1, pw, a2, r_cr=None):

@@ -2,8 +2,9 @@
 import numpy as np
 from scipy.special import gammaln
 
-from lagpc import channel, design_fast, design_slow, lattice, montecarlo
-from lagpc.channel import effective_interference_gain
+from lagpc import channel, cli, design_fast, design_slow, lattice, montecarlo
+from lagpc.channel import ChannelStats, DesignParams, effective_interference_gain
+from lagpc.design_fast import InfeasibleDesignError
 
 
 def full_csit_alpha2(r, alpha1, pw):
@@ -82,7 +83,7 @@ def whole_sums(r, stats, params, pw, schemes, r_target):
 
 
 def whole_outage_counts(r, pw, r_p, grid_n):
-    """montecarlo._outage_counts over the whole block at once: one reach, the largest guard of all
+    """montecarlo.OutageScan over the whole block at once: one reach, the largest guard of all
     samples, and one sort of all the interval ends."""
     a, b, c = channel.primary_forms(r, pw)
     amps = np.sqrt(np.linspace(0.0, 1.0, grid_n) * pw.Pc)
@@ -143,3 +144,43 @@ def block_bound_alpha2(r, stats, alpha1, pw, r_cr, grid_n, scored):
             scores[lo : lo + montecarlo._DISC_ROWS] = score(lo)
             scored.append(lo)
     return complex(a2[np.nanargmax(scores)])
+
+
+def held_block_outage_rows(cfg):
+    """cli._sweep_rows' rows of figure 4 or 5 from a held block: one draw of normals, rescaled to a whole
+    block at each K, whose first n realizations every estimate and the alpha1 search read, and whose first
+    bf_mc_n the alpha2 search reads.  The alpha1 search counts with whole_outage_counts."""
+    pw, seed, fig = cli._power_config(cfg), cfg["seed"], cfg["figure"]
+    metric, primary = cli._METRICS[fig], fig == 4
+    n, bf_mc_n = cfg["n_outage"], cfg["bf_mc_n"]
+    targets = {k: cli._slow_targets(k, cfg) for k in cfg["k_db"] or cli.SLOW_TARGETS}
+    links = channel.PRIMARY_LINKS if primary else channel.LINKS
+    z = channel.standard_normals(n if primary else max(n, bf_mc_n), seed, links=links)
+    rows = []
+    for k, (r_p, reference, r_cr) in targets.items():
+        stats = ChannelStats.from_k_factor(k)
+        block = channel.realizations(stats, z, links)
+        r = block[:n]
+        des = design_slow.design(stats, pw, r_p, reference, r_cr)
+        grid = np.linspace(0.0, 1.0, 201)
+        fits = grid[whole_outage_counts(r, pw, r_p, 201) / len(r) <= reference]
+        if len(fits) == 0:
+            raise InfeasibleDesignError("no grid alpha1 meets the outage target")
+        bf_a1 = float(fits[0])
+
+        def row(scheme, est, shown):
+            return cli._row(k, scheme, metric, est.value, est.std_error, shown.alpha1, shown.alpha2, seed)
+
+        if primary:
+            for scheme, a1 in (("la_gpc", des.alpha1), ("full_search", bf_a1)):
+                p = DesignParams(a1, 0.0)
+                rows.append(row(scheme, montecarlo.estimates(r, stats, p, pw, ("primary",), r_p)[0], p))
+            rows.append(cli._row(k, "full_csit", metric, reference, 0.0, 0.0, 0j, seed))
+            continue
+        schemes = cli._FIGURE5_ORDER
+        for scheme, est in zip(schemes, montecarlo.estimates(r, stats, des.params, pw, schemes, r_cr)):
+            rows.append(row(scheme, est, montecarlo.scheme_params(scheme, stats, des.params, pw)))
+        bf_a2 = montecarlo.brute_force_alpha2(block[:bf_mc_n], stats, bf_a1, pw, r_cr, grid_n=cfg["bf_grid_n"])
+        p = DesignParams(bf_a1, bf_a2)
+        rows.append(row("full_search", montecarlo.estimates(r, stats, p, pw, ("la_gpc",), r_cr)[0], p))
+    return rows

@@ -186,6 +186,23 @@ def test_link_subsets_are_the_full_draw_to_the_bit(links):
     assert np.array_equal(z, channel.standard_normals(whole_n, 17)[:, channel._columns(links)])
 
 
+@pytest.mark.parametrize("links", [tuple(k for k in channel.LINKS if mask >> k & 1) for mask in range(1, 16)])
+def test_normal_pieces_concatenate_to_standard_normals(links, monkeypatch):
+    """normal_pieces' pieces, of at most PIECE realizations each, concatenate bit for bit to
+    standard_normals of those links and to those links' columns of the all-links draw, for every link
+    subset, fewer realizations than a piece, whole pieces and a short last one, from 0 and from a start."""
+    monkeypatch.setattr(channel, "PIECE", 64)
+    for n in (1, 63, 128, 64 * 3 + 7):
+        for start in (0, 5):
+            pieces = [z.copy() for z in channel.normal_pieces(n, 19, start, links)]
+            assert [len(z) for z in pieces] == [min(64, n - lo) for lo in range(0, n, 64)]
+            whole = np.concatenate(pieces).tobytes()
+            assert whole == channel.standard_normals(n, 19, start, links).tobytes()
+            assert whole == channel.standard_normals(n, 19, start)[:, channel._columns(links)].tobytes()
+    with pytest.raises(ValueError):
+        next(channel.normal_pieces(0, 19))
+
+
 def test_sample_realizations_deterministic_and_seed_sensitive():
     stats = ChannelStats.from_k_factor(0.0)
     a = channel.sample_realizations(stats, 64, seed=4)

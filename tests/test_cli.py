@@ -245,6 +245,7 @@ def test_unknown_slow_k_is_a_config_error_before_sampling(tmp_path, capsys, monk
         raise AssertionError("sampled before the K check")
 
     monkeypatch.setattr(channel, "standard_normals", no_sampling)
+    monkeypatch.setattr(channel, "normal_pieces", no_sampling)
     for fig in ("4", "5"):
         rc, out = _run(tmp_path / fig, "reproduce-figure", args=[fig], config={"k_db": [10, 2.5]})
         assert rc == 2

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import namedtuple
 
 import numpy as np
@@ -13,7 +14,7 @@ from lagpc.montecarlo import (
     brute_force_alpha2,
     drawn_estimates,
 )
-from oracles import block_bound_alpha2, scheme_rates, whole_outage_counts, whole_sums
+from oracles import block_bound_alpha2, held_block_outage_rows, scheme_rates, whole_outage_counts, whole_sums
 
 PW = PowerConfig(10.0, 10.0)
 STATS = ChannelStats.from_k_factor(10.0)
@@ -343,7 +344,7 @@ def test_brute_force_alpha2_validates():
 def _outage_counts_match(r, r_p, p_out, grid_n=201):
     """The interval counts equal the scan oracle's at every grid point, and
     brute_force_alpha1_outage picks the oracle's smallest alpha1 (or none)."""
-    counts = montecarlo._outage_counts(r, PW, r_p, grid_n)
+    counts = montecarlo._outage_scan(r, PW, r_p, grid_n).counts()
     oracle = _oracle_outage_counts(r, PW, r_p, grid_n)
     assert counts.tolist() == oracle
     fits = [a1 for a1, count in zip(np.linspace(0.0, 1.0, grid_n), oracle) if count / len(r) <= p_out]
@@ -366,7 +367,7 @@ def test_brute_force_alpha1_outage_validates():
 
 
 def _spy_rescoring(monkeypatch):
-    """The list of the sizes of the blocks _outage_counts rescores with the scan."""
+    """The list of the sizes of the blocks OutageScan rescores with the scan."""
     rescored = []
     scan = montecarlo._alpha1_scan
 
@@ -404,7 +405,7 @@ def _scan_value(h11, h12, a1):
 
 
 def _edge_samples():
-    """(h11, h12, core) of constructed samples for _outage_counts at r_p = 2 on the 201-point grid; the
+    """(h11, h12, core) of constructed samples for OutageScan at r_p = 2 on the 201-point grid; the
     mask core picks 17 of them: the 5 with h12 = 0, the 3 exact tangents and the 9 on-grid ends nearest
     to grid amp 120."""
     r_p, grid_n = 2.0, 201
@@ -452,7 +453,7 @@ def test_outage_counts_on_constructed_edge_samples(monkeypatch):
 
 @pytest.mark.parametrize("k_db", [0.0, 10.0])
 def test_pieced_outage_counts_equal_the_whole_block(k_db, monkeypatch):
-    """_outage_counts, piece by piece, equals the whole-block count over three pieces and a short last
+    """OutageScan, piece by piece, equals the whole-block count over three pieces and a short last
     one of 17 samples, which holds the core edge samples; the other edge samples end the third piece."""
     edge, h12, core = _edge_samples()
     n = 3 * channel.PIECE + 17
@@ -464,7 +465,7 @@ def test_pieced_outage_counts_equal_the_whole_block(k_db, monkeypatch):
     assert len(r[3 * channel.PIECE :]) == core.sum() == 17
     rescored = _spy_rescoring(monkeypatch)
     for r_p, grid_n in ((2.0, 201), (2.0, 31), (SLOW_TARGETS[k_db][0], 201)):
-        counts = montecarlo._outage_counts(r, PW, r_p, grid_n)
+        counts = montecarlo._outage_scan(r, PW, r_p, grid_n).counts()
         assert counts.tolist() == whole_outage_counts(r, PW, r_p, grid_n).tolist()
     assert rescored[0] >= 6  # the h12 = 0 samples and an exact tangent at least, in the pieced call
 
@@ -731,7 +732,8 @@ def test_shared_forms_estimates_equal_the_one_scheme_estimates():
 
 def test_figure_rows_compute_cr_forms_twice_per_k(monkeypatch):
     """Figures 3 and 5 compute cr_forms at n twice per K, once for the four scheme rows at the design
-    point and once for the full_search row, besides the disc search's own call at bf_mc_n."""
+    point and once for the full_search row, besides the disc search's own call at bf_mc_n.  Figure 5 runs
+    every K's disc search first, then computes both per piece of its second pass at each K in turn."""
     sizes = []
     forms = channel.cr_forms
     monkeypatch.setattr(channel, "cr_forms", lambda r, *args: sizes.append(len(r)) or forms(r, *args))
@@ -739,7 +741,10 @@ def test_figure_rows_compute_cr_forms_twice_per_k(monkeypatch):
     assert sizes == [4000, 2000, 4000] * 2
     sizes.clear()
     figure_rows(5, k_grid=(5.0, 10.0), n_outage=6000, bf_grid_n=11, bf_mc_n=2000)
-    assert sizes == [6000, 2000, 6000] * 2
+    assert sizes == [2000] * 2 + [6000, 6000] * 2
+    sizes.clear()
+    figure_rows(5, k_grid=(5.0, 10.0), n_outage=channel.PIECE + 6000, bf_grid_n=11, bf_mc_n=2000)
+    assert sizes == [2000] * 2 + [channel.PIECE] * 4 + [6000] * 4
 
 
 def test_figure_sweep_rate_structure():
@@ -797,24 +802,97 @@ def test_figure_sweeps_match_the_public_estimators():
 
 
 def test_figure_sweep_draws_its_normals_once(monkeypatch):
-    """Every K's block is rescaled from one draw of normals, which every sampler call passes through: of
-    all four links for figures 3 and 5, of the primary links h11 and h12 for figures 2 and 4."""
-    draws = []
-    normals = channel.standard_normals
+    """Every K's block of figures 2 and 3 is rescaled from one draw of normals: of all four links for
+    figure 3, of the primary links h11 and h12 for figure 2 (streamed from normal_pieces into the draw).
+    Figures 4 and 5 stream every K from normal_pieces, each realization's links once per pass: figure 4
+    h11 and h12; figure 5 all four links of the first bf_mc_n realizations and h11 and h12 of the rest,
+    then h21 and h22 of all n."""
+    draws, streams = [], []
+    normals, pieces = channel.standard_normals, channel.normal_pieces
 
     def counting(n, seed, start=0, links=channel.LINKS):
         draws.append((n, tuple(links)))
         return normals(n, seed, start, links)
 
+    def streaming(n, seed, start=0, links=channel.LINKS):
+        streams.append((n, start, tuple(links)))
+        return pieces(n, seed, start, links)
+
     monkeypatch.setattr(channel, "standard_normals", counting)
+    monkeypatch.setattr(channel, "normal_pieces", streaming)
     figure_rows(3, k_grid=(5.0, 10.0), n_ergodic=4000, bf_grid_n=11, bf_mc_n=2000)
-    assert draws == [(4000, channel.LINKS)]
-    draws.clear()
-    figure_rows(5, k_grid=(5.0, 10.0), n_outage=20000, bf_grid_n=11, bf_mc_n=2000)
-    assert draws == [(20000, channel.LINKS)]
+    assert (draws, streams) == ([(4000, channel.LINKS)], [])
     draws.clear()
     figure_rows(2, k_grid=(5.0, 10.0), n_ergodic=4000)
-    assert draws == [(4000, (0, 1))]
+    assert (draws, streams) == ([(4000, (0, 1))], [(4000, 0, (0, 1))])
     draws.clear()
+    streams.clear()
+    figure_rows(5, k_grid=(5.0, 10.0), n_outage=20000, bf_grid_n=11, bf_mc_n=2000)
+    assert (draws, streams) == ([], [(2000, 0, channel.LINKS), (18000, 2000, (0, 1)), (20000, 0, (2, 3))])
+    streams.clear()
     figure_rows(4, k_grid=(5.0, 10.0), n_outage=20000)
-    assert draws == [(20000, (0, 1))]
+    assert (draws, streams) == ([], [(20000, 0, (0, 1))])
+
+
+@pytest.mark.parametrize("figure, sizes, piece", [
+    (4, dict(n_outage=1), None),
+    (5, dict(n_outage=1), None),
+    (5, dict(n_outage=50, bf_mc_n=20000), None),
+    (5, dict(n_outage=20000, bf_mc_n=5, bf_grid_n=3), None),
+    (4, dict(n_outage=3 * 1024 + 17, seed=3), 1024),
+    (5, dict(n_outage=3 * 1024 + 17, bf_mc_n=1500, bf_grid_n=7, seed=3), 1024),
+])
+def test_streamed_outage_rows_equal_the_held_block_rows(figure, sizes, piece, monkeypatch):
+    """Figures 4 and 5, streamed piece by piece, print the rows of the held-block oracle byte for byte: at
+    one realization, with an alpha2 block longer than n or of 5 realizations, and over pieces that n and
+    bf_mc_n do not fill."""
+    if piece:
+        monkeypatch.setattr(channel, "PIECE", piece)
+    config = cli.validate_config("reproduce-figure", {"figure": figure, **sizes})
+    assert repr(cli._sweep_rows(config)) == repr(held_block_outage_rows(config))
+
+
+def test_figure_5_memory_does_not_grow_with_n_outage(monkeypatch):
+    """Figure 5 holds its piece buffers and one bf_mc_n block, whatever n_outage: the traced peaks at
+    n_outage 2^13 and 2^15 differ by less than one piece's buffers (a held block differs by 3 MB)."""
+    monkeypatch.setattr(channel, "PIECE", 1 << 10)
+    work = montecarlo.PieceWork(channel.PIECE)
+    piece_bytes = sum(a.nbytes for a in vars(work).values())
+    figure_rows(5, n_outage=1 << 10, bf_grid_n=5, bf_mc_n=2000)  # every cache filled before the peaks
+    peaks = []
+    for n in (1 << 13, 1 << 15):
+        tracemalloc.start()
+        try:
+            figure_rows(5, n_outage=n, bf_grid_n=5, bf_mc_n=2000)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < piece_bytes < ((1 << 15) - (1 << 13)) * 128
+
+
+def test_scan_estimate_counts_the_rate_not_the_scan():
+    """OutageScan.estimate, figure 4's full_search row, counts log2(1 + sig/den) < R_P at a grid alpha1 as
+    estimates does, where the scan counts 1 + sig/den < 2^R_P: also on constructed samples whose 1 +
+    sig/den sits 1 to 4 ulps below 2^R_P at grid alpha1, where the two tests can disagree."""
+    grid, disagree = np.linspace(0.0, 1.0, 201), 0
+    rand = channel.sample_realizations(STATS, 3000, 7, links=channel.PRIMARY_LINKS)
+    for r_p in (1.0, 2.0, 2.5, 3.0, 9.0):
+        big_t, edge = 2.0 ** r_p, []
+        below = np.nextafter(big_t, 0.0) - np.arange(4) * np.spacing(np.nextafter(big_t, 0.0))
+        for j in (40, 120, 200):
+            den = (1.0 - grid[j]) * PW.Pc + PW.noise_p  # h12 = 1
+            x0 = (np.sqrt((big_t - 1.0) * den) - np.sqrt(grid[j] * PW.Pc)) / np.sqrt(PW.Pp)
+            h11 = x0 + np.arange(-1000, 1001) * np.spacing(x0) + 0j
+            x = _scan_value(h11, 1.0, grid[j])
+            edge.append(h11[np.isin(x, below)])
+        edge = np.concatenate(edge)
+        assert len(edge) >= 2
+        h11, h12 = np.concatenate([rand.h11, edge]), np.concatenate([rand.h12, np.ones(len(edge), dtype=complex)])
+        r = channel.ChannelRealization(h11, h12, None, None)
+        scan = montecarlo._outage_scan(r, PW, r_p, 201)
+        assert scan.counts().tolist() == _oracle_outage_counts(r, PW, r_p, 201)
+        for a1, count in zip(grid, scan.counts()):
+            [want] = montecarlo.estimates(r, STATS, DesignParams(float(a1), 0.0), PW, ("primary",), r_p)
+            assert scan.estimate(float(a1)) == want
+            disagree += count != round(want.value * len(r))
+    assert disagree > 0
